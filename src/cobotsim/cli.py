@@ -15,6 +15,7 @@ from pathlib import Path
 from .charts import emit_svg_chart
 from .configio import ConfigError, config_with_overrides, parse_config
 from .engine import (
+    MAX_SEED,
     EnsembleSummary,
     ModelConfig,
     ModelVariant,
@@ -100,6 +101,17 @@ def _load_config(args: argparse.Namespace) -> ModelConfig:
     return cfg
 
 
+def _check_base_seed(args: argparse.Namespace) -> None:
+    """Every seed of --base-seed .. --base-seed + --seeds - 1 must be an
+    unsigned 64-bit integer."""
+    last = args.base_seed + args.seeds - 1
+    if args.base_seed < 0 or last > MAX_SEED:
+        raise ConfigError(
+            f"--base-seed {args.base_seed} with --seeds {args.seeds} leaves "
+            f"[0, {MAX_SEED}] (seeds must be unsigned 64-bit integers)"
+        )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     formats = [f.strip() for f in args.emit.split(",") if f.strip()]
@@ -140,6 +152,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1 (got {args.seeds})")
+    _check_base_seed(args)
     ens = run_ensemble(cfg, args.seeds, args.base_seed)
     print(
         f"{cfg.variant.value}: {ens.n_seeds} seeds from {ens.base_seed} — "
@@ -213,6 +226,7 @@ def format_kpi_table(n_seeds: int, base_seed: int = 1) -> str:
 def _cmd_table2(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1 (got {args.seeds})")
+    _check_base_seed(args)
     text = format_kpi_table(args.seeds, args.base_seed)
     print(text, end="")
     if args.out is not None:
@@ -272,6 +286,7 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    _check_base_seed(args)
     text = format_comparison(args.seeds, args.base_seed)
     print(text, end="")
     if args.out is not None:

@@ -9,6 +9,7 @@ as golden artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,9 +45,9 @@ class DisruptionParams:
             raise ValueError(
                 f"severe_share must lie in [0, 1] (got {self.severe_share})"
             )
-        if not self.difficult_pick_fatigue >= 0.0:
+        if not 0.0 <= self.difficult_pick_fatigue < math.inf:
             raise ValueError(
-                f"difficult_pick_fatigue must be >= 0 "
+                f"difficult_pick_fatigue must be finite and >= 0 "
                 f"(got {self.difficult_pick_fatigue})"
             )
 

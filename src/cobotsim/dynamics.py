@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,9 +51,9 @@ class TrustParams:
             raise ValueError(
                 f"initial_trust must lie in [0, 1] (got {self.initial_trust})"
             )
-        if not self.initial_fatigue >= 0.0:
+        if not 0.0 <= self.initial_fatigue < math.inf:
             raise ValueError(
-                f"initial_fatigue must be >= 0 (got {self.initial_fatigue})"
+                f"initial_fatigue must be finite and >= 0 (got {self.initial_fatigue})"
             )
 
 

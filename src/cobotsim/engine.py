@@ -12,17 +12,25 @@ external contract because reordering it changes trajectories:
    had been low, a difficult pick adds its surcharge;
 6. outcome classified under the variant's trust rule, trust updated;
 7. apology controller ticked for a consumed override, then fed the outcome.
+
+``run_shift`` and ``run_ensemble`` share one flat loop that runs this
+sequence over plain floats, bools and an int apology countdown. It takes the
+stage game from a memo made once per call and tracks recovery times as the
+shift runs; ensembles build no per-turn records. ``run_step`` executes one
+turn with the public state types and is the single-turn reference that the
+tests compare the loop against.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .disruption import DisruptionEvent, DisruptionParams, RandomStream, sample_disruption
 from .dynamics import (
+    STATE_DECIMALS,
     InteractionOutcome,
     TrustParams,
     TrustRule,
@@ -36,13 +44,14 @@ from .game import (
     EffortLevel,
     GameParams,
     HumanState,
+    fatigue_increment,
     human_best_response,
     human_reward,
     solve_stage_game,
 )
 from .repair import ApologyController, leader_override, on_outcome, tick
 
-_MASK64 = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 
 
 class ModelVariant(str, Enum):
@@ -82,7 +91,7 @@ class ModelConfig:
     def validate(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(
                 f"seed must be an unsigned 64-bit integer (got {self.seed})"
             )
@@ -185,16 +194,164 @@ def run_step(
     return record, HumanState(fatigue=fatigue_post, trust=trust_post), new_ctrl
 
 
+class _StagePolicy:
+    """The stage game of one configuration, memoised for one call of
+    ``run_shift`` or ``run_ensemble``.
+
+    ``solve_stage_game`` reads fatigue only through the threshold tests of
+    ``cobot_utility``. The key ``(trust, fatigue + inc > threshold for each
+    table increment)`` evaluates those same float expressions, so equal keys
+    select the same equilibrium. Misses call the game module, whose tie-break
+    rules therefore stay the only ones. A decision holds the per-turn
+    constants of one action pair: ``(cobot, human, items, increment,
+    increment if the cobot fails, outcome unless severe, its trust delta)``.
+    """
+
+    __slots__ = ("game", "decisions", "increments", "threshold", "solved", "forced")
+
+    def __init__(self, cfg: ModelConfig) -> None:
+        game = cfg.game
+        delta = {
+            InteractionOutcome.SUCCESS: cfg.trust.gain,
+            InteractionOutcome.MINOR_FAILURE: -cfg.trust.loss,
+        }
+        self.game = game
+        self.decisions: dict[ActionPair, tuple] = {}
+        for cobot in CollabLevel:
+            for human in EffortLevel:
+                pair = ActionPair(cobot, human)
+                outcome = classify_interaction(cfg.variant.trust_rule, pair, False, game)
+                self.decisions[pair] = (
+                    cobot,
+                    human,
+                    human_reward(human, game),
+                    fatigue_increment(pair, game),
+                    fatigue_increment(ActionPair(CollabLevel.LOW, human), game),
+                    outcome,
+                    delta[outcome],
+                )
+        self.increments = tuple(fatigue_increment(pair, game) for pair in self.decisions)
+        self.threshold = game.fatigue_threshold
+        self.solved: dict[tuple, tuple] = {}
+        self.forced: dict[float, tuple] = {}
+
+    def leader(self, trust: float, fatigue: float) -> tuple:
+        """Decision of the stage-game equilibrium at (trust, fatigue)."""
+        threshold = self.threshold
+        a, b, c, d = self.increments
+        key = (
+            trust,
+            fatigue + a > threshold,
+            fatigue + b > threshold,
+            fatigue + c > threshold,
+            fatigue + d > threshold,
+        )
+        decision = self.solved.get(key)
+        if decision is None:
+            pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), self.game)
+            decision = self.solved[key] = self.decisions[pair]
+        return decision
+
+    def apology(self, trust: float) -> tuple:
+        """Decision of a forced high-collaboration turn at ``trust``."""
+        decision = self.forced.get(trust)
+        if decision is None:
+            human = human_best_response(CollabLevel.HIGH, trust, self.game)
+            pair = ActionPair(CollabLevel.HIGH, human)
+            decision = self.forced[trust] = self.decisions[pair]
+        return decision
+
+
+def _simulate(
+    cfg: ModelConfig, seed: int, policy: _StagePolicy, keep_records: bool
+) -> tuple[list[StepRecord] | None, ShiftSummary]:
+    """One shift of ``cfg`` from ``seed``: the turn sequence of ``run_step``
+    over plain values, with recovery times tracked as the shift runs.
+    Returns the records (None unless ``keep_records``) and the summary."""
+    variant = cfg.variant
+    stochastic, apology = variant.has_disruptions, variant.has_apology
+    chance = cfg.disruption.chance
+    severe_share = cfg.disruption.severe_share
+    pick_extra = cfg.disruption.difficult_pick_fatigue
+    severe_delta = -cfg.trust.severe_loss
+    duration = cfg.apology_duration
+    leader, forced = policy.leader, policy.apology
+    draw = RandomStream(seed).next_uniform
+    none, pick, failure = (
+        DisruptionEvent.NONE, DisruptionEvent.DIFFICULT_PICK, DisruptionEvent.COBOT_FAILURE
+    )
+    severe = InteractionOutcome.SEVERE_FAILURE
+
+    trust, fatigue = cfg.trust.initial_trust, cfg.trust.initial_fatigue
+    remaining = 0  # apology turns left; only the apology variant arms it
+    records: list[StepRecord] = []
+    # Summed with sum() at the end, as summarize_shift does: newer Pythons
+    # compensate float sums, so a running total could differ in the last bit.
+    items_picked: list[float] = []
+    peak = -math.inf
+    severe_turns: list[int] = []
+    pending: list[tuple[int, float]] = []  # (severe turn, pre-drop trust) not yet regained
+    lowest = math.inf  # smallest pending target
+    recovered: dict[int, int] = {}
+
+    for step in range(1, cfg.horizon + 1):
+        cobot, human, items, inc, failed_inc, outcome, delta = (
+            forced(trust) if remaining else leader(trust, fatigue)
+        )
+        event, extra = none, 0.0
+        # One draw decides occurrence, a second the kind (sample_disruption).
+        if stochastic and draw() < chance:
+            if draw() < severe_share:
+                event, inc, outcome, delta = failure, failed_inc, severe, severe_delta
+            else:
+                event, extra = pick, pick_extra
+        fatigue_post = round(max(0.0, fatigue + inc + extra), STATE_DECIMALS)
+        trust_post = round(min(1.0, max(0.0, trust + delta)), STATE_DECIMALS)
+        # Tick before arming: a severe failure during an active apology must
+        # still leave a full window behind it.
+        if remaining:
+            remaining -= 1
+        if trust_post >= lowest:
+            unmet = []
+            for turn, target in pending:
+                if trust_post >= target:
+                    recovered[turn] = step - turn
+                else:
+                    unmet.append((turn, target))
+            pending = unmet
+            lowest = min([target for _, target in pending], default=math.inf)
+        if outcome is severe:
+            severe_turns.append(step)
+            pending.append((step, trust))
+            lowest = min(lowest, trust)
+            if apology:
+                remaining = duration
+        if keep_records:
+            records.append(
+                StepRecord(
+                    step, trust, fatigue, cobot, human, event, outcome, items,
+                    extra, trust_post, fatigue_post, remaining,
+                )
+            )
+        items_picked.append(items)
+        if fatigue_post > peak:
+            peak = fatigue_post
+        trust, fatigue = trust_post, fatigue_post
+
+    summary = ShiftSummary(
+        productivity=sum(items_picked),
+        final_fatigue=fatigue,
+        final_trust=trust,
+        peak_fatigue=peak,
+        severe_failure_turns=severe_turns,
+        recovery_times=[(turn, recovered.get(turn)) for turn in severe_turns],
+    )
+    return (records if keep_records else None), summary
+
+
 def run_shift(cfg: ModelConfig) -> tuple[list[StepRecord], ShiftSummary]:
     """Run one full shift from the configured initial state."""
-    state = HumanState(fatigue=cfg.trust.initial_fatigue, trust=cfg.trust.initial_trust)
-    ctrl = ApologyController(remaining=0, duration=cfg.apology_duration)
-    stream = RandomStream(cfg.seed)
-    records: list[StepRecord] = []
-    for step in range(1, cfg.horizon + 1):
-        record, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
-        records.append(record)
-    return records, summarize_shift(records, cfg.horizon)
+    return _simulate(cfg, cfg.seed, _StagePolicy(cfg), keep_records=True)
 
 
 def summarize_shift(records: list[StepRecord], horizon: int) -> ShiftSummary:
@@ -259,10 +416,16 @@ def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> Ensemble
     """Run seeds base_seed, base_seed + 1, ... and aggregate their KPIs."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1 (got {n_seeds})")
-    summaries: list[ShiftSummary] = []
-    for i in range(n_seeds):
-        _, summary = run_shift(replace(cfg, seed=(base_seed + i) & _MASK64))
-        summaries.append(summary)
+    last_seed = base_seed + n_seeds - 1
+    if base_seed < 0 or last_seed > MAX_SEED:
+        raise ValueError(
+            f"seeds {base_seed}..{last_seed} must all be unsigned 64-bit integers"
+        )
+    policy = _StagePolicy(cfg)
+    summaries = [
+        _simulate(cfg, seed, policy, keep_records=False)[1]
+        for seed in range(base_seed, last_seed + 1)
+    ]
 
     productivity = [s.productivity for s in summaries]
     trust = [s.final_trust for s in summaries]

@@ -32,7 +32,7 @@ from cobotsim import (
     run_step,
     solve_stage_game,
 )
-from cobotsim.engine import median_recovery_capped
+from cobotsim.engine import median_recovery_capped, summarize_shift
 from cobotsim.game import TIE_EPS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -224,8 +224,10 @@ def test_criterion_6_invariant_fuzz_sweep():
         ctrl = ApologyController(remaining=0, duration=cfg.apology_duration)
         high_turns = 0
         produced = 0.0
+        records = []
         for step in range(1, cfg.horizon + 1):
             record, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
+            records.append(record)
             assert 0.0 <= record.trust_post <= 1.0
             assert record.fatigue_post >= 0.0
             produced += record.items_picked
@@ -240,10 +242,13 @@ def test_criterion_6_invariant_fuzz_sweep():
             assert stream.state == cfg.seed, (
                 f"{cfg.variant.value} consumed random draws"
             )
+        # run_shift's flat loop must reproduce the per-turn reference exactly.
+        assert run_shift(cfg) == (records, summarize_shift(records, cfg.horizon))
     print(
         f"\n[acceptance] criterion 6: PASS — {n_configs} random configs, "
         f"{steps_checked} steps: trust bounded, fatigue non-negative, "
-        f"accounting identity holds, deterministic variants draw-free"
+        f"accounting identity holds, deterministic variants draw-free, "
+        f"run_shift equals chained run_step"
     )
 
 

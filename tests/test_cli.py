@@ -102,6 +102,32 @@ def test_invalid_value_exits_2(tmp_path, capsys):
     assert "[0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key", ["fatigue.initial", "disruption.difficult_pick_fatigue"]
+)
+def test_infinite_value_exits_2(tmp_path, capsys, key):
+    code = main(["run", "--set", f"{key}=inf", "--out", str(tmp_path)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ensemble", "table2", "compare"])
+def test_negative_base_seed_exits_2(capsys, command):
+    assert main([command, "--seeds", "2", "--base-seed", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "--base-seed -5" in err
+
+
+@pytest.mark.parametrize("command", ["ensemble", "table2", "compare"])
+def test_base_seed_past_64_bits_exits_2(capsys, command):
+    argv = [command, "--seeds", "2", "--base-seed", str(2**64 - 1)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"--base-seed {2**64 - 1}" in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

@@ -66,6 +66,7 @@ def test_event_frequencies():
         {"chance": 1.1},
         {"severe_share": 2.0},
         {"difficult_pick_fatigue": -1.0},
+        {"difficult_pick_fatigue": float("inf")},
     ],
 )
 def test_disruption_params_validation(kwargs):

@@ -163,6 +163,7 @@ def test_update_fatigue_never_negative(fatigue, extra, increment):
         {"severe_loss": -0.1},
         {"initial_trust": 1.5},
         {"initial_fatigue": -1.0},
+        {"initial_fatigue": float("inf")},
     ],
 )
 def test_trust_params_validation(kwargs):

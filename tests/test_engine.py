@@ -7,11 +7,13 @@ from dataclasses import replace
 import pytest
 
 from cobotsim import (
+    ActionPair,
     ApologyController,
     CollabLevel,
     DisruptionEvent,
     DisruptionParams,
     EffortLevel,
+    GameParams,
     HumanState,
     InteractionOutcome,
     ModelConfig,
@@ -23,7 +25,9 @@ from cobotsim import (
     run_ensemble,
     run_shift,
     run_step,
+    solve_stage_game,
 )
+from cobotsim.engine import _StagePolicy
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -209,6 +213,53 @@ def test_disengagement_trap_without_apology():
     assert trust_path[-1] == 0.0
 
 
+# ---------------------------------------------------------- stage policy
+
+
+def _rounding_game():
+    # Low collaboration draws high effort at every trust, so the largest
+    # increment, 3.24, prices a pair the leader can choose. 30.2 - 3.24
+    # rounds up to 26.96, and 26.96 + 3.24 > 30.2: a test of fatigue against
+    # threshold - increment would wrongly call that state penalty-free.
+    return GameParams(
+        fatigue_threshold=30.2,
+        fatigue_table={
+            (NORMAL, LOW_C): 2.9,
+            (NORMAL, HIGH_C): 0.3,
+            (HIGH_E, LOW_C): 3.24,
+            (HIGH_E, HIGH_C): 0.9,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        GameParams(),
+        GameParams(fatigue_threshold=80.3),
+        _rounding_game(),
+    ],
+    ids=["defaults", "threshold-80.3", "rounding-threshold"],
+)
+def test_memoised_stage_game_is_exact_at_the_threshold(game):
+    # Fatigues one and two ulps either side of each threshold - increment;
+    # one memo sees them in both orders, so a key that rounds differently
+    # from cobot_utility serves a stale decision.
+    fatigues = []
+    for inc in game.fatigue_table.values():
+        edge = game.fatigue_threshold - inc
+        below = math.nextafter(edge, -math.inf)
+        above = math.nextafter(edge, math.inf)
+        fatigues += [math.nextafter(below, -math.inf), below, edge, above,
+                     math.nextafter(above, math.inf)]
+    policy = _StagePolicy(cfg_for("v1.1", game=game))
+    for trust in (0.0, 0.3, 0.5, 0.6, 0.75, 1.0):
+        for fatigue in fatigues + fatigues[::-1]:
+            cobot, human = policy.leader(trust, fatigue)[:2]
+            expected = solve_stage_game(HumanState(fatigue, trust), game)
+            assert ActionPair(cobot, human) == expected, (trust, fatigue)
+
+
 # ---------------------------------------------------------------- recovery
 
 
@@ -341,6 +392,14 @@ def test_initial_state_comes_from_trust_params():
 def test_run_ensemble_rejects_zero_seeds():
     with pytest.raises(ValueError):
         run_ensemble(cfg_for("v1.2"), n_seeds=0)
+
+
+def test_run_ensemble_rejects_seeds_outside_64_bits():
+    # the last seed must not wrap past 2**64 - 1
+    with pytest.raises(ValueError):
+        run_ensemble(cfg_for("v1.2"), n_seeds=2, base_seed=-1)
+    with pytest.raises(ValueError):
+        run_ensemble(cfg_for("v1.2"), n_seeds=2, base_seed=2**64 - 1)
 
 
 def test_median_recovery_uses_infinity_for_censored():
