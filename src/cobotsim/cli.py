@@ -86,7 +86,11 @@ def _load_config(args: argparse.Namespace) -> ModelConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        cfg = parse_config(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        cfg = parse_config(text)
     else:
         cfg = ModelConfig()
     shorthand = []
@@ -112,6 +116,24 @@ def _check_base_seed(args: argparse.Namespace) -> None:
         )
 
 
+def _write_out(out: str, files: dict[str, str]) -> None:
+    """Write each ``name: text`` of ``files`` into directory ``out``, creating
+    it, and report every file written. A directory that cannot be used is a
+    config error naming --out."""
+    out_dir = Path(out)
+    written = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out_dir / name
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from None
+    for path in written:
+        print(f"wrote {path}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     formats = [f.strip() for f in args.emit.split(",") if f.strip()]
@@ -124,27 +146,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("at least one emit format is required")
 
     records, summary = run_shift(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = out_dir / "trajectory.csv"
-        path.write_text(emit_trajectory_csv(records), encoding="utf-8")
-        written.append(path)
-    if "json" in formats:
-        path = out_dir / "summary.json"
-        path.write_text(emit_summary_json(summary), encoding="utf-8")
-        written.append(path)
-    if "svg" in formats:
-        path = out_dir / "chart.svg"
-        path.write_text(emit_svg_chart(records), encoding="utf-8")
-        written.append(path)
     print(
         f"{cfg.variant.value} seed {cfg.seed}: productivity {summary.productivity:g}, "
         f"final trust {summary.final_trust:g}, final fatigue {summary.final_fatigue:g}"
     )
-    for path in written:
-        print(f"wrote {path}")
+    files = {}
+    if "csv" in formats:
+        files["trajectory.csv"] = emit_trajectory_csv(records)
+    if "json" in formats:
+        files["summary.json"] = emit_summary_json(summary)
+    if "svg" in formats:
+        files["chart.svg"] = emit_svg_chart(records)
+    _write_out(args.out, files)
     return 0
 
 
@@ -162,11 +175,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         f"censored recoveries {ens.censored_count}/{ens.runs_with_severe}"
     )
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "ensemble.json"
-        path.write_text(emit_summary_json(ens), encoding="utf-8")
-        print(f"wrote {path}")
+        _write_out(args.out, {"ensemble.json": emit_summary_json(ens)})
     return 0
 
 
@@ -230,11 +239,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     text = format_kpi_table(args.seeds, args.base_seed)
     print(text, end="")
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "table2.txt"
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
+        _write_out(args.out, {"table2.txt": text})
     return 0
 
 
@@ -290,11 +295,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     text = format_comparison(args.seeds, args.base_seed)
     print(text, end="")
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "compare.txt"
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
+        _write_out(args.out, {"compare.txt": text})
     return 0
 
 

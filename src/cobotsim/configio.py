@@ -7,6 +7,7 @@ format, and flat lines diff and grep well.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 from .disruption import DisruptionParams
@@ -135,9 +136,13 @@ def parse_config(
         )
     except ValueError as exc:
         # Attribute the failed invariant to the last line touching a field
-        # that the message names; fall back to the bare message.
+        # that the message names as a whole word ("loss" is not named by
+        # "severe_loss"); fall back to the bare message.
         message = str(exc)
-        hits = [n for attr, n in line_of_attr.items() if attr in message]
+        hits = [
+            n for attr, n in line_of_attr.items()
+            if re.search(rf"\b{re.escape(attr)}\b", message)
+        ]
         if hits:
             raise ConfigError(f"{label} {max(hits)}: {message}") from None
         raise ConfigError(message) from None

@@ -16,9 +16,13 @@ external contract because reordering it changes trajectories:
 ``run_shift`` and ``run_ensemble`` share one flat loop that runs this
 sequence over plain floats, bools and an int apology countdown. It takes the
 stage game from a memo made once per call and tracks recovery times as the
-shift runs; ensembles build no per-turn records. ``run_step`` executes one
-turn with the public state types and is the single-turn reference that the
-tests compare the loop against.
+shift runs; ensembles build no per-turn records. Each memoised decision
+carries its post-turn trust, computed once by ``update_trust``, so the loop
+does no trust arithmetic. Fatigue is quantized as ``update_fatigue`` does,
+except that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS: such
+a value has at most STATE_DECIMALS decimals, so rounding returns it
+unchanged. ``run_step`` executes one turn with the public state types and is
+the single-turn reference that the tests compare the loop against.
 """
 
 from __future__ import annotations
@@ -203,37 +207,43 @@ class _StagePolicy:
     table increment)`` evaluates those same float expressions, so equal keys
     select the same equilibrium. Misses call the game module, whose tie-break
     rules therefore stay the only ones. A decision holds the per-turn
-    constants of one action pair: ``(cobot, human, items, increment,
-    increment if the cobot fails, outcome unless severe, its trust delta)``.
+    constants of one action pair at one trust: ``(cobot, human, items,
+    increment, increment if the cobot fails, outcome unless severe, post-turn
+    trust for that outcome, post-turn trust after a severe failure)``. Both
+    trusts come from ``update_trust`` on the miss, so the shift loop rounds
+    no trust itself.
     """
 
-    __slots__ = ("game", "decisions", "increments", "threshold", "solved", "forced")
+    __slots__ = ("cfg", "pairs", "increments", "threshold", "solved", "forced")
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
-        delta = {
-            InteractionOutcome.SUCCESS: cfg.trust.gain,
-            InteractionOutcome.MINOR_FAILURE: -cfg.trust.loss,
-        }
-        self.game = game
-        self.decisions: dict[ActionPair, tuple] = {}
+        self.cfg = cfg
+        self.pairs: dict[ActionPair, tuple] = {}
         for cobot in CollabLevel:
             for human in EffortLevel:
                 pair = ActionPair(cobot, human)
-                outcome = classify_interaction(cfg.variant.trust_rule, pair, False, game)
-                self.decisions[pair] = (
+                self.pairs[pair] = (
                     cobot,
                     human,
                     human_reward(human, game),
                     fatigue_increment(pair, game),
                     fatigue_increment(ActionPair(CollabLevel.LOW, human), game),
-                    outcome,
-                    delta[outcome],
+                    classify_interaction(cfg.variant.trust_rule, pair, False, game),
                 )
-        self.increments = tuple(fatigue_increment(pair, game) for pair in self.decisions)
+        self.increments = tuple(fatigue_increment(pair, game) for pair in self.pairs)
         self.threshold = game.fatigue_threshold
         self.solved: dict[tuple, tuple] = {}
         self.forced: dict[float, tuple] = {}
+
+    def _decision(self, pair: ActionPair, trust: float) -> tuple:
+        """The constants of ``pair`` followed by its two post-turn trusts."""
+        constants = self.pairs[pair]
+        outcome, tp = constants[-1], self.cfg.trust
+        return constants + (
+            update_trust(trust, outcome, tp),
+            update_trust(trust, InteractionOutcome.SEVERE_FAILURE, tp),
+        )
 
     def leader(self, trust: float, fatigue: float) -> tuple:
         """Decision of the stage-game equilibrium at (trust, fatigue)."""
@@ -248,17 +258,17 @@ class _StagePolicy:
         )
         decision = self.solved.get(key)
         if decision is None:
-            pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), self.game)
-            decision = self.solved[key] = self.decisions[pair]
+            pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), self.cfg.game)
+            decision = self.solved[key] = self._decision(pair, trust)
         return decision
 
     def apology(self, trust: float) -> tuple:
         """Decision of a forced high-collaboration turn at ``trust``."""
         decision = self.forced.get(trust)
         if decision is None:
-            human = human_best_response(CollabLevel.HIGH, trust, self.game)
+            human = human_best_response(CollabLevel.HIGH, trust, self.cfg.game)
             pair = ActionPair(CollabLevel.HIGH, human)
-            decision = self.forced[trust] = self.decisions[pair]
+            decision = self.forced[trust] = self._decision(pair, trust)
         return decision
 
 
@@ -273,7 +283,6 @@ def _simulate(
     chance = cfg.disruption.chance
     severe_share = cfg.disruption.severe_share
     pick_extra = cfg.disruption.difficult_pick_fatigue
-    severe_delta = -cfg.trust.severe_loss
     duration = cfg.apology_duration
     leader, forced = policy.leader, policy.apology
     draw = RandomStream(seed).next_uniform
@@ -281,6 +290,7 @@ def _simulate(
         DisruptionEvent.NONE, DisruptionEvent.DIFFICULT_PICK, DisruptionEvent.COBOT_FAILURE
     )
     severe = InteractionOutcome.SEVERE_FAILURE
+    dyadic = 2.0**STATE_DECIMALS
 
     trust, fatigue = cfg.trust.initial_trust, cfg.trust.initial_fatigue
     remaining = 0  # apology turns left; only the apology variant arms it
@@ -295,18 +305,25 @@ def _simulate(
     recovered: dict[int, int] = {}
 
     for step in range(1, cfg.horizon + 1):
-        cobot, human, items, inc, failed_inc, outcome, delta = (
+        cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust = (
             forced(trust) if remaining else leader(trust, fatigue)
         )
         event, extra = none, 0.0
         # One draw decides occurrence, a second the kind (sample_disruption).
         if stochastic and draw() < chance:
             if draw() < severe_share:
-                event, inc, outcome, delta = failure, failed_inc, severe, severe_delta
+                event, inc, outcome, trust_post = failure, failed_inc, severe, severe_trust
             else:
                 event, extra = pick, pick_extra
-        fatigue_post = round(max(0.0, fatigue + inc + extra), STATE_DECIMALS)
-        trust_post = round(min(1.0, max(0.0, trust + delta)), STATE_DECIMALS)
+        # update_fatigue, skipping round() where it is the identity: a
+        # multiple of 1/dyadic is m * 5**STATE_DECIMALS / 10**STATE_DECIMALS,
+        # so it has at most STATE_DECIMALS decimals already. An overflow to
+        # inf fails is_integer() and is rounded.
+        fatigue_post = fatigue + inc + extra
+        if not fatigue_post > 0.0:  # max(0.0, x), also for -0.0 and NaN
+            fatigue_post = 0.0
+        elif not (fatigue_post * dyadic).is_integer():
+            fatigue_post = round(fatigue_post, STATE_DECIMALS)
         # Tick before arming: a severe failure during an active apology must
         # still leave a full window behind it.
         if remaining:

@@ -103,9 +103,12 @@ class GameParams:
         for name, value in scalars.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite (got {value})")
-        for key, value in self.fatigue_table.items():
+        for (effort, collab), value in self.fatigue_table.items():
             if not math.isfinite(value):
-                raise ValueError(f"fatigue table entry {key} must be finite")
+                # Named as its config key, game.fatigue_<effort>_<collab>.
+                raise ValueError(
+                    f"fatigue_{effort.value}_{collab.value} must be finite (got {value})"
+                )
         if not self.reward_high > self.reward_normal:
             raise ValueError(
                 f"reward_high must exceed reward_normal "

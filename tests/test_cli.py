@@ -134,6 +134,23 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "shift.cfg"
+    config.write_bytes(b"\xff\xfe=1\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read config file" in err
+    assert str(config) in err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["compare", "--seeds", "2"]])
+def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    assert main([*argv, "--out", str(blocker)]) == 2
+    assert f"config error: --out {blocker}" in capsys.readouterr().err
+
+
 def test_unknown_emit_format_exits_2(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path), "--emit", "pdf"])
     assert code == 2

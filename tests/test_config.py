@@ -61,6 +61,19 @@ def test_cross_field_invariant_attributed_to_offending_line():
         parse_config("horizon = 50\ngame.reward_normal = 5.0\n")
 
 
+def test_invariant_attributed_to_whole_word_field_name():
+    # "loss" is a substring of "severe_loss" but not the field it names.
+    with pytest.raises(ConfigError, match="line 1: severe_loss must lie in"):
+        parse_config("trust.severe_loss = 0\ntrust.loss = 0.1\n")
+
+
+def test_non_finite_table_entry_named_by_its_key():
+    with pytest.raises(
+        ConfigError, match=r"override 1: fatigue_normal_low must be finite \(got nan\)"
+    ):
+        config_with_overrides(ModelConfig(), ["game.fatigue_normal_low=nan"])
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
         parse_config("just some words\n")

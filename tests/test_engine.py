@@ -27,6 +27,7 @@ from cobotsim import (
     run_step,
     solve_stage_game,
 )
+from cobotsim.dynamics import STATE_DECIMALS
 from cobotsim.engine import _StagePolicy
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
@@ -258,6 +259,71 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
             cobot, human = policy.leader(trust, fatigue)[:2]
             expected = solve_stage_game(HumanState(fatigue, trust), game)
             assert ActionPair(cobot, human) == expected, (trust, fatigue)
+
+
+# ------------------------------------------------------------- fast paths
+
+
+def _fatigue_branch(record, game):
+    """Which quantization branch the shift loop takes for this turn."""
+    severe = record.disruption_event is DisruptionEvent.COBOT_FAILURE
+    charged = LOW_C if severe else record.cobot_action
+    x = record.fatigue_pre + game.fatigue_table[(record.human_action, charged)]
+    x += record.extra_fatigue
+    if not x > 0.0:
+        return "clamp"
+    return "exact" if (x * 2.0**STATE_DECIMALS).is_integer() else "round"
+
+
+def _forced_at_zero_trust(records):
+    return any(
+        prev.apology_remaining_post and rec.trust_pre == 0.0
+        for prev, rec in zip(records, records[1:])
+    )
+
+
+_NON_DYADIC = {(NORMAL, LOW_C): 0.3, (NORMAL, HIGH_C): 0.1,
+               (HIGH_E, LOW_C): 0.7, (HIGH_E, HIGH_C): 0.2}
+_NEGATIVE = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): -1.0,
+             (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 1.0}
+
+
+@pytest.mark.parametrize(
+    "variant, kwargs, exercised",
+    [
+        ("v1.2", {"trust": TrustParams(initial_fatigue=2**-12)},
+         lambda recs, game: {_fatigue_branch(r, game) for r in recs} == {"exact"}),
+        ("v1.2", {"trust": TrustParams(initial_fatigue=math.nextafter(2**-12, 0.0))},
+         lambda recs, game: recs[0].fatigue_pre != 2**-12),
+        ("v1.2", {"trust": TrustParams(initial_fatigue=math.nextafter(2**-12, 1.0))},
+         lambda recs, game: recs[0].fatigue_pre != 2**-12),
+        # 2**-13 has 13 decimals: a finer dyadic scale than 2**-12 would
+        # wrongly skip its round().
+        ("v1.2", {"trust": TrustParams(initial_fatigue=2**-13)},
+         lambda recs, game: _fatigue_branch(recs[0], game) == "round"),
+        ("v1.3", {"game": GameParams(fatigue_table=_NON_DYADIC),
+                  "disruption": DisruptionParams(chance=0.3, difficult_pick_fatigue=0.3)},
+         lambda recs, game: {"exact", "round"} <= {_fatigue_branch(r, game) for r in recs}),
+        ("v1.2", {"game": GameParams(fatigue_table=_NEGATIVE)},
+         lambda recs, game: "clamp" in {_fatigue_branch(r, game) for r in recs}),
+        ("v1.3", {"trust": TrustParams(severe_loss=1.0),
+                  "disruption": DisruptionParams(chance=0.3)},
+         lambda recs, game: _forced_at_zero_trust(recs)),
+    ],
+    ids=["initial-2^-12", "below-2^-12", "above-2^-12", "initial-2^-13",
+         "non-dyadic-table", "negative-entry-clamp", "forced-from-trust-0"],
+)
+@pytest.mark.parametrize("seed", [3, 11])
+def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
+    cfg = cfg_for(variant, seed=seed, **kwargs)
+    state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
+    ctrl = ApologyController(duration=cfg.apology_duration)
+    stream = RandomStream(cfg.seed)
+    records, _ = run_shift(cfg)
+    for got in records:
+        expected, state, ctrl = run_step(state, ctrl, stream, cfg, step=got.step)
+        assert got == expected, got.step
+    assert exercised(records, cfg.game)
 
 
 # ---------------------------------------------------------------- recovery

@@ -1,0 +1,37 @@
+"""Smoke tests of the scripts in ``scripts/``, run as a user would."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_reproduce_kpis_prints_and_saves_the_table(tmp_path):
+    result = run_script("reproduce_kpis.py", "--seeds", "20", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "recovery-time ratio v1.3/v1.2" in result.stdout
+    saved = (tmp_path / "out" / "table2.txt").read_text(encoding="utf-8")
+    assert "recovery-time ratio v1.3/v1.2" in saved
+
+
+def test_render_figures_writes_one_chart_and_csv_per_variant(tmp_path):
+    result = run_script("render_figures.py", str(tmp_path / "figures"), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    figures = tmp_path / "figures"
+    assert sorted(p.name for p in figures.glob("*.svg")) == [
+        "v1_0.svg", "v1_1.svg", "v1_2.svg", "v1_3.svg"
+    ]
+    assert sorted(p.name for p in figures.glob("*.csv")) == [
+        "v1_0.csv", "v1_1.csv", "v1_2.csv", "v1_3.csv"
+    ]
