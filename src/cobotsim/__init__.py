@@ -20,6 +20,7 @@ from .engine import (
     StepRecord,
     recovery_time,
     run_ensemble,
+    run_paired,
     run_shift,
     run_step,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "recovery_time",
     "render_config",
     "run_ensemble",
+    "run_paired",
     "run_shift",
     "run_step",
     "sample_disruption",

@@ -8,6 +8,7 @@ Configuration resolution order: built-in defaults, then --config file, then
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from .engine import (
     ModelVariant,
     median_recovery_capped,
     run_ensemble,
+    run_paired,
     run_shift,
 )
 from .reports import emit_summary_json, emit_trajectory_csv
@@ -85,6 +87,8 @@ def _load_config(args: argparse.Namespace) -> ModelConfig:
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
+            if path.exists():
+                raise ConfigError(f"config path is not a regular file: {path}")
             raise ConfigError(f"config file not found: {path}")
         try:
             text = path.read_text(encoding="utf-8")
@@ -113,6 +117,16 @@ def _check_base_seed(args: argparse.Namespace) -> None:
         raise ConfigError(
             f"--base-seed {args.base_seed} with --seeds {args.seeds} leaves "
             f"[0, {MAX_SEED}] (seeds must be unsigned 64-bit integers)"
+        )
+
+
+def _check_fatigue_finite(fatigue: float, where: str) -> None:
+    """Fatigue that overflowed to inf is an artifact of the inputs, not a
+    model state: report it rather than emit it."""
+    if math.isinf(fatigue):
+        raise ConfigError(
+            f"fatigue overflows to inf {where}; lower fatigue.initial, the "
+            "game.fatigue_* entries or disruption.difficult_pick_fatigue"
         )
 
 
@@ -146,6 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("at least one emit format is required")
 
     records, summary = run_shift(cfg)
+    _check_fatigue_finite(summary.peak_fatigue, f"in seed {cfg.seed}")
     print(
         f"{cfg.variant.value} seed {cfg.seed}: productivity {summary.productivity:g}, "
         f"final trust {summary.final_trust:g}, final fatigue {summary.final_fatigue:g}"
@@ -167,6 +182,9 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seeds must be >= 1 (got {args.seeds})")
     _check_base_seed(args)
     ens = run_ensemble(cfg, args.seeds, args.base_seed)
+    # Once inf, fatigue stays inf, so an overflow in any seed makes the mean inf.
+    last = args.base_seed + args.seeds - 1
+    _check_fatigue_finite(ens.mean_final_fatigue, f"in seeds {args.base_seed}..{last}")
     print(
         f"{cfg.variant.value}: {ens.n_seeds} seeds from {ens.base_seed} — "
         f"mean productivity {ens.mean_productivity:.2f}, "
@@ -195,10 +213,10 @@ def format_kpi_table(n_seeds: int, base_seed: int = 1) -> str:
              f"{s.final_trust:.2f}", behavior)
         )
 
-    ensembles: dict[ModelVariant, EnsembleSummary] = {}
-    for variant in (ModelVariant.V1_2, ModelVariant.V1_3):
-        ens = run_ensemble(ModelConfig(variant=variant), n_seeds, base_seed)
-        ensembles[variant] = ens
+    stochastic = (ModelVariant.V1_2, ModelVariant.V1_3)
+    paired = run_paired([ModelConfig(variant=v) for v in stochastic], n_seeds, base_seed)
+    ensembles: dict[ModelVariant, EnsembleSummary] = dict(zip(stochastic, paired))
+    for variant, ens in ensembles.items():
         med = median_recovery_capped(ens, cap=50.0)
         behavior = (
             f"median recovery {med:g} turns, "
@@ -249,8 +267,11 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
     if n_seeds < 2:
         raise ConfigError(f"compare requires at least 2 seeds (got {n_seeds})")
     base = ModelConfig()
-    ens12 = run_ensemble(replace(base, variant=ModelVariant.V1_2), n_seeds, base_seed)
-    ens13 = run_ensemble(replace(base, variant=ModelVariant.V1_3), n_seeds, base_seed)
+    ens12, ens13 = run_paired(
+        [replace(base, variant=ModelVariant.V1_2), replace(base, variant=ModelVariant.V1_3)],
+        n_seeds,
+        base_seed,
+    )
 
     def cell(summary) -> str:
         if not summary.recovery_times:

@@ -8,7 +8,6 @@ format, and flat lines diff and grep well.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from .disruption import DisruptionParams
 from .dynamics import TrustParams

@@ -84,3 +84,26 @@ def sample_disruption(stream: RandomStream, dp: DisruptionParams) -> DisruptionE
     if stream.next_uniform() < dp.severe_share:
         return DisruptionEvent.COBOT_FAILURE
     return DisruptionEvent.DIFFICULT_PICK
+
+
+def schedule(seed: int, horizon: int, dp: DisruptionParams) -> list[tuple[int, bool]]:
+    """The events ``sample_disruption`` draws for turns 1..horizon from
+    ``RandomStream(seed)``, as ``(turn, is_cobot_failure)`` pairs in turn
+    order; turns without an event are left out. The same draws, with the
+    splitmix64 step inlined over local ints."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer (got {seed})")
+    chance, severe_share = dp.chance, dp.severe_share
+    mask, gamma, mix1, mix2, two64 = _MASK64, _GAMMA, _MIX1, _MIX2, _TWO64
+    state = seed
+    events = []
+    for turn in range(1, horizon + 1):
+        state = (state + gamma) & mask
+        z = ((state ^ (state >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        if (z ^ (z >> 31)) / two64 < chance:
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            events.append((turn, (z ^ (z >> 31)) / two64 < severe_share))
+    return events

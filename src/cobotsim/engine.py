@@ -7,15 +7,19 @@ external contract because reordering it changes trajectories:
 2. leader action = override, or the stage-game equilibrium;
 3. follower action = best response to the leader action;
 4. disruption sampled (stochastic variants only; deterministic variants
-   consume no random draws);
+   consume no random draws) — ``run_step`` draws it from its stream, the
+   shift loop reads it from the seed's schedule;
 5. fatigue updated — a cobot failure charges the turn as if collaboration
    had been low, a difficult pick adds its surcharge;
 6. outcome classified under the variant's trust rule, trust updated;
 7. apology controller ticked for a consumed override, then fed the outcome.
 
-``run_shift`` and ``run_ensemble`` share one flat loop that runs this
-sequence over plain floats, bools and an int apology countdown. It takes the
-stage game from a memo made once per call and tracks recovery times as the
+``run_shift`` and ``run_paired`` (``run_ensemble`` is its one-config case)
+share one flat loop that runs this sequence over plain floats, bools and an
+int apology countdown. Step 4 reads the seed's sparse disruption schedule,
+drawn up front by ``disruption.schedule``; ``run_paired`` draws each seed's
+schedule once and runs every config over it. The loop takes the stage game
+from a memo made once per config and call, and tracks recovery times as the
 shift runs; ensembles build no per-turn records. Each memoised decision
 carries its post-turn trust, computed once by ``update_trust``, so the loop
 does no trust arithmetic. Fatigue is quantized as ``update_fatigue`` does,
@@ -32,7 +36,13 @@ import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .disruption import DisruptionEvent, DisruptionParams, RandomStream, sample_disruption
+from .disruption import (
+    DisruptionEvent,
+    DisruptionParams,
+    RandomStream,
+    sample_disruption,
+    schedule,
+)
 from .dynamics import (
     STATE_DECIMALS,
     InteractionOutcome,
@@ -56,6 +66,7 @@ from .game import (
 from .repair import ApologyController, leader_override, on_outcome, tick
 
 MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
+_NO_EVENT = (0, False)  # past the last event of a schedule; turns start at 1
 
 
 class ModelVariant(str, Enum):
@@ -200,13 +211,16 @@ def run_step(
 
 class _StagePolicy:
     """The stage game of one configuration, memoised for one call of
-    ``run_shift`` or ``run_ensemble``.
+    ``run_shift`` or ``run_paired``.
 
     ``solve_stage_game`` reads fatigue only through the threshold tests of
     ``cobot_utility``. The key ``(trust, fatigue + inc > threshold for each
     table increment)`` evaluates those same float expressions, so equal keys
-    select the same equilibrium. Misses call the game module, whose tie-break
-    rules therefore stay the only ones. A decision holds the per-turn
+    select the same equilibrium. While ``fatigue + max(increments)`` does not
+    exceed the threshold, no test does, because rounded float addition is
+    monotone; there the key is ``trust`` alone, and a float never equals a
+    tuple, so both keys share one dict. Misses call the game module, whose
+    tie-break rules therefore stay the only ones. A decision holds the per-turn
     constants of one action pair at one trust: ``(cobot, human, items,
     increment, increment if the cobot fails, outcome unless severe, post-turn
     trust for that outcome, post-turn trust after a severe failure)``. Both
@@ -214,7 +228,9 @@ class _StagePolicy:
     no trust itself.
     """
 
-    __slots__ = ("cfg", "pairs", "increments", "threshold", "solved", "forced")
+    __slots__ = (
+        "cfg", "pairs", "increments", "max_increment", "threshold", "solved", "forced"
+    )
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
@@ -232,8 +248,9 @@ class _StagePolicy:
                     classify_interaction(cfg.variant.trust_rule, pair, False, game),
                 )
         self.increments = tuple(fatigue_increment(pair, game) for pair in self.pairs)
+        self.max_increment = max(self.increments)
         self.threshold = game.fatigue_threshold
-        self.solved: dict[tuple, tuple] = {}
+        self.solved: dict[float | tuple, tuple] = {}
         self.forced: dict[float, tuple] = {}
 
     def _decision(self, pair: ActionPair, trust: float) -> tuple:
@@ -248,14 +265,17 @@ class _StagePolicy:
     def leader(self, trust: float, fatigue: float) -> tuple:
         """Decision of the stage-game equilibrium at (trust, fatigue)."""
         threshold = self.threshold
-        a, b, c, d = self.increments
-        key = (
-            trust,
-            fatigue + a > threshold,
-            fatigue + b > threshold,
-            fatigue + c > threshold,
-            fatigue + d > threshold,
-        )
+        if not fatigue + self.max_increment > threshold:
+            key = trust
+        else:
+            a, b, c, d = self.increments
+            key = (
+                trust,
+                fatigue + a > threshold,
+                fatigue + b > threshold,
+                fatigue + c > threshold,
+                fatigue + d > threshold,
+            )
         decision = self.solved.get(key)
         if decision is None:
             pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), self.cfg.game)
@@ -273,19 +293,21 @@ class _StagePolicy:
 
 
 def _simulate(
-    cfg: ModelConfig, seed: int, policy: _StagePolicy, keep_records: bool
+    cfg: ModelConfig,
+    events: list[tuple[int, bool]],
+    policy: _StagePolicy,
+    keep_records: bool,
 ) -> tuple[list[StepRecord] | None, ShiftSummary]:
-    """One shift of ``cfg`` from ``seed``: the turn sequence of ``run_step``
-    over plain values, with recovery times tracked as the shift runs.
-    Returns the records (None unless ``keep_records``) and the summary."""
-    variant = cfg.variant
-    stochastic, apology = variant.has_disruptions, variant.has_apology
-    chance = cfg.disruption.chance
-    severe_share = cfg.disruption.severe_share
+    """One shift of ``cfg`` under the disruption schedule ``events`` (see
+    ``disruption.schedule``): the turn sequence of ``run_step`` over plain
+    values, with recovery times tracked as the shift runs. Returns the
+    records (None unless ``keep_records``) and the summary."""
+    apology = cfg.variant.has_apology
     pick_extra = cfg.disruption.difficult_pick_fatigue
     duration = cfg.apology_duration
     leader, forced = policy.leader, policy.apology
-    draw = RandomStream(seed).next_uniform
+    upcoming = iter(events)
+    event_turn, event_severe = next(upcoming, _NO_EVENT)
     none, pick, failure = (
         DisruptionEvent.NONE, DisruptionEvent.DIFFICULT_PICK, DisruptionEvent.COBOT_FAILURE
     )
@@ -309,12 +331,12 @@ def _simulate(
             forced(trust) if remaining else leader(trust, fatigue)
         )
         event, extra = none, 0.0
-        # One draw decides occurrence, a second the kind (sample_disruption).
-        if stochastic and draw() < chance:
-            if draw() < severe_share:
+        if step == event_turn:
+            if event_severe:
                 event, inc, outcome, trust_post = failure, failed_inc, severe, severe_trust
             else:
                 event, extra = pick, pick_extra
+            event_turn, event_severe = next(upcoming, _NO_EVENT)
         # update_fatigue, skipping round() where it is the identity: a
         # multiple of 1/dyadic is m * 5**STATE_DECIMALS / 10**STATE_DECIMALS,
         # so it has at most STATE_DECIMALS decimals already. An overflow to
@@ -368,7 +390,10 @@ def _simulate(
 
 def run_shift(cfg: ModelConfig) -> tuple[list[StepRecord], ShiftSummary]:
     """Run one full shift from the configured initial state."""
-    return _simulate(cfg, cfg.seed, _StagePolicy(cfg), keep_records=True)
+    events = []  # the deterministic variants consume no draws
+    if cfg.variant.has_disruptions:
+        events = schedule(cfg.seed, cfg.horizon, cfg.disruption)
+    return _simulate(cfg, events, _StagePolicy(cfg), keep_records=True)
 
 
 def summarize_shift(records: list[StepRecord], horizon: int) -> ShiftSummary:
@@ -429,8 +454,19 @@ class EnsembleSummary:
     median_first_recovery: float | None
 
 
-def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> EnsembleSummary:
-    """Run seeds base_seed, base_seed + 1, ... and aggregate their KPIs."""
+def run_paired(
+    cfgs: list[ModelConfig], n_seeds: int, base_seed: int = 1
+) -> list[EnsembleSummary]:
+    """Run every config of ``cfgs`` over seeds base_seed, base_seed + 1, ...
+    and aggregate each config's KPIs, in the order of ``cfgs``.
+
+    Each seed's disruption schedule is drawn once and shared by every
+    stochastic config, so the configs must agree on the horizon and the
+    disruption parameters. Each shift equals ``run_shift`` of its config at
+    that seed, as a shared seed pins the same schedule in every variant.
+    """
+    if not cfgs:
+        raise ValueError("run_paired needs at least one config")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1 (got {n_seeds})")
     last_seed = base_seed + n_seeds - 1
@@ -438,12 +474,27 @@ def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> Ensemble
         raise ValueError(
             f"seeds {base_seed}..{last_seed} must all be unsigned 64-bit integers"
         )
-    policy = _StagePolicy(cfg)
-    summaries = [
-        _simulate(cfg, seed, policy, keep_records=False)[1]
-        for seed in range(base_seed, last_seed + 1)
-    ]
+    horizon, disruption = cfgs[0].horizon, cfgs[0].disruption
+    if any(c.horizon != horizon or c.disruption != disruption for c in cfgs):
+        raise ValueError("paired configs must share horizon and disruption parameters")
+    runs = [(cfg, _StagePolicy(cfg), cfg.variant.has_disruptions, []) for cfg in cfgs]
+    drawn = any(stochastic for _, _, stochastic, _ in runs)
+    no_events: list[tuple[int, bool]] = []
+    for seed in range(base_seed, last_seed + 1):
+        events = schedule(seed, horizon, disruption) if drawn else no_events
+        for cfg, policy, stochastic, summaries in runs:
+            seen = events if stochastic else no_events
+            summaries.append(_simulate(cfg, seen, policy, keep_records=False)[1])
+    return [_aggregate(summaries, base_seed) for _, _, _, summaries in runs]
 
+
+def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> EnsembleSummary:
+    """Run seeds base_seed, base_seed + 1, ... and aggregate their KPIs."""
+    return run_paired([cfg], n_seeds, base_seed)[0]
+
+
+def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary:
+    """The ensemble KPIs of consecutive-seed shift summaries."""
     productivity = [s.productivity for s in summaries]
     trust = [s.final_trust for s in summaries]
     fatigue = [s.final_fatigue for s in summaries]
@@ -457,7 +508,7 @@ def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> Ensemble
         else None
     )
     return EnsembleSummary(
-        n_seeds=n_seeds,
+        n_seeds=len(summaries),
         base_seed=base_seed,
         summaries=summaries,
         mean_productivity=statistics.fmean(productivity),

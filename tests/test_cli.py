@@ -134,6 +134,34 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_directory_as_config_file_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config path is not a regular file: {tmp_path}" in err
+    assert "not found" not in err
+
+
+_FATIGUE_OVERFLOW = [
+    "--set", "fatigue.initial=1.7e308",
+    "--set", "game.fatigue_normal_low=1e308",
+    "--set", "game.fatigue_normal_high=1e308",
+    "--set", "game.fatigue_high_low=1e308",
+    "--set", "game.fatigue_high_high=1e308",
+]
+
+
+@pytest.mark.parametrize("argv", [["run"], ["ensemble", "--seeds", "3"]])
+def test_fatigue_overflow_exits_2(tmp_path, capsys, argv):
+    # Every value passes validation, but the first turn's fatigue is inf.
+    assert main([*argv, *_FATIGUE_OVERFLOW, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: fatigue overflows to inf" in captured.err
+    assert "fatigue.initial" in captured.err
+    assert "game.fatigue_*" in captured.err
+    assert "inf" not in captured.out
+    assert not any(tmp_path.iterdir())
+
+
 def test_undecodable_config_file_exits_2(tmp_path, capsys):
     config = tmp_path / "shift.cfg"
     config.write_bytes(b"\xff\xfe=1\n")

@@ -1,8 +1,12 @@
-"""Disruption sampling: draw discipline, certainty cases, and frequencies."""
+"""Disruption sampling: draw discipline, certainty cases, frequencies, and
+the sparse schedule the shift loop reads."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cobotsim import DisruptionEvent, DisruptionParams, RandomStream, sample_disruption
+from cobotsim.disruption import schedule
 
 
 def test_zero_chance_always_none_one_draw():
@@ -72,3 +76,39 @@ def test_event_frequencies():
 def test_disruption_params_validation(kwargs):
     with pytest.raises(ValueError):
         DisruptionParams(**kwargs)
+
+
+def _drawn_events(seed, horizon, dp):
+    """Turn-by-turn ``sample_disruption`` events in schedule form."""
+    stream = RandomStream(seed)
+    events = []
+    for turn in range(1, horizon + 1):
+        event = sample_disruption(stream, dp)
+        if event is not DisruptionEvent.NONE:
+            events.append((turn, event is DisruptionEvent.COBOT_FAILURE))
+    return events
+
+
+_probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(
+    seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    horizon=st.integers(1, 200),
+    chance=_probability,
+    severe_share=_probability,
+)
+@example(seed=0, horizon=1, chance=0.0, severe_share=0.0)
+@example(seed=2**64 - 1, horizon=200, chance=1.0, severe_share=1.0)
+@example(seed=0, horizon=200, chance=1.0, severe_share=0.0)
+@example(seed=2**64 - 1, horizon=200, chance=0.0, severe_share=1.0)
+@example(seed=42, horizon=200, chance=0.1, severe_share=0.5)
+def test_schedule_equals_turn_by_turn_draws(seed, horizon, chance, severe_share):
+    dp = DisruptionParams(chance=chance, severe_share=severe_share)
+    assert schedule(seed, horizon, dp) == _drawn_events(seed, horizon, dp)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_schedule_rejects_out_of_range_seeds(seed):
+    with pytest.raises(ValueError):
+        schedule(seed, 10, DisruptionParams())

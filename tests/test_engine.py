@@ -23,12 +23,13 @@ from cobotsim import (
     TrustParams,
     recovery_time,
     run_ensemble,
+    run_paired,
     run_shift,
     run_step,
     solve_stage_game,
 )
 from cobotsim.dynamics import STATE_DECIMALS
-from cobotsim.engine import _StagePolicy
+from cobotsim.engine import _StagePolicy, summarize_shift
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -216,6 +217,11 @@ def test_disengagement_trap_without_apology():
 
 # ---------------------------------------------------------- stage policy
 
+_NON_DYADIC = {(NORMAL, LOW_C): 0.3, (NORMAL, HIGH_C): 0.1,
+               (HIGH_E, LOW_C): 0.7, (HIGH_E, HIGH_C): 0.2}
+_NEGATIVE = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): -1.0,
+             (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 1.0}
+
 
 def _rounding_game():
     # Low collaboration draws high effort at every trust, so the largest
@@ -239,8 +245,9 @@ def _rounding_game():
         GameParams(),
         GameParams(fatigue_threshold=80.3),
         _rounding_game(),
+        GameParams(fatigue_threshold=30.2, fatigue_table=_NEGATIVE),
     ],
-    ids=["defaults", "threshold-80.3", "rounding-threshold"],
+    ids=["defaults", "threshold-80.3", "rounding-threshold", "negative-entry"],
 )
 def test_memoised_stage_game_is_exact_at_the_threshold(game):
     # Fatigues one and two ulps either side of each threshold - increment;
@@ -253,12 +260,24 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
         above = math.nextafter(edge, math.inf)
         fatigues += [math.nextafter(below, -math.inf), below, edge, above,
                      math.nextafter(above, math.inf)]
+    # The trust-only key holds up to the last fatigue whose sum with the
+    # largest increment stays at or below the threshold in float terms.
+    threshold, largest = game.fatigue_threshold, max(game.fatigue_table.values())
+    crossing = threshold - largest
+    while crossing + largest > threshold:
+        crossing = math.nextafter(crossing, -math.inf)
+    while not crossing + largest > threshold:
+        crossing = math.nextafter(crossing, math.inf)
+    fatigues += [0.0, math.nextafter(crossing, -math.inf), crossing]
     policy = _StagePolicy(cfg_for("v1.1", game=game))
     for trust in (0.0, 0.3, 0.5, 0.6, 0.75, 1.0):
         for fatigue in fatigues + fatigues[::-1]:
             cobot, human = policy.leader(trust, fatigue)[:2]
             expected = solve_stage_game(HumanState(fatigue, trust), game)
             assert ActionPair(cobot, human) == expected, (trust, fatigue)
+    # Both keys were exercised: trust alone below the crossing, the
+    # threshold tests from it on.
+    assert {type(key) for key in policy.solved} == {float, tuple}
 
 
 # ------------------------------------------------------------- fast paths
@@ -280,12 +299,6 @@ def _forced_at_zero_trust(records):
         prev.apology_remaining_post and rec.trust_pre == 0.0
         for prev, rec in zip(records, records[1:])
     )
-
-
-_NON_DYADIC = {(NORMAL, LOW_C): 0.3, (NORMAL, HIGH_C): 0.1,
-               (HIGH_E, LOW_C): 0.7, (HIGH_E, HIGH_C): 0.2}
-_NEGATIVE = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): -1.0,
-             (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 1.0}
 
 
 @pytest.mark.parametrize(
@@ -466,6 +479,50 @@ def test_run_ensemble_rejects_seeds_outside_64_bits():
         run_ensemble(cfg_for("v1.2"), n_seeds=2, base_seed=-1)
     with pytest.raises(ValueError):
         run_ensemble(cfg_for("v1.2"), n_seeds=2, base_seed=2**64 - 1)
+
+
+def _chained_summary(cfg):
+    """summarize_shift over the per-turn reference, chained from cfg's seed."""
+    state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
+    ctrl = ApologyController(duration=cfg.apology_duration)
+    stream = RandomStream(cfg.seed)
+    records = []
+    for step in range(1, cfg.horizon + 1):
+        record, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
+        records.append(record)
+    return summarize_shift(records, cfg.horizon)
+
+
+@pytest.mark.parametrize("base_seed", [7, 2**64 - 30])
+def test_run_paired_matches_chained_run_step_per_seed(base_seed):
+    # v1.1 consumes no draws while v1.2 and v1.3 share each seed's schedule.
+    cfgs = [cfg_for(v) for v in ("v1.2", "v1.3", "v1.1")]
+    paired = run_paired(cfgs, n_seeds=30, base_seed=base_seed)
+    assert len(paired) == len(cfgs)
+    for cfg, ens in zip(cfgs, paired):
+        seeds = range(base_seed, base_seed + 30)
+        assert ens.summaries == [_chained_summary(replace(cfg, seed=s)) for s in seeds]
+        assert (ens.n_seeds, ens.base_seed) == (30, base_seed)
+        assert ens == run_ensemble(cfg, n_seeds=30, base_seed=base_seed)
+    assert any(s.recovery_times for s in paired[0].summaries)
+
+
+@pytest.mark.parametrize(
+    "cfgs, n_seeds, base_seed",
+    [
+        ([cfg_for("v1.2"), cfg_for("v1.3", horizon=60)], 2, 1),
+        ([cfg_for("v1.2"), cfg_for("v1.3", disruption=DisruptionParams(chance=0.2))], 2, 1),
+        ([cfg_for("v1.1"), cfg_for("v1.2", horizon=49)], 2, 1),
+        ([cfg_for("v1.2"), cfg_for("v1.3")], 2, -1),
+        ([cfg_for("v1.2"), cfg_for("v1.3")], 2, 2**64 - 1),
+        ([], 2, 1),
+    ],
+    ids=["horizon", "disruption", "deterministic-horizon", "negative-seed",
+         "seed-past-64-bits", "no-configs"],
+)
+def test_run_paired_rejects_unpairable_input(cfgs, n_seeds, base_seed):
+    with pytest.raises(ValueError):
+        run_paired(cfgs, n_seeds, base_seed)
 
 
 def test_median_recovery_uses_infinity_for_censored():
