@@ -120,13 +120,18 @@ def _check_base_seed(args: argparse.Namespace) -> None:
         )
 
 
-def _check_fatigue_finite(fatigue: float, where: str) -> None:
-    """Fatigue that overflowed to inf is an artifact of the inputs, not a
-    model state: report it rather than emit it."""
-    if math.isinf(fatigue):
+def _check_finite(fatigue: list[float], productivity: list[float], where: str) -> None:
+    """A KPI that overflowed is an artifact of the inputs, not a model
+    state: report it, naming the keys that drive it, rather than emit it."""
+    if not all(map(math.isfinite, fatigue)):
         raise ConfigError(
             f"fatigue overflows to inf {where}; lower fatigue.initial, the "
             "game.fatigue_* entries or disruption.difficult_pick_fatigue"
+        )
+    if not all(map(math.isfinite, productivity)):
+        raise ConfigError(
+            f"productivity overflows {where}; lower the game.reward_* entries "
+            "or horizon"
         )
 
 
@@ -160,7 +165,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("at least one emit format is required")
 
     records, summary = run_shift(cfg)
-    _check_fatigue_finite(summary.peak_fatigue, f"in seed {cfg.seed}")
+    _check_finite(
+        [summary.peak_fatigue], [summary.productivity], f"in seed {cfg.seed}"
+    )
     print(
         f"{cfg.variant.value} seed {cfg.seed}: productivity {summary.productivity:g}, "
         f"final trust {summary.final_trust:g}, final fatigue {summary.final_fatigue:g}"
@@ -182,9 +189,14 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seeds must be >= 1 (got {args.seeds})")
     _check_base_seed(args)
     ens = run_ensemble(cfg, args.seeds, args.base_seed)
-    # Once inf, fatigue stays inf, so an overflow in any seed makes the mean inf.
+    # An overflow in any seed, or in a sum over seeds, leaves a mean or a
+    # median non-finite.
     last = args.base_seed + args.seeds - 1
-    _check_fatigue_finite(ens.mean_final_fatigue, f"in seeds {args.base_seed}..{last}")
+    _check_finite(
+        [ens.mean_final_fatigue, ens.median_final_fatigue],
+        [ens.mean_productivity, ens.median_productivity],
+        f"across seeds {args.base_seed}..{last}",
+    )
     print(
         f"{cfg.variant.value}: {ens.n_seeds} seeds from {ens.base_seed} — "
         f"mean productivity {ens.mean_productivity:.2f}, "

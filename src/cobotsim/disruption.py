@@ -5,6 +5,13 @@ constant, with two xor-multiply finalization mixes per output. Unlike
 language-default generators it is trivially portable, so a seed pins the
 exact event schedule in any implementation and trajectory files can serve
 as golden artifacts.
+
+``RandomStream`` and ``sample_disruption`` draw one turn at a time and are
+the reference. The shift loop reads a seed's whole schedule instead, drawn
+by ``ScheduleDrawer``: it computes splitmix64 for a block of stream
+positions at once, packed as 128-bit lanes of one Python int, and compares
+every lane against an exact integer cutoff (``uniform_cutoff``), so its
+events equal the reference's draw for draw.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TWO64 = float(2**64)
+# Most lanes per block. It bounds memory and the constants each drawer
+# builds; in timings, 128 to 384 lanes drew a 2000-turn schedule fastest. A
+# lane index also fits in one byte.
+_LANES = 256
 
 
 class DisruptionEvent(str, Enum):
@@ -86,24 +97,109 @@ def sample_disruption(stream: RandomStream, dp: DisruptionParams) -> DisruptionE
     return DisruptionEvent.DIFFICULT_PICK
 
 
+def uniform_cutoff(c: float) -> int:
+    """The smallest ``z`` with ``z / 2**64 >= c``, for ``c`` in [0, 1].
+
+    Int-to-float conversion is monotone, so a draw ``u = z / 2**64`` has
+    ``u < c`` exactly when ``z < uniform_cutoff(c)``. This is not
+    ``ceil(c * 2**64)``: ``z`` is rounded to a double before the division,
+    so for c = 0.1 the cutoff is 128 lower, and for c = 1.0 it is
+    2**64 - 1024, as every larger ``z`` rounds to 2**64.
+    """
+    hi = math.ceil(c * _TWO64)  # c * 2**64 is exact, and float(hi) >= it
+    # float(z) is within 2**10 of z below 2**64, so float(hi - 4097) < c * 2**64.
+    lo = hi - 4097
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid / _TWO64 >= c:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class ScheduleDrawer:
+    """Draws ``schedule`` for many seeds of one horizon and one
+    ``DisruptionParams``, with splitmix64 computed for a block of stream
+    positions at once.
+
+    Position ``j`` of a block is the ``j``-th 128-bit lane of one Python int.
+    The lane states ``state + j * gamma`` come from a ramp constant made once
+    per drawer; each xor-shift-multiply step is then a few big-int operations
+    under a per-lane 64-bit mask, and no lane carries into the next, because
+    a product of two 64-bit values fits in 128 bits. One subtraction per
+    cutoff sets bit 64 of exactly the lanes whose output lies below it (see
+    ``uniform_cutoff``); the walk from those hits to turns shifts every turn
+    after an event by one position, its severity draw. A block has at most
+    ``_LANES`` lanes, so memory stays bounded for any horizon: a walk that
+    runs past its block draws the next one from where it stopped.
+    """
+
+    __slots__ = ("horizon", "lanes", "ones", "mask", "ramp", "occurs", "severe")
+
+    def __init__(self, horizon: int, dp: DisruptionParams) -> None:
+        # Enough lanes for the expected draws (one per turn, one more per
+        # event) with some slack, so that a second block is rare.
+        lanes = min(_LANES, horizon + math.ceil(horizon * dp.chance) + 16)
+        self.horizon, self.lanes = horizon, lanes
+        layout = bytearray(16 * lanes)  # little-endian, 16 bytes per lane
+        layout[::16] = b"\x01" * lanes
+        self.ones = ones = int.from_bytes(layout, "little")
+        self.mask = _MASK64 * ones
+        layout[::16] = bytes(range(lanes))  # lane j holds j; _LANES <= 256
+        self.ramp = _GAMMA * int.from_bytes(layout, "little")
+        # Lane value 2**64 + cutoff - 1 - z has bit 64 set iff z < cutoff.
+        self.occurs = (2**64 - 1 + uniform_cutoff(dp.chance)) * ones
+        self.severe = (2**64 - 1 + uniform_cutoff(dp.severe_share)) * ones
+
+    def _block(self, state: int) -> tuple[bytes, bytes]:
+        """Per lane, one byte: 1 where the draw at that position lies below
+        the chance, and 1 where it lies below the severe share. Lane 0 is the
+        draw whose splitmix64 state is ``state``."""
+        ones, mask = self.ones, self.mask
+        z = (state * ones + self.ramp) & mask
+        z ^= (z >> 30) & mask
+        z = (z * _MIX1) & mask
+        z ^= (z >> 27) & mask
+        z = (z * _MIX2) & mask
+        z ^= (z >> 31) & mask
+        size = 16 * self.lanes
+        occurs = (((self.occurs - z) >> 64) & ones).to_bytes(size, "little")[::16]
+        severe = (((self.severe - z) >> 64) & ones).to_bytes(size, "little")[::16]
+        return occurs, severe
+
+    def draw(self, seed: int) -> list[tuple[int, bool]]:
+        """``schedule(seed, horizon, dp)`` for this drawer's horizon and dp."""
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer (got {seed})")
+        horizon, lanes = self.horizon, self.lanes
+        events = []
+        turn = 1  # the turn whose occurrence draw is at lane `at`
+        drawn = 0  # stream positions before lane 0 of the block
+        while turn <= horizon:
+            occurs, severe = self._block((seed + (drawn + 1) * _GAMMA) & _MASK64)
+            at = 0
+            while True:
+                hit = occurs.find(1, at)
+                if hit < 0:  # no event in the rest of the block
+                    turn += lanes - at
+                    drawn += lanes
+                    break
+                turn += hit - at
+                if turn > horizon:
+                    return events
+                if hit + 1 == lanes:  # its severity draw is in the next block
+                    drawn += hit
+                    break
+                events.append((turn, severe[hit + 1] == 1))
+                turn += 1
+                at = hit + 2
+        return events
+
+
 def schedule(seed: int, horizon: int, dp: DisruptionParams) -> list[tuple[int, bool]]:
     """The events ``sample_disruption`` draws for turns 1..horizon from
     ``RandomStream(seed)``, as ``(turn, is_cobot_failure)`` pairs in turn
-    order; turns without an event are left out. The same draws, with the
-    splitmix64 step inlined over local ints."""
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer (got {seed})")
-    chance, severe_share = dp.chance, dp.severe_share
-    mask, gamma, mix1, mix2, two64 = _MASK64, _GAMMA, _MIX1, _MIX2, _TWO64
-    state = seed
-    events = []
-    for turn in range(1, horizon + 1):
-        state = (state + gamma) & mask
-        z = ((state ^ (state >> 30)) * mix1) & mask
-        z = ((z ^ (z >> 27)) * mix2) & mask
-        if (z ^ (z >> 31)) / two64 < chance:
-            state = (state + gamma) & mask
-            z = ((state ^ (state >> 30)) * mix1) & mask
-            z = ((z ^ (z >> 27)) * mix2) & mask
-            events.append((turn, (z ^ (z >> 31)) / two64 < severe_share))
-    return events
+    order; turns without an event are left out. To draw many seeds with one
+    horizon and ``dp``, make one ``ScheduleDrawer`` and reuse it."""
+    return ScheduleDrawer(horizon, dp).draw(seed)

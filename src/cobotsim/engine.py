@@ -18,9 +18,11 @@ external contract because reordering it changes trajectories:
 share one flat loop that runs this sequence over plain floats, bools and an
 int apology countdown. Step 4 reads the seed's sparse disruption schedule,
 drawn up front by ``disruption.schedule``; ``run_paired`` draws each seed's
-schedule once and runs every config over it. The loop takes the stage game
-from a memo made once per config and call, and tracks recovery times as the
-shift runs; ensembles build no per-turn records. Each memoised decision
+schedule once, with one ``ScheduleDrawer`` per call, and runs every config
+over it. The loop takes the stage game from a memo made once per call and
+stage-game parameter set (``_StagePolicy``, keyed by trust alone on both
+sides of the fatigue threshold), and tracks recovery times as the shift
+runs; ensembles build no per-turn records. Each memoised decision
 carries its post-turn trust, computed once by ``update_trust``, so the loop
 does no trust arithmetic. Fatigue is quantized as ``update_fatigue`` does,
 except that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS: such
@@ -40,6 +42,7 @@ from .disruption import (
     DisruptionEvent,
     DisruptionParams,
     RandomStream,
+    ScheduleDrawer,
     sample_disruption,
     schedule,
 )
@@ -210,26 +213,33 @@ def run_step(
 
 
 class _StagePolicy:
-    """The stage game of one configuration, memoised for one call of
-    ``run_shift`` or ``run_paired``.
+    """The stage game of one parameter set, memoised for one call of
+    ``run_shift`` or ``run_paired``. It reads only ``cfg.game``, ``cfg.trust``
+    and ``cfg.variant.trust_rule``, so ``run_paired`` shares one between the
+    configs that agree on those (v1.2 and v1.3 at equal parameters).
 
     ``solve_stage_game`` reads fatigue only through the threshold tests of
     ``cobot_utility``. The key ``(trust, fatigue + inc > threshold for each
     table increment)`` evaluates those same float expressions, so equal keys
-    select the same equilibrium. While ``fatigue + max(increments)`` does not
-    exceed the threshold, no test does, because rounded float addition is
-    monotone; there the key is ``trust`` alone, and a float never equals a
-    tuple, so both keys share one dict. Misses call the game module, whose
-    tie-break rules therefore stay the only ones. A decision holds the per-turn
-    constants of one action pair at one trust: ``(cobot, human, items,
-    increment, increment if the cobot fails, outcome unless severe, post-turn
-    trust for that outcome, post-turn trust after a severe failure)``. Both
+    select the same equilibrium. Rounded float addition is monotone, so two
+    sides need no tests: while ``fatigue + max(increments)`` does not exceed
+    the threshold no test is true, and once ``fatigue + min(increments)``
+    exceeds it every test is. There the key is ``trust`` alone: a calm trust
+    shares ``solved`` with the tuple keys (a float never equals a tuple),
+    and a saturated trust has its own dict, ``saturated``, because the two
+    sides can select different equilibria at one trust. Misses call the game
+    module, whose tie-break rules therefore stay the only ones. A decision
+    holds the per-turn constants of one action pair at one trust: ``(cobot,
+    human, items, increment, increment if the cobot fails, outcome unless
+    severe, post-turn trust for that outcome, post-turn trust after a severe
+    failure)``. Both
     trusts come from ``update_trust`` on the miss, so the shift loop rounds
     no trust itself.
     """
 
     __slots__ = (
-        "cfg", "pairs", "increments", "max_increment", "threshold", "solved", "forced"
+        "cfg", "pairs", "increments", "min_increment", "max_increment", "threshold",
+        "solved", "saturated", "forced",
     )
 
     def __init__(self, cfg: ModelConfig) -> None:
@@ -248,9 +258,11 @@ class _StagePolicy:
                     classify_interaction(cfg.variant.trust_rule, pair, False, game),
                 )
         self.increments = tuple(fatigue_increment(pair, game) for pair in self.pairs)
+        self.min_increment = min(self.increments)
         self.max_increment = max(self.increments)
         self.threshold = game.fatigue_threshold
         self.solved: dict[float | tuple, tuple] = {}
+        self.saturated: dict[float, tuple] = {}
         self.forced: dict[float, tuple] = {}
 
     def _decision(self, pair: ActionPair, trust: float) -> tuple:
@@ -266,20 +278,22 @@ class _StagePolicy:
         """Decision of the stage-game equilibrium at (trust, fatigue)."""
         threshold = self.threshold
         if not fatigue + self.max_increment > threshold:
-            key = trust
+            memo, key = self.solved, trust
+        elif fatigue + self.min_increment > threshold:
+            memo, key = self.saturated, trust
         else:
             a, b, c, d = self.increments
-            key = (
+            memo, key = self.solved, (
                 trust,
                 fatigue + a > threshold,
                 fatigue + b > threshold,
                 fatigue + c > threshold,
                 fatigue + d > threshold,
             )
-        decision = self.solved.get(key)
+        decision = memo.get(key)
         if decision is None:
             pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), self.cfg.game)
-            decision = self.solved[key] = self._decision(pair, trust)
+            decision = memo[key] = self._decision(pair, trust)
         return decision
 
     def apology(self, trust: float) -> tuple:
@@ -436,7 +450,8 @@ class EnsembleSummary:
 
     ``first_recovery_steps`` has one entry per run that saw at least one
     severe failure: the first failure's recovery time, or None when censored.
-    The median treats censored entries as +inf.
+    The median treats censored entries as +inf. A mean or median is inf
+    (or nan) where summing finite values overflows a double.
     """
 
     n_seeds: int
@@ -460,10 +475,12 @@ def run_paired(
     """Run every config of ``cfgs`` over seeds base_seed, base_seed + 1, ...
     and aggregate each config's KPIs, in the order of ``cfgs``.
 
-    Each seed's disruption schedule is drawn once and shared by every
-    stochastic config, so the configs must agree on the horizon and the
-    disruption parameters. Each shift equals ``run_shift`` of its config at
-    that seed, as a shared seed pins the same schedule in every variant.
+    Each seed's disruption schedule is drawn once, by one
+    ``ScheduleDrawer``, and shared by every stochastic config, so the configs
+    must agree on the horizon and the disruption parameters. Configs with the
+    same stage-game parameters share one memo. Each shift equals
+    ``run_shift`` of its config at that seed, as a shared seed pins the same
+    schedule in every variant.
     """
     if not cfgs:
         raise ValueError("run_paired needs at least one config")
@@ -477,11 +494,21 @@ def run_paired(
     horizon, disruption = cfgs[0].horizon, cfgs[0].disruption
     if any(c.horizon != horizon or c.disruption != disruption for c in cfgs):
         raise ValueError("paired configs must share horizon and disruption parameters")
-    runs = [(cfg, _StagePolicy(cfg), cfg.variant.has_disruptions, []) for cfg in cfgs]
-    drawn = any(stochastic for _, _, stochastic, _ in runs)
+    policies: dict[str, _StagePolicy] = {}
+    runs = []
+    for cfg in cfgs:
+        # Everything a policy reads; repr, unlike ==, tells 0.0 from -0.0
+        # and 1 from 1.0, so a shared memo serves identical values.
+        key = repr((cfg.game, cfg.trust, cfg.variant.trust_rule))
+        if key not in policies:
+            policies[key] = _StagePolicy(cfg)
+        runs.append((cfg, policies[key], cfg.variant.has_disruptions, []))
+    drawer = None
+    if any(stochastic for _, _, stochastic, _ in runs):
+        drawer = ScheduleDrawer(horizon, disruption)
     no_events: list[tuple[int, bool]] = []
     for seed in range(base_seed, last_seed + 1):
-        events = schedule(seed, horizon, disruption) if drawn else no_events
+        events = drawer.draw(seed) if drawer else no_events
         for cfg, policy, stochastic, summaries in runs:
             seen = events if stochastic else no_events
             summaries.append(_simulate(cfg, seen, policy, keep_records=False)[1])
@@ -491,6 +518,15 @@ def run_paired(
 def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> EnsembleSummary:
     """Run seeds base_seed, base_seed + 1, ... and aggregate their KPIs."""
     return run_paired([cfg], n_seeds, base_seed)[0]
+
+
+def _mean(values: list[float]) -> float:
+    """``statistics.fmean``, except that finite values whose sum passes the
+    largest double give a non-finite mean instead of an ``OverflowError``."""
+    try:
+        return statistics.fmean(values)
+    except (OverflowError, ValueError):  # fsum overflowed, or saw inf + -inf
+        return sum(values) / len(values)
 
 
 def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary:
@@ -511,11 +547,11 @@ def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary
         n_seeds=len(summaries),
         base_seed=base_seed,
         summaries=summaries,
-        mean_productivity=statistics.fmean(productivity),
+        mean_productivity=_mean(productivity),
         median_productivity=statistics.median(productivity),
-        mean_final_trust=statistics.fmean(trust),
+        mean_final_trust=_mean(trust),
         median_final_trust=statistics.median(trust),
-        mean_final_fatigue=statistics.fmean(fatigue),
+        mean_final_fatigue=_mean(fatigue),
         median_final_fatigue=statistics.median(fatigue),
         runs_with_severe=len(first_recovery),
         first_recovery_steps=first_recovery,

@@ -162,6 +162,43 @@ def test_fatigue_overflow_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "overrides, keys",
+    [
+        (["fatigue.initial=1e308"], ["fatigue.initial", "game.fatigue_*"]),
+        (["game.reward_high=3e306", "game.penalty_weight=1.7e308"],
+         ["game.reward_*", "horizon"]),
+    ],
+    ids=["fatigue", "productivity"],
+)
+def test_ensemble_sum_overflow_exits_2(tmp_path, capsys, overrides, keys):
+    # Every seed's value is finite, but their sum passes the largest double.
+    argv = ["ensemble", "--seeds", "3", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "across seeds 1..3" in captured.err
+    for key in keys:
+        assert key in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_productivity_overflow_exits_2(tmp_path, capsys):
+    # Each turn's reward is finite; the shift's sum is not, and JSON has no inf.
+    argv = ["run", "--set", "game.reward_high=1e308",
+            "--set", "game.penalty_weight=1.7e308", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error: productivity overflows in seed 0" in captured.err
+    assert "game.reward_*" in captured.err
+    assert "horizon" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_undecodable_config_file_exits_2(tmp_path, capsys):
     config = tmp_path / "shift.cfg"
     config.write_bytes(b"\xff\xfe=1\n")

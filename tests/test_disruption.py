@@ -1,12 +1,14 @@
 """Disruption sampling: draw discipline, certainty cases, frequencies, and
 the sparse schedule the shift loop reads."""
 
+import math
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cobotsim import DisruptionEvent, DisruptionParams, RandomStream, sample_disruption
-from cobotsim.disruption import schedule
+from cobotsim.disruption import schedule, uniform_cutoff
 
 
 def test_zero_chance_always_none_one_draw():
@@ -103,6 +105,13 @@ _probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, ma
 @example(seed=0, horizon=200, chance=1.0, severe_share=0.0)
 @example(seed=2**64 - 1, horizon=200, chance=0.0, severe_share=1.0)
 @example(seed=42, horizon=200, chance=0.1, severe_share=0.5)
+# Two draws a turn for 2000 turns span many blocks of lanes.
+@example(seed=7, horizon=2000, chance=1.0, severe_share=0.5)
+# The lane states seed + j * gamma wrap past 2**64 from the first lane on.
+# Both schedules also end a block on an occurrence draw whose severity draw
+# opens the next block.
+@example(seed=2**64 - 1, horizon=300, chance=0.5, severe_share=0.5)
+@example(seed=2**64 - 3, horizon=300, chance=0.5, severe_share=0.5)
 def test_schedule_equals_turn_by_turn_draws(seed, horizon, chance, severe_share):
     dp = DisruptionParams(chance=chance, severe_share=severe_share)
     assert schedule(seed, horizon, dp) == _drawn_events(seed, horizon, dp)
@@ -112,3 +121,19 @@ def test_schedule_equals_turn_by_turn_draws(seed, horizon, chance, severe_share)
 def test_schedule_rejects_out_of_range_seeds(seed):
     with pytest.raises(ValueError):
         schedule(seed, 10, DisruptionParams())
+
+
+@pytest.mark.parametrize(
+    "c", [0.0, 0.1, 0.5, 1.0, 5e-324, math.nextafter(1.0, 0.0)]
+)
+def test_uniform_cutoff_is_the_exact_integer_threshold(c):
+    cut = uniform_cutoff(c)
+    assert cut / 2**64 >= c
+    assert (cut - 1) / 2**64 < c
+
+
+def test_uniform_cutoff_is_not_the_rounded_up_product():
+    # z is rounded to a double before the division, so every z from
+    # 2**64 - 1024 on draws exactly 1.0.
+    assert uniform_cutoff(1.0) == 2**64 - 1024
+    assert uniform_cutoff(0.1) != math.ceil(0.1 * 2**64)

@@ -28,6 +28,7 @@ from cobotsim import (
     run_step,
     solve_stage_game,
 )
+from cobotsim import engine
 from cobotsim.dynamics import STATE_DECIMALS
 from cobotsim.engine import _StagePolicy, summarize_shift
 
@@ -223,6 +224,24 @@ _NEGATIVE = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): -1.0,
              (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 1.0}
 
 
+# items - 1e17 rounds to the same double for both rewards, so past the
+# threshold the leader is indifferent and, below trust 1.0, stays low: at
+# trust 0.6 the calm equilibrium is (high, high), the saturated one
+# (low, normal). A memo that shared one trust key between the two sides
+# would serve the wrong one.
+_SATURATED_TIE = GameParams(penalty_weight=1e17, cobot_tiebreak_trust=1.0)
+
+
+def _crossing(threshold, increment):
+    """The smallest float fatigue with fatigue + increment > threshold."""
+    crossing = threshold - increment
+    while crossing + increment > threshold:
+        crossing = math.nextafter(crossing, -math.inf)
+    while not crossing + increment > threshold:
+        crossing = math.nextafter(crossing, math.inf)
+    return crossing
+
+
 def _rounding_game():
     # Low collaboration draws high effort at every trust, so the largest
     # increment, 3.24, prices a pair the leader can choose. 30.2 - 3.24
@@ -246,8 +265,10 @@ def _rounding_game():
         GameParams(fatigue_threshold=80.3),
         _rounding_game(),
         GameParams(fatigue_threshold=30.2, fatigue_table=_NEGATIVE),
+        _SATURATED_TIE,
     ],
-    ids=["defaults", "threshold-80.3", "rounding-threshold", "negative-entry"],
+    ids=["defaults", "threshold-80.3", "rounding-threshold", "negative-entry",
+         "saturated-tie"],
 )
 def test_memoised_stage_game_is_exact_at_the_threshold(game):
     # Fatigues one and two ulps either side of each threshold - increment;
@@ -260,24 +281,28 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
         above = math.nextafter(edge, math.inf)
         fatigues += [math.nextafter(below, -math.inf), below, edge, above,
                      math.nextafter(above, math.inf)]
-    # The trust-only key holds up to the last fatigue whose sum with the
-    # largest increment stays at or below the threshold in float terms.
-    threshold, largest = game.fatigue_threshold, max(game.fatigue_table.values())
-    crossing = threshold - largest
-    while crossing + largest > threshold:
-        crossing = math.nextafter(crossing, -math.inf)
-    while not crossing + largest > threshold:
-        crossing = math.nextafter(crossing, math.inf)
-    fatigues += [0.0, math.nextafter(crossing, -math.inf), crossing]
+    # The calm trust-only key holds up to the last fatigue whose sum with the
+    # largest increment stays at or below the threshold in float terms; the
+    # saturated one from the first whose sum with the smallest exceeds it.
+    threshold, table = game.fatigue_threshold, game.fatigue_table.values()
+    calm_end = _crossing(threshold, max(table))
+    saturated_start = _crossing(threshold, min(table))
+    fatigues += [0.0, math.nextafter(calm_end, -math.inf), calm_end,
+                 math.nextafter(saturated_start, -math.inf), saturated_start]
     policy = _StagePolicy(cfg_for("v1.1", game=game))
     for trust in (0.0, 0.3, 0.5, 0.6, 0.75, 1.0):
         for fatigue in fatigues + fatigues[::-1]:
             cobot, human = policy.leader(trust, fatigue)[:2]
             expected = solve_stage_game(HumanState(fatigue, trust), game)
             assert ActionPair(cobot, human) == expected, (trust, fatigue)
-    # Both keys were exercised: trust alone below the crossing, the
-    # threshold tests from it on.
+    # All three keys were exercised: trust alone below the calm crossing,
+    # the threshold tests between the crossings, and trust alone in its own
+    # dict from the saturated crossing on.
     assert {type(key) for key in policy.solved} == {float, tuple}
+    assert policy.saturated
+    if game is _SATURATED_TIE:
+        assert policy.leader(0.6, 0.0)[:2] == (HIGH_C, HIGH_E)
+        assert policy.leader(0.6, saturated_start)[:2] == (LOW_C, NORMAL)
 
 
 # ------------------------------------------------------------- fast paths
@@ -292,6 +317,24 @@ def _fatigue_branch(record, game):
     if not x > 0.0:
         return "clamp"
     return "exact" if (x * 2.0**STATE_DECIMALS).is_integer() else "round"
+
+
+def _leader_turns(records):
+    """The records of turns the stage game decided (no apology override)."""
+    return [records[0]] + [
+        rec for prev, rec in zip(records, records[1:]) if not prev.apology_remaining_post
+    ]
+
+
+def _saturated_at_a_calm_trust(records, game):
+    """A stage-game turn past the threshold at a trust also met on a calm
+    stage-game turn: the case where sharing one trust key would go wrong."""
+    threshold, table = game.fatigue_threshold, game.fatigue_table.values()
+    turns = _leader_turns(records)
+    calm = {r.trust_pre for r in turns if not r.fatigue_pre + max(table) > threshold}
+    return any(
+        r.fatigue_pre + min(table) > threshold and r.trust_pre in calm for r in turns
+    )
 
 
 def _forced_at_zero_trust(records):
@@ -322,9 +365,13 @@ def _forced_at_zero_trust(records):
         ("v1.3", {"trust": TrustParams(severe_loss=1.0),
                   "disruption": DisruptionParams(chance=0.3)},
          lambda recs, game: _forced_at_zero_trust(recs)),
+        ("v1.3", {"game": _SATURATED_TIE, "horizon": 300,
+                  "trust": TrustParams(initial_trust=0.8)},
+         _saturated_at_a_calm_trust),
     ],
     ids=["initial-2^-12", "below-2^-12", "above-2^-12", "initial-2^-13",
-         "non-dyadic-table", "negative-entry-clamp", "forced-from-trust-0"],
+         "non-dyadic-table", "negative-entry-clamp", "forced-from-trust-0",
+         "saturated-tie"],
 )
 @pytest.mark.parametrize("seed", [3, 11])
 def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
@@ -505,6 +552,24 @@ def test_run_paired_matches_chained_run_step_per_seed(base_seed):
         assert (ens.n_seeds, ens.base_seed) == (30, base_seed)
         assert ens == run_ensemble(cfg, n_seeds=30, base_seed=base_seed)
     assert any(s.recovery_times for s in paired[0].summaries)
+
+
+def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
+    solves = []
+
+    def counting(state, game):
+        solves.append(state)
+        return solve_stage_game(state, game)
+
+    monkeypatch.setattr(engine, "solve_stage_game", counting)
+    faster_gain = TrustParams(gain=0.1)
+    cfgs = [cfg_for("v1.2"), cfg_for("v1.3"), cfg_for("v1.2", trust=faster_gain)]
+    alone = [run_ensemble(cfg, n_seeds=40, base_seed=5) for cfg in cfgs]
+    lone_solves = len(solves)
+    solves.clear()
+    assert run_paired(cfgs, n_seeds=40, base_seed=5) == alone
+    # v1.2 and v1.3 share one memo; the third config needs its own.
+    assert 0 < len(solves) < lone_solves
 
 
 @pytest.mark.parametrize(
