@@ -8,6 +8,8 @@ dashed lines.
 
 from __future__ import annotations
 
+import math
+
 from .dynamics import InteractionOutcome
 from .engine import StepRecord
 
@@ -21,15 +23,17 @@ _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 60, 70, 48, 46
 
 
 def _nice_ceiling(value: float) -> float:
-    """Smallest of 1/2/5 * 10^k at or above value (minimum 1)."""
+    """Smallest of 1/2/5 * 10^k at or above value (minimum 1); value itself
+    where that would overflow to inf."""
     if value <= 1.0:
         return 1.0
     magnitude = 1.0
     while magnitude * 10.0 < value:
         magnitude *= 10.0
     for factor in (1.0, 2.0, 5.0, 10.0):
-        if magnitude * factor >= value:
-            return magnitude * factor
+        nice = magnitude * factor
+        if nice >= value:
+            return nice if math.isfinite(nice) else value
     return magnitude * 10.0
 
 
@@ -134,7 +138,7 @@ def emit_svg_chart(
     # right axis (fatigue / cumulative items scale)
     if right_series:
         for i in range(5):
-            v = right_max * i / 4
+            v = right_max / 4 * i  # right_max * i may overflow
             y = y_right(v)
             out.append(
                 f'<line x1="{_MARGIN_LEFT + plot_w}" y1="{y:.1f}" '

@@ -3,35 +3,33 @@
 One pair per line, ``#`` starts a comment, keys are dotted paths. The format
 is deliberately primitive: a dozen scalars do not justify a structured
 format, and flat lines diff and grep well.
+
+One key table, ``_KEYS``, is the whole schema: it drives ``KNOWN_KEYS``,
+value conversion, parsing, rendering (one line per key, in table order) and
+the attribution of a failed invariant to the line that set the field.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
-from .disruption import DisruptionParams
-from .dynamics import TrustParams
 from .engine import ModelConfig, ModelVariant
-from .game import CollabLevel, EffortLevel, GameParams
+from .game import CollabLevel, EffortLevel
 
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration text."""
 
 
-_TABLE_KEYS = {
-    "game.fatigue_normal_low": (EffortLevel.NORMAL, CollabLevel.LOW),
-    "game.fatigue_normal_high": (EffortLevel.NORMAL, CollabLevel.HIGH),
-    "game.fatigue_high_low": (EffortLevel.HIGH, CollabLevel.LOW),
-    "game.fatigue_high_high": (EffortLevel.HIGH, CollabLevel.HIGH),
-}
-
-# key -> (group, attribute, converter); groups name the sub-config they land in.
-_SCALAR_KEYS = {
-    "horizon": ("root", "horizon", int),
-    "seed": ("root", "seed", int),
-    "variant": ("root", "variant", ModelVariant),
-    "apology.duration": ("root", "apology_duration", int),
+# key -> (group, field, converter). The group is the ModelConfig attribute
+# holding the field ("" for ModelConfig itself); an (effort, collaboration)
+# field is that entry of the game's fatigue table.
+_KEYS = {
+    "variant": ("", "variant", ModelVariant),
+    "horizon": ("", "horizon", int),
+    "seed": ("", "seed", int),
+    "apology.duration": ("", "apology_duration", int),
     "game.reward_normal": ("game", "reward_normal", float),
     "game.reward_high": ("game", "reward_high", float),
     "game.cost_kappa_base": ("game", "cost_kappa_base", float),
@@ -39,6 +37,10 @@ _SCALAR_KEYS = {
     "game.fatigue_threshold": ("game", "fatigue_threshold", float),
     "game.penalty_weight": ("game", "penalty_weight", float),
     "game.cobot_tiebreak_trust": ("game", "cobot_tiebreak_trust", float),
+    "game.fatigue_normal_low": ("game", (EffortLevel.NORMAL, CollabLevel.LOW), float),
+    "game.fatigue_normal_high": ("game", (EffortLevel.NORMAL, CollabLevel.HIGH), float),
+    "game.fatigue_high_low": ("game", (EffortLevel.HIGH, CollabLevel.LOW), float),
+    "game.fatigue_high_high": ("game", (EffortLevel.HIGH, CollabLevel.HIGH), float),
     "trust.gain": ("trust", "gain", float),
     "trust.loss": ("trust", "loss", float),
     "trust.severe_loss": ("trust", "severe_loss", float),
@@ -49,26 +51,16 @@ _SCALAR_KEYS = {
     "disruption.difficult_pick_fatigue": ("disruption", "difficult_pick_fatigue", float),
 }
 
-KNOWN_KEYS = tuple(_SCALAR_KEYS) + tuple(_TABLE_KEYS)
+KNOWN_KEYS = tuple(_KEYS)
+_GROUPS = tuple(dict.fromkeys(group for group, _, _ in _KEYS.values()))
 
 
-def _convert(key: str, raw: str, lineno: int, label: str):
-    group, attr, conv = _SCALAR_KEYS[key]
-    if conv is ModelVariant:
-        try:
-            return group, attr, ModelVariant(raw)
-        except ValueError:
-            valid = ", ".join(v.value for v in ModelVariant)
-            raise ConfigError(
-                f"{label} {lineno}: variant must be one of {valid} (got '{raw}')"
-            ) from None
-    try:
-        return group, attr, conv(raw)
-    except ValueError:
-        kind = "an integer" if conv is int else "a number"
-        raise ConfigError(
-            f"{label} {lineno}: expected {kind} for '{key}', got '{raw}'"
-        ) from None
+def _field_name(field: str | tuple[EffortLevel, CollabLevel]) -> str:
+    """The name validation messages give a field (see ``GameParams.validate``)."""
+    if isinstance(field, tuple):
+        effort, collab = field
+        return f"fatigue_{effort.value}_{collab.value}"
+    return field
 
 
 def parse_config(
@@ -80,25 +72,9 @@ def parse_config(
     values, and invariant violations.
     """
     cfg = base if base is not None else ModelConfig()
-    root: dict[str, object] = {
-        "variant": cfg.variant,
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-        "apology_duration": cfg.apology_duration,
-    }
-    game = {f: getattr(cfg.game, f) for f in (
-        "reward_normal", "reward_high", "cost_kappa_base", "cost_kappa_trust_slope",
-        "fatigue_threshold", "penalty_weight", "cobot_tiebreak_trust",
-    )}
-    table = dict(cfg.game.fatigue_table)
-    trust = {f: getattr(cfg.trust, f) for f in (
-        "gain", "loss", "severe_loss", "initial_trust", "initial_fatigue",
-    )}
-    disruption = {f: getattr(cfg.disruption, f) for f in (
-        "chance", "severe_share", "difficult_pick_fatigue",
-    )}
-    groups = {"root": root, "game": game, "trust": trust, "disruption": disruption}
-    line_of_attr: dict[str, int] = {}
+    # group -> overridden fields, in table order: root, game, trust, disruption.
+    changes: dict[str, dict[str, object]] = {group: {} for group in _GROUPS}
+    line_of_key: dict[str, int] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -108,81 +84,58 @@ def parse_config(
             raise ConfigError(f"{label} {lineno}: expected 'key = value', got '{stripped}'")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in _TABLE_KEYS:
-            try:
-                table[_TABLE_KEYS[key]] = float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{label} {lineno}: expected a number for '{key}', got '{raw}'"
-                ) from None
-            line_of_attr[key.rsplit(".", 1)[1]] = lineno
-            continue
-        if key not in _SCALAR_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{label} {lineno}: unknown key '{key}'")
-        group, attr, value = _convert(key, raw, lineno, label)
-        groups[group][attr] = value
-        line_of_attr[attr] = lineno
+        group, field, conv = _KEYS[key]
+        try:
+            value = conv(raw)
+        except ValueError:
+            if conv is ModelVariant:
+                valid = ", ".join(v.value for v in ModelVariant)
+                raise ConfigError(
+                    f"{label} {lineno}: variant must be one of {valid} (got '{raw}')"
+                ) from None
+            kind = "an integer" if conv is int else "a number"
+            raise ConfigError(
+                f"{label} {lineno}: expected {kind} for '{key}', got '{raw}'"
+            ) from None
+        if isinstance(field, tuple):
+            table = changes[group].setdefault("fatigue_table", dict(cfg.game.fatigue_table))
+            table[field] = value
+        else:
+            changes[group][field] = value
+        line_of_key[key] = lineno
 
+    # Sub-configs validate before the root, as when each is constructed.
+    root = changes.pop("")
     try:
-        return ModelConfig(
-            variant=root["variant"],
-            horizon=root["horizon"],
-            seed=root["seed"],
-            apology_duration=root["apology_duration"],
-            game=GameParams(fatigue_table=table, **game),
-            trust=TrustParams(**trust),
-            disruption=DisruptionParams(**disruption),
-        )
+        for group, fields in changes.items():
+            if fields:
+                root[group] = replace(getattr(cfg, group), **fields)
+        return replace(cfg, **root)
     except ValueError as exc:
         # Attribute the failed invariant to the last line touching a field
         # that the message names as a whole word ("loss" is not named by
         # "severe_loss"); fall back to the bare message.
         message = str(exc)
         hits = [
-            n for attr, n in line_of_attr.items()
-            if re.search(rf"\b{re.escape(attr)}\b", message)
+            n for key, n in line_of_key.items()
+            if re.search(rf"\b{re.escape(_field_name(_KEYS[key][1]))}\b", message)
         ]
         if hits:
             raise ConfigError(f"{label} {max(hits)}: {message}") from None
         raise ConfigError(message) from None
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, ModelVariant):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_config(cfg: ModelConfig) -> str:
     """Render a config as parseable text, one known key per line."""
-    values = {
-        "variant": cfg.variant,
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-        "apology.duration": cfg.apology_duration,
-        "game.reward_normal": cfg.game.reward_normal,
-        "game.reward_high": cfg.game.reward_high,
-        "game.cost_kappa_base": cfg.game.cost_kappa_base,
-        "game.cost_kappa_trust_slope": cfg.game.cost_kappa_trust_slope,
-        "game.fatigue_threshold": cfg.game.fatigue_threshold,
-        "game.penalty_weight": cfg.game.penalty_weight,
-        "game.cobot_tiebreak_trust": cfg.game.cobot_tiebreak_trust,
-        "game.fatigue_normal_low": cfg.game.fatigue_table[(EffortLevel.NORMAL, CollabLevel.LOW)],
-        "game.fatigue_normal_high": cfg.game.fatigue_table[(EffortLevel.NORMAL, CollabLevel.HIGH)],
-        "game.fatigue_high_low": cfg.game.fatigue_table[(EffortLevel.HIGH, CollabLevel.LOW)],
-        "game.fatigue_high_high": cfg.game.fatigue_table[(EffortLevel.HIGH, CollabLevel.HIGH)],
-        "trust.gain": cfg.trust.gain,
-        "trust.loss": cfg.trust.loss,
-        "trust.severe_loss": cfg.trust.severe_loss,
-        "trust.initial": cfg.trust.initial_trust,
-        "fatigue.initial": cfg.trust.initial_fatigue,
-        "disruption.chance": cfg.disruption.chance,
-        "disruption.severe_share": cfg.disruption.severe_share,
-        "disruption.difficult_pick_fatigue": cfg.disruption.difficult_pick_fatigue,
-    }
-    return "\n".join(f"{key} = {_fmt(value)}" for key, value in values.items()) + "\n"
+    lines = []
+    for key, (group, field, _) in _KEYS.items():
+        holder = getattr(cfg, group) if group else cfg
+        value = holder.fatigue_table[field] if isinstance(field, tuple) else getattr(holder, field)
+        # str() of a float is its shortest round-trip repr.
+        lines.append(f"{key} = {value.value if isinstance(value, ModelVariant) else value}\n")
+    return "".join(lines)
 
 
 def config_with_overrides(cfg: ModelConfig, pairs: list[str]) -> ModelConfig:

@@ -10,7 +10,7 @@ collaboration level whose anticipated outcome it prefers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 # Utility differences within this tolerance count as exact ties, so the trust
@@ -91,16 +91,8 @@ class GameParams:
         self.validate()
 
     def validate(self) -> None:
-        scalars = {
-            "reward_normal": self.reward_normal,
-            "reward_high": self.reward_high,
-            "cost_kappa_base": self.cost_kappa_base,
-            "cost_kappa_trust_slope": self.cost_kappa_trust_slope,
-            "fatigue_threshold": self.fatigue_threshold,
-            "penalty_weight": self.penalty_weight,
-            "cobot_tiebreak_trust": self.cobot_tiebreak_trust,
-        }
-        for name, value in scalars.items():
+        for name in _SCALAR_FIELDS:
+            value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite (got {value})")
         for (effort, collab), value in self.fatigue_table.items():
@@ -132,6 +124,10 @@ class GameParams:
 
     def cost_multiplier(self, trust: float) -> float:
         return self.cost_kappa_base - self.cost_kappa_trust_slope * trust
+
+
+# Fixed once: ``dataclasses.fields`` rebuilds its tuple on every call.
+_SCALAR_FIELDS = tuple(f.name for f in fields(GameParams) if f.name != "fatigue_table")
 
 
 def human_reward(effort: EffortLevel, params: GameParams) -> float:

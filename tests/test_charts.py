@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from cobotsim import ModelConfig, ModelVariant, emit_svg_chart, run_shift
+from cobotsim import ModelConfig, ModelVariant, emit_svg_chart, parse_config, run_shift
 from cobotsim.dynamics import InteractionOutcome
 
 
@@ -84,3 +84,11 @@ def test_axis_labels_and_legend_present():
     assert ">trust<" in svg
     assert "items (cumulative)" in svg
     assert "fatigue" in svg
+
+
+def test_right_axis_stays_finite_near_the_largest_double():
+    # The 1/2/5 ceiling above 1.7e308 and right_max * i both overflow to inf.
+    records, _ = run_shift(parse_config("fatigue.initial = 1.7e308\nhorizon = 1\n"))
+    svg = emit_svg_chart(records)
+    assert not re.findall(r"\b(?:nan|inf)\b", svg, re.IGNORECASE)
+    assert 'text-anchor="start">1.7e+308<' in svg

@@ -1,13 +1,20 @@
 """CLI surface: parsing, artifact emission, exit codes, and report rendering."""
 
 import json
+import math
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cobotsim import ModelConfig, ModelVariant, run_shift
+from cobotsim import ModelConfig, ModelVariant, render_config, run_shift
 from cobotsim.cli import build_parser, main
+from cobotsim.configio import KNOWN_KEYS
 from cobotsim.reports import emit_trajectory_csv
 
 
@@ -126,6 +133,21 @@ def test_base_seed_past_64_bits_exits_2(capsys, command):
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"--base-seed {2**64 - 1}" in err
+
+
+def test_horizon_past_bound_exits_2(tmp_path, capsys):
+    assert main(["run", "--set", "horizon=100001", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: override 1: horizon must be <= 100000 (got 100001)" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["ensemble", "table2", "compare"])
+def test_seeds_past_bound_exits_2(capsys, command):
+    assert main([command, "--seeds", "100001"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --seeds must be <= 100000 (got 100001)" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -286,3 +308,44 @@ def test_module_entry_point_smoke(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "productivity 50" in result.stdout
     assert (tmp_path / "trajectory.csv").is_file()
+
+
+# Default values as rendered: the integer keys render as digits.
+_DEFAULTS = dict(line.split(" = ") for line in render_config(ModelConfig()).splitlines())
+_EXTREME_FLOATS = st.sampled_from(
+    [1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 0.0, -1.0, 0.5,
+     math.nan, math.inf, -math.inf]
+)
+
+
+@st.composite
+def config_documents(draw):
+    lines = []
+    for key in draw(st.lists(st.sampled_from(KNOWN_KEYS), max_size=8)):
+        if key == "variant":
+            value = draw(st.sampled_from([v.value for v in ModelVariant]))
+        elif key == "horizon":
+            value = draw(st.integers(min_value=-(2**70), max_value=60))
+        elif _DEFAULTS[key].isdigit():
+            value = draw(st.integers(min_value=-(2**70), max_value=2**70))
+        else:
+            value = repr(draw(st.one_of(_EXTREME_FLOATS, st.floats())))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=120, deadline=None)
+@given(config_documents())
+def test_any_config_document_runs_or_exits_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "shift.cfg"
+        config.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        code = main(["run", "--config", str(config), "--emit", "csv,json,svg",
+                     "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            written = [path.read_text(encoding="utf-8") for path in out.iterdir()]
+            assert len(written) == 3
+            for artifact in written:
+                assert not re.findall(r"\b(?:nan|inf|Infinity)\b", artifact, re.IGNORECASE)

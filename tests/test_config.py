@@ -1,5 +1,8 @@
 """Config text parsing, validation errors, and render/parse round-trips."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +70,11 @@ def test_invariant_attributed_to_whole_word_field_name():
         parse_config("trust.severe_loss = 0\ntrust.loss = 0.1\n")
 
 
+def test_apology_duration_violation_reports_line():
+    with pytest.raises(ConfigError, match="line 1: apology_duration must be >= 1"):
+        parse_config("apology.duration = 0\n")
+
+
 def test_non_finite_table_entry_named_by_its_key():
     with pytest.raises(
         ConfigError, match=r"override 1: fatigue_normal_low must be finite \(got nan\)"
@@ -126,6 +134,13 @@ def test_render_covers_every_known_key():
     rendered = render_config(ModelConfig())
     keys = {line.split("=")[0].strip() for line in rendered.splitlines()}
     assert keys == set(KNOWN_KEYS)
+
+
+def test_readme_key_list_matches_rendered_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Keys and defaults:", 1)[1].split("```")[1]
+    pairs = [f"{key} = {value}" for key, value in re.findall(r"(\S+) = (\S+)", block)]
+    assert pairs == render_config(ModelConfig()).splitlines()
 
 
 @given(
