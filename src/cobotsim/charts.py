@@ -154,14 +154,20 @@ def emit_svg_chart(
             f'{_MARGIN_TOP + plot_h / 2:.1f})">{" / ".join(_LABELS[n] for n in right_series)}</text>'
         )
 
-    # data polylines
+    # data polylines: the series share their x pixels, formatted once; the
+    # y expressions are those of y_left and y_right
+    xs = [f"{_MARGIN_LEFT + (s - steps[0]) / x_span * plot_w:.1f}," for s in steps]
     for name in VALID_SERIES:
         if name not in values:
             continue
-        scale = y_left if name == "trust" else y_right
-        points = " ".join(
-            f"{x_px(s):.1f},{scale(v):.1f}" for s, v in zip(steps, values[name])
-        )
+        if name == "trust":
+            ys = [f"{_MARGIN_TOP + (1.0 - v) * plot_h:.1f}" for v in values[name]]
+        else:
+            ys = [
+                f"{_MARGIN_TOP + (1.0 - v / right_max) * plot_h:.1f}"
+                for v in values[name]
+            ]
+        points = " ".join(map(str.__add__, xs, ys))
         out.append(
             f'<polyline fill="none" stroke="{_COLORS[name]}" stroke-width="1.8" '
             f'class="series-{name}" points="{points}"/>'

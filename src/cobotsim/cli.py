@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .charts import emit_svg_chart
@@ -34,10 +36,16 @@ MAX_SEEDS = 100_000
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter for every add_argument, and each one asks for
+    # the terminal size; ask once instead, with argparse's own margin of 2.
+    formatter = partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="cobotsim",
         description="Simulate human-cobot picking shifts with trust and fatigue "
         "co-regulation.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -54,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", help="model variant: v1.0, v1.1, v1.2 or v1.3")
         p.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
 
-    run_p = sub.add_parser("run", help="simulate one shift and write its artifacts")
+    run_p = sub.add_parser(
+        "run", help="simulate one shift and write its artifacts", formatter_class=formatter
+    )
     add_config_flags(run_p)
     run_p.add_argument("--out", metavar="DIR", default="out", help="output directory")
     run_p.add_argument(
@@ -63,21 +73,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated artifact formats from: csv, json, svg",
     )
 
-    ens_p = sub.add_parser("ensemble", help="run one variant across consecutive seeds")
+    ens_p = sub.add_parser(
+        "ensemble",
+        help="run one variant across consecutive seeds",
+        formatter_class=formatter,
+    )
     add_config_flags(ens_p)
     ens_p.add_argument("--seeds", type=int, default=1000, help="number of seeds")
     ens_p.add_argument("--base-seed", type=int, default=1, help="first seed")
     ens_p.add_argument("--out", metavar="DIR", default=None, help="output directory")
 
     t2_p = sub.add_parser(
-        "table2", help="KPI table: deterministic variants exactly, stochastic as ensembles"
+        "table2",
+        help="KPI table: deterministic variants exactly, stochastic as ensembles",
+        formatter_class=formatter,
     )
     t2_p.add_argument("--seeds", type=int, default=1000, help="ensemble size")
     t2_p.add_argument("--base-seed", type=int, default=1, help="first seed")
     t2_p.add_argument("--out", metavar="DIR", default=None, help="output directory")
 
     cmp_p = sub.add_parser(
-        "compare", help="paired-seed resilience comparison of v1.2 vs v1.3"
+        "compare",
+        help="paired-seed resilience comparison of v1.2 vs v1.3",
+        formatter_class=formatter,
     )
     cmp_p.add_argument("--seeds", type=int, default=1000, help="number of paired seeds")
     cmp_p.add_argument("--base-seed", type=int, default=1, help="first seed")

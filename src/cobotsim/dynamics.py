@@ -6,7 +6,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .game import ActionPair, CollabLevel, EffortLevel, GameParams, fatigue_increment
+from .game import (
+    ACTION_PAIRS,
+    ActionPair,
+    CollabLevel,
+    EffortLevel,
+    GameParams,
+    fatigue_increment,
+)
 
 # State variables are quantized after every update so that decimal-valued
 # deltas (0.05, 0.10, ...) accumulate without binary-float dust; trajectories
@@ -72,7 +79,7 @@ def classify_interaction(
     if rule is TrustRule.NAIVE:
         matched = pair.human is EffortLevel.HIGH and pair.cobot is CollabLevel.HIGH
         return InteractionOutcome.SUCCESS if matched else InteractionOutcome.MINOR_FAILURE
-    baseline = fatigue_increment(ActionPair(CollabLevel.LOW, pair.human), params)
+    baseline = fatigue_increment(ACTION_PAIRS[CollabLevel.LOW, pair.human], params)
     if fatigue_increment(pair, params) < baseline:
         return InteractionOutcome.SUCCESS
     return InteractionOutcome.MINOR_FAILURE

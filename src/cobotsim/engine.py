@@ -56,6 +56,7 @@ from .dynamics import (
     update_trust,
 )
 from .game import (
+    ACTION_PAIRS,
     ActionPair,
     CollabLevel,
     EffortLevel,
@@ -170,7 +171,7 @@ def run_step(
     variant = cfg.variant
     override = leader_override(ctrl) if variant.has_apology else None
     if override is not None:
-        pair = ActionPair(override, human_best_response(override, state.trust, cfg.game))
+        pair = ACTION_PAIRS[override, human_best_response(override, state.trust, cfg.game)]
     else:
         pair = solve_stage_game(state, cfg.game)
 
@@ -181,7 +182,7 @@ def run_step(
     severe = event is DisruptionEvent.COBOT_FAILURE
 
     # Failed assistance still tires the human as if the cobot had stayed low.
-    charged = ActionPair(CollabLevel.LOW, pair.human) if severe else pair
+    charged = ACTION_PAIRS[CollabLevel.LOW, pair.human] if severe else pair
     extra = (
         cfg.disruption.difficult_pick_fatigue
         if event is DisruptionEvent.DIFFICULT_PICK
@@ -250,18 +251,17 @@ class _StagePolicy:
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
         self.cfg = cfg
-        self.pairs: dict[ActionPair, tuple] = {}
-        for cobot in CollabLevel:
-            for human in EffortLevel:
-                pair = ActionPair(cobot, human)
-                self.pairs[pair] = (
-                    cobot,
-                    human,
-                    human_reward(human, game),
-                    fatigue_increment(pair, game),
-                    fatigue_increment(ActionPair(CollabLevel.LOW, human), game),
-                    classify_interaction(cfg.variant.trust_rule, pair, False, game),
-                )
+        self.pairs: dict[ActionPair, tuple] = {
+            pair: (
+                cobot,
+                human,
+                human_reward(human, game),
+                fatigue_increment(pair, game),
+                fatigue_increment(ACTION_PAIRS[CollabLevel.LOW, human], game),
+                classify_interaction(cfg.variant.trust_rule, pair, False, game),
+            )
+            for (cobot, human), pair in ACTION_PAIRS.items()
+        }
         self.increments = tuple(fatigue_increment(pair, game) for pair in self.pairs)
         self.min_increment = min(self.increments)
         self.max_increment = max(self.increments)
@@ -306,7 +306,7 @@ class _StagePolicy:
         decision = self.forced.get(trust)
         if decision is None:
             human = human_best_response(CollabLevel.HIGH, trust, self.cfg.game)
-            pair = ActionPair(CollabLevel.HIGH, human)
+            pair = ACTION_PAIRS[CollabLevel.HIGH, human]
             decision = self.forced[trust] = self._decision(pair, trust)
         return decision
 

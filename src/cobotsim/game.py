@@ -55,6 +55,14 @@ class ActionPair:
     human: EffortLevel
 
 
+# The four joint actions, built once: ``ACTION_PAIRS[cobot, human]``.
+ACTION_PAIRS = {
+    (cobot, human): ActionPair(cobot, human)
+    for cobot in CollabLevel
+    for human in EffortLevel
+}
+
+
 def _default_fatigue_table() -> dict[tuple[EffortLevel, CollabLevel], float]:
     return {
         (EffortLevel.NORMAL, CollabLevel.LOW): 1.0,
@@ -101,6 +109,9 @@ class GameParams:
                 raise ValueError(
                     f"fatigue_{effort.value}_{collab.value} must be finite (got {value})"
                 )
+        # A turn's reward is the items it picks.
+        if not self.reward_normal >= 0.0:
+            raise ValueError(f"reward_normal must be >= 0 (got {self.reward_normal})")
         if not self.reward_high > self.reward_normal:
             raise ValueError(
                 f"reward_high must exceed reward_normal "
@@ -161,8 +172,8 @@ def human_best_response(
     Ties reciprocate high collaboration with high effort and otherwise
     conserve energy.
     """
-    u_normal = human_utility(ActionPair(collab, EffortLevel.NORMAL), trust, params)
-    u_high = human_utility(ActionPair(collab, EffortLevel.HIGH), trust, params)
+    u_normal = human_utility(ACTION_PAIRS[collab, EffortLevel.NORMAL], trust, params)
+    u_high = human_utility(ACTION_PAIRS[collab, EffortLevel.HIGH], trust, params)
     if abs(u_high - u_normal) <= TIE_EPS:
         return EffortLevel.HIGH if collab is CollabLevel.HIGH else EffortLevel.NORMAL
     return EffortLevel.HIGH if u_high > u_normal else EffortLevel.NORMAL
@@ -189,12 +200,12 @@ def solve_stage_game(state: HumanState, params: GameParams) -> ActionPair:
     the leader is indifferent it collaborates iff trust has reached the
     tie-break level.
     """
-    pair_low = ActionPair(
+    pair_low = ACTION_PAIRS[
         CollabLevel.LOW, human_best_response(CollabLevel.LOW, state.trust, params)
-    )
-    pair_high = ActionPair(
+    ]
+    pair_high = ACTION_PAIRS[
         CollabLevel.HIGH, human_best_response(CollabLevel.HIGH, state.trust, params)
-    )
+    ]
     u_low = cobot_utility(pair_low, state, params)
     u_high = cobot_utility(pair_high, state, params)
     if abs(u_high - u_low) <= TIE_EPS:

@@ -16,11 +16,25 @@ CSV_HEADER = (
 )
 
 
+# ``Enum.value`` is a descriptor call; the CSV reads four per row.
+_ENUM_TEXT = {
+    member: member.value
+    for enum in (CollabLevel, EffortLevel, DisruptionEvent, InteractionOutcome)
+    for member in enum
+}
+
+
 def format_real(value: float) -> str:
     """Shortest decimal that parses back to the same float; integral values
-    drop the trailing '.0'."""
-    if value == int(value):
+    drop the trailing '.0'. Infinities and NaN raise ``ValueError``."""
+    try:
+        integral = value.is_integer()
+    except AttributeError:  # an int, which has no is_integer() before 3.12
         return str(int(value))
+    if integral:
+        return str(int(value))
+    if not math.isfinite(value):
+        raise ValueError(f"cannot format a non-finite value ({value})")
     return repr(value)
 
 
@@ -28,25 +42,15 @@ def emit_trajectory_csv(records: list[StepRecord]) -> str:
     """Serialize a shift trajectory, one row per turn, LF line endings."""
     if not records:
         raise ValueError("cannot emit a trajectory for zero records")
+    text, real = _ENUM_TEXT, format_real
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.step),
-                    format_real(r.trust_pre),
-                    format_real(r.fatigue_pre),
-                    r.cobot_action.value,
-                    r.human_action.value,
-                    r.disruption_event.value,
-                    r.outcome.value,
-                    format_real(r.items_picked),
-                    format_real(r.trust_post),
-                    format_real(r.fatigue_post),
-                    str(r.apology_remaining_post),
-                )
-            )
-        )
+    lines += [
+        f"{r.step},{real(r.trust_pre)},{real(r.fatigue_pre)},{text[r.cobot_action]},"
+        f"{text[r.human_action]},{text[r.disruption_event]},{text[r.outcome]},"
+        f"{real(r.items_picked)},{real(r.trust_post)},{real(r.fatigue_post)},"
+        f"{r.apology_remaining_post}"
+        for r in records
+    ]
     return "\n".join(lines) + "\n"
 
 

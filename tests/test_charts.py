@@ -1,11 +1,15 @@
 """SVG chart emission: structure, scaling, and trajectory shape."""
 
 import re
+from pathlib import Path
 
 import pytest
 
 from cobotsim import ModelConfig, ModelVariant, emit_svg_chart, parse_config, run_shift
 from cobotsim.dynamics import InteractionOutcome
+
+
+GOLDEN_CHART = Path(__file__).parent / "golden" / "v1_3_seed42_chart.svg"
 
 
 def records_for(variant, seed=0):
@@ -25,6 +29,12 @@ def test_is_self_contained_svg():
     assert svg.rstrip().endswith("</svg>")
     # no external assets: the only URL is the SVG namespace itself
     assert svg.count("http") == svg.count("http://www.w3.org/2000/svg")
+
+
+def test_chart_matches_golden_file():
+    # Frozen from the per-point emitter; every coordinate is pinned.
+    expected = GOLDEN_CHART.read_text(encoding="utf-8")
+    assert emit_svg_chart(records_for("v1.3", seed=42)) == expected
 
 
 def test_one_polyline_per_series():

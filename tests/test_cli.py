@@ -97,6 +97,25 @@ def test_config_file_and_set_overrides(tmp_path):
     assert payload["productivity"] == 8.0
 
 
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_follows_terminal_width(monkeypatch, capsys, argv):
+    texts = {}
+    for columns in (50, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        texts[columns] = help_text(argv, capsys)
+        width = max(map(len, texts[columns].splitlines()))
+        assert width <= columns - 2, (columns, width)
+    assert texts[50] != texts[200]
+    assert texts[50].split() == texts[200].split()  # same words, wrapped apart
+
+
 def test_bad_override_exits_2(tmp_path, capsys):
     code = main(["run", "--set", "disruption.chance = maybe", "--out", str(tmp_path)])
     assert code == 2
@@ -107,6 +126,15 @@ def test_invalid_value_exits_2(tmp_path, capsys):
     code = main(["run", "--set", "trust.initial = 2.0", "--out", str(tmp_path)])
     assert code == 2
     assert "[0, 1]" in capsys.readouterr().err
+
+
+def test_negative_reward_exits_2(tmp_path, capsys):
+    # Such rewards once drew the productivity line below the chart's canvas.
+    code = main(["run", "--set", "game.reward_normal=-3", "--set", "game.reward_high=-1",
+                 "--set", "game.penalty_weight=1", "--emit", "svg", "--out", str(tmp_path)])
+    assert code == 2
+    assert "override 1: reward_normal must be >= 0 (got -3.0)" in capsys.readouterr().err
+    assert not (tmp_path / "chart.svg").exists()
 
 
 @pytest.mark.parametrize(

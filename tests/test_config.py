@@ -64,6 +64,14 @@ def test_cross_field_invariant_attributed_to_offending_line():
         parse_config("horizon = 50\ngame.reward_normal = 5.0\n")
 
 
+def test_negative_reward_normal_reports_line():
+    text = "horizon = 50\ngame.reward_high = -1\ngame.reward_normal = -3\n"
+    with pytest.raises(
+        ConfigError, match=r"line 3: reward_normal must be >= 0 \(got -3\.0\)"
+    ):
+        parse_config(text)
+
+
 def test_invariant_attributed_to_whole_word_field_name():
     # "loss" is a substring of "severe_loss" but not the field it names.
     with pytest.raises(ConfigError, match="line 1: severe_loss must lie in"):

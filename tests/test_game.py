@@ -256,6 +256,7 @@ def test_human_state_validation():
         {"penalty_weight": 1.5},  # must exceed reward_high
         {"cost_kappa_base": 0.5},  # kappa(1) = -0.5
         {"reward_normal": float("nan")},
+        {"reward_normal": -1.0, "reward_high": 1.0},  # rewards are items picked
     ],
 )
 def test_game_params_validation(kwargs):

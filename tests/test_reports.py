@@ -1,14 +1,20 @@
 """CSV and JSON emission: exact rows, round-trips, and key order."""
 
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobotsim import (
+    CollabLevel,
+    DisruptionParams,
+    EffortLevel,
+    GameParams,
     ModelConfig,
     ModelVariant,
+    TrustParams,
     emit_summary_json,
     emit_trajectory_csv,
     parse_trajectory_csv,
@@ -80,7 +86,8 @@ def test_parse_rejects_foreign_text():
 
 @pytest.mark.parametrize(
     "value, expected",
-    [(0.0, "0"), (1.0, "1"), (2.0, "2"), (0.5, "0.5"), (0.55, "0.55"), (49.5, "49.5")],
+    [(0.0, "0"), (1.0, "1"), (2.0, "2"), (0.5, "0.5"), (0.55, "0.55"), (49.5, "49.5"),
+     (-0.0, "0"), (3, "3")],
 )
 def test_format_real(value, expected):
     assert format_real(value) == expected
@@ -89,6 +96,90 @@ def test_format_real(value, expected):
 @given(st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
 def test_format_real_round_trips(value):
     assert float(format_real(value)) == value
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_format_real_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        format_real(value)
+
+
+def reference_csv(records):
+    """The trajectory CSV field by field, as plainly as it can be written."""
+    rows = [CSV_HEADER]
+    for r in records:
+        fields = (
+            str(r.step),
+            format_real(r.trust_pre),
+            format_real(r.fatigue_pre),
+            r.cobot_action.value,
+            r.human_action.value,
+            r.disruption_event.value,
+            r.outcome.value,
+            format_real(r.items_picked),
+            format_real(r.trust_post),
+            format_real(r.fatigue_post),
+            str(r.apology_remaining_post),
+        )
+        rows.append(",".join(fields))
+    return "\n".join(rows) + "\n"
+
+
+# Non-dyadic values, signed zeros and magnitudes near 1e300; a 60-turn shift
+# keeps sums of the latter finite.
+_LARGE = st.floats(min_value=1e299, max_value=1e301)
+_AMOUNTS = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0), st.sampled_from([0.0, -0.0, 0.1, 0.3]), _LARGE
+)
+_SHARES = st.floats(min_value=0.0, max_value=1.0)
+_STEPS = st.floats(min_value=0.001, max_value=1.0)
+
+
+@st.composite
+def shift_configs(draw):
+    reward_normal = draw(_AMOUNTS)
+    reward_high = reward_normal * 2 + draw(st.floats(min_value=0.01, max_value=10.0))
+    kappa_base = draw(st.floats(min_value=1.0, max_value=4.0))
+    game = GameParams(
+        reward_normal=reward_normal,
+        reward_high=reward_high,
+        fatigue_table={
+            (effort, collab): draw(_AMOUNTS) for effort in EffortLevel for collab in CollabLevel
+        },
+        cost_kappa_base=kappa_base,
+        cost_kappa_trust_slope=draw(st.floats(min_value=0.0, max_value=kappa_base - 0.5)),
+        fatigue_threshold=draw(st.one_of(st.floats(min_value=0.1, max_value=200.0), _LARGE)),
+        penalty_weight=reward_high * 2 + draw(st.floats(min_value=0.01, max_value=200.0)),
+        cobot_tiebreak_trust=draw(_SHARES),
+    )
+    trust = TrustParams(
+        gain=draw(_STEPS),
+        loss=draw(_STEPS),
+        severe_loss=draw(_STEPS),
+        initial_trust=draw(_SHARES),
+        initial_fatigue=draw(_AMOUNTS),
+    )
+    disruption = DisruptionParams(
+        chance=draw(st.floats(min_value=0.0, max_value=0.5)),
+        severe_share=draw(_SHARES),
+        difficult_pick_fatigue=draw(_AMOUNTS),
+    )
+    return ModelConfig(
+        variant=draw(st.sampled_from(ModelVariant)),
+        horizon=draw(st.integers(min_value=1, max_value=60)),
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        game=game,
+        trust=trust,
+        disruption=disruption,
+        apology_duration=draw(st.integers(min_value=1, max_value=6)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift_configs())
+def test_trajectory_csv_matches_field_by_field_reference(cfg):
+    records, _ = run_shift(cfg)
+    assert emit_trajectory_csv(records) == reference_csv(records)
 
 
 def test_shift_summary_json():
