@@ -38,14 +38,12 @@ from .game import (
     perceived_cost,
     solve_stage_game,
 )
-from .repair import ApologyController, leader_override, on_outcome, tick
 from .reports import emit_summary_json, emit_trajectory_csv, parse_trajectory_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActionPair",
-    "ApologyController",
     "CollabLevel",
     "ConfigError",
     "DisruptionEvent",
@@ -71,8 +69,6 @@ __all__ = [
     "human_best_response",
     "human_reward",
     "human_utility",
-    "leader_override",
-    "on_outcome",
     "parse_config",
     "parse_trajectory_csv",
     "perceived_cost",
@@ -84,7 +80,6 @@ __all__ = [
     "run_step",
     "sample_disruption",
     "solve_stage_game",
-    "tick",
     "update_fatigue",
     "update_trust",
 ]

@@ -13,8 +13,6 @@ import math
 from .dynamics import InteractionOutcome
 from .engine import StepRecord
 
-VALID_SERIES = ("trust", "fatigue", "productivity")
-
 _COLORS = {"trust": "#1f77b4", "fatigue": "#d62728", "productivity": "#2ca02c"}
 _LABELS = {"trust": "trust", "fatigue": "fatigue", "productivity": "items (cumulative)"}
 
@@ -37,37 +35,24 @@ def _nice_ceiling(value: float) -> float:
     return magnitude * 10.0
 
 
-def emit_svg_chart(
-    records: list[StepRecord], series: tuple[str, ...] = VALID_SERIES
-) -> str:
-    """Render the selected series of one trajectory as a standalone SVG."""
+def emit_svg_chart(records: list[StepRecord]) -> str:
+    """Render the trust, fatigue and productivity series of one trajectory
+    as a standalone SVG."""
     if not records:
         raise ValueError("cannot chart zero records")
-    if not series:
-        raise ValueError("at least one series must be selected")
-    for name in series:
-        if name not in VALID_SERIES:
-            raise ValueError(
-                f"unknown series '{name}' (valid: {', '.join(VALID_SERIES)})"
-            )
 
     steps = [r.step for r in records]
-    values: dict[str, list[float]] = {}
-    if "trust" in series:
-        values["trust"] = [r.trust_post for r in records]
-    if "fatigue" in series:
-        values["fatigue"] = [r.fatigue_post for r in records]
-    if "productivity" in series:
-        cumulative, total = [], 0.0
-        for r in records:
-            total += r.items_picked
-            cumulative.append(total)
-        values["productivity"] = cumulative
-
-    right_series = [name for name in ("fatigue", "productivity") if name in values]
-    right_max = _nice_ceiling(
-        max((max(values[name]) for name in right_series), default=1.0)
-    )
+    cumulative, total = [], 0.0
+    for r in records:
+        total += r.items_picked
+        cumulative.append(total)
+    values = {
+        "trust": [r.trust_post for r in records],
+        "fatigue": [r.fatigue_post for r in records],
+        "productivity": cumulative,
+    }
+    right_series = ("fatigue", "productivity")
+    right_max = _nice_ceiling(max(max(values[name]) for name in right_series))
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -136,37 +121,31 @@ def emit_svg_chart(
     )
 
     # right axis (fatigue / cumulative items scale)
-    if right_series:
-        for i in range(5):
-            v = right_max / 4 * i  # right_max * i may overflow
-            y = y_right(v)
-            out.append(
-                f'<line x1="{_MARGIN_LEFT + plot_w}" y1="{y:.1f}" '
-                f'x2="{_MARGIN_LEFT + plot_w + 4}" y2="{y:.1f}" stroke="#444"/>'
-            )
-            out.append(
-                f'<text x="{_MARGIN_LEFT + plot_w + 8}" y="{y + 4:.1f}" '
-                f'text-anchor="start">{v:g}</text>'
-            )
+    for i in range(5):
+        v = right_max / 4 * i  # right_max * i may overflow
+        y = y_right(v)
         out.append(
-            f'<text x="{_WIDTH - 14}" y="{_MARGIN_TOP + plot_h / 2:.1f}" '
-            f'text-anchor="middle" transform="rotate(90 {_WIDTH - 14} '
-            f'{_MARGIN_TOP + plot_h / 2:.1f})">{" / ".join(_LABELS[n] for n in right_series)}</text>'
+            f'<line x1="{_MARGIN_LEFT + plot_w}" y1="{y:.1f}" '
+            f'x2="{_MARGIN_LEFT + plot_w + 4}" y2="{y:.1f}" stroke="#444"/>'
         )
+        out.append(
+            f'<text x="{_MARGIN_LEFT + plot_w + 8}" y="{y + 4:.1f}" '
+            f'text-anchor="start">{v:g}</text>'
+        )
+    out.append(
+        f'<text x="{_WIDTH - 14}" y="{_MARGIN_TOP + plot_h / 2:.1f}" '
+        f'text-anchor="middle" transform="rotate(90 {_WIDTH - 14} '
+        f'{_MARGIN_TOP + plot_h / 2:.1f})">{" / ".join(_LABELS[n] for n in right_series)}</text>'
+    )
 
     # data polylines: the series share their x pixels, formatted once; the
     # y expressions are those of y_left and y_right
     xs = [f"{_MARGIN_LEFT + (s - steps[0]) / x_span * plot_w:.1f}," for s in steps]
-    for name in VALID_SERIES:
-        if name not in values:
-            continue
+    for name, series in values.items():
         if name == "trust":
-            ys = [f"{_MARGIN_TOP + (1.0 - v) * plot_h:.1f}" for v in values[name]]
+            ys = [f"{_MARGIN_TOP + (1.0 - v) * plot_h:.1f}" for v in series]
         else:
-            ys = [
-                f"{_MARGIN_TOP + (1.0 - v / right_max) * plot_h:.1f}"
-                for v in values[name]
-            ]
+            ys = [f"{_MARGIN_TOP + (1.0 - v / right_max) * plot_h:.1f}" for v in series]
         points = " ".join(map(str.__add__, xs, ys))
         out.append(
             f'<polyline fill="none" stroke="{_COLORS[name]}" stroke-width="1.8" '
@@ -175,7 +154,7 @@ def emit_svg_chart(
 
     # legend
     legend_x = _MARGIN_LEFT + 8
-    for i, name in enumerate(n for n in VALID_SERIES if n in values):
+    for i, name in enumerate(values):
         y = 18 + 15 * i
         out.append(
             f'<line x1="{legend_x}" y1="{y - 4}" x2="{legend_x + 22}" y2="{y - 4}" '

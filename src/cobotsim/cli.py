@@ -19,7 +19,6 @@ from .charts import emit_svg_chart
 from .configio import ConfigError, config_with_overrides, parse_config
 from .engine import (
     MAX_SEED,
-    EnsembleSummary,
     ModelConfig,
     ModelVariant,
     median_recovery_capped,
@@ -62,6 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", help="model variant: v1.0, v1.1, v1.2 or v1.3")
         p.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
 
+    def add_seed_flags(p: argparse.ArgumentParser, seeds_help: str) -> None:
+        p.add_argument("--seeds", type=int, default=1000, help=seeds_help)
+        p.add_argument("--base-seed", type=int, default=1, help="first seed")
+        p.add_argument("--out", metavar="DIR", help="output directory")
+
     run_p = sub.add_parser(
         "run", help="simulate one shift and write its artifacts", formatter_class=formatter
     )
@@ -79,27 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     add_config_flags(ens_p)
-    ens_p.add_argument("--seeds", type=int, default=1000, help="number of seeds")
-    ens_p.add_argument("--base-seed", type=int, default=1, help="first seed")
-    ens_p.add_argument("--out", metavar="DIR", default=None, help="output directory")
+    add_seed_flags(ens_p, "number of seeds")
 
     t2_p = sub.add_parser(
         "table2",
         help="KPI table: deterministic variants exactly, stochastic as ensembles",
         formatter_class=formatter,
     )
-    t2_p.add_argument("--seeds", type=int, default=1000, help="ensemble size")
-    t2_p.add_argument("--base-seed", type=int, default=1, help="first seed")
-    t2_p.add_argument("--out", metavar="DIR", default=None, help="output directory")
+    add_seed_flags(t2_p, "ensemble size")
 
     cmp_p = sub.add_parser(
         "compare",
         help="paired-seed resilience comparison of v1.2 vs v1.3",
         formatter_class=formatter,
     )
-    cmp_p.add_argument("--seeds", type=int, default=1000, help="number of paired seeds")
-    cmp_p.add_argument("--base-seed", type=int, default=1, help="first seed")
-    cmp_p.add_argument("--out", metavar="DIR", default=None, help="output directory")
+    add_seed_flags(cmp_p, "number of paired seeds")
 
     return parser
 
@@ -248,22 +246,21 @@ def format_kpi_table(n_seeds: int, base_seed: int = 1) -> str:
              f"{s.final_trust:.2f}", behavior)
         )
 
-    stochastic = (ModelVariant.V1_2, ModelVariant.V1_3)
-    paired = run_paired([ModelConfig(variant=v) for v in stochastic], n_seeds, base_seed)
-    ensembles: dict[ModelVariant, EnsembleSummary] = dict(zip(stochastic, paired))
-    for variant, ens in ensembles.items():
-        med = median_recovery_capped(ens, cap=50.0)
-        behavior = (
+    cfgs = [ModelConfig(variant=v) for v in (ModelVariant.V1_2, ModelVariant.V1_3)]
+    cap = float(cfgs[0].horizon)
+    medians = []
+    for cfg, ens in zip(cfgs, run_paired(cfgs, n_seeds, base_seed)):
+        med = median_recovery_capped(ens, cap=cap)
+        medians.append(med)
+        behavior = "no severe failure" if med is None else (
             f"median recovery {med:g} turns, "
             f"{ens.censored_count}/{ens.runs_with_severe} censored"
         )
         rows.append(
-            (f"{variant.value}*", f"{ens.mean_productivity:.1f}",
+            (f"{cfg.variant.value}*", f"{ens.mean_productivity:.1f}",
              f"{ens.mean_final_fatigue:.1f}", f"{ens.mean_final_trust:.2f}", behavior)
         )
-
-    med12 = median_recovery_capped(ensembles[ModelVariant.V1_2], cap=50.0)
-    med13 = median_recovery_capped(ensembles[ModelVariant.V1_3], cap=50.0)
+    med12, med13 = medians
     ratio = med13 / med12 if med12 else float("nan")
 
     header = ("Model", "Productivity", "Final fatigue", "Final trust", "Trust behavior / recovery")
@@ -280,18 +277,10 @@ def format_kpi_table(n_seeds: int, base_seed: int = 1) -> str:
         "",
         f"* ensemble mean over {n_seeds} seeds (base seed {base_seed}); "
         "single runs of the stochastic variants depend entirely on the seed.",
-        f"recovery-time ratio v1.3/v1.2 (medians, censored counted as 50): {ratio:.3f}",
+        f"recovery-time ratio v1.3/v1.2 (medians, censored counted as {cap:g}): "
+        f"{ratio:.3f}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    _check_base_seed(args)
-    text = format_kpi_table(args.seeds, args.base_seed)
-    print(text, end="")
-    if args.out is not None:
-        _write_out(args.out, {"table2.txt": text})
-    return 0
 
 
 def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
@@ -323,8 +312,9 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
         s12, s13 = ens12.summaries[i], ens13.summaries[i]
         lines.append(f"{base_seed + i:>8} | {cell(s12):<22} | {cell(s13):<22}")
 
-    med12 = median_recovery_capped(ens12, cap=50.0)
-    med13 = median_recovery_capped(ens13, cap=50.0)
+    cap = float(base.horizon)
+    med12 = median_recovery_capped(ens12, cap=cap)
+    med13 = median_recovery_capped(ens13, cap=cap)
     ratio = med13 / med12 if med12 else float("nan")
     lines += [
         "",
@@ -332,7 +322,7 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
         f"v1.3 {ens13.runs_with_severe}",
         f"censored recoveries:        v1.2 {ens12.censored_count}, "
         f"v1.3 {ens13.censored_count}",
-        f"median first recovery (censored as 50): "
+        f"median first recovery (censored as {cap:g}): "
         f"v1.2 {med12 if med12 is not None else 'n/a'}, "
         f"v1.3 {med13 if med13 is not None else 'n/a'}",
         f"reduction ratio v1.3/v1.2: {ratio:.3f}",
@@ -344,20 +334,23 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
+    """``table2`` and ``compare``: print the report and, with --out, save it
+    as ``<command>.txt``."""
     _check_base_seed(args)
-    text = format_comparison(args.seeds, args.base_seed)
+    report = format_kpi_table if args.command == "table2" else format_comparison
+    text = report(args.seeds, args.base_seed)
     print(text, end="")
     if args.out is not None:
-        _write_out(args.out, {"compare.txt": text})
+        _write_out(args.out, {f"{args.command}.txt": text})
     return 0
 
 
 _COMMANDS = {
     "run": _cmd_run,
     "ensemble": _cmd_ensemble,
-    "table2": _cmd_table2,
-    "compare": _cmd_compare,
+    "table2": _cmd_report,
+    "compare": _cmd_report,
 }
 
 

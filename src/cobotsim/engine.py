@@ -3,8 +3,9 @@
 Every turn executes the same sequence, and the sequence is part of the
 external contract because reordering it changes trajectories:
 
-1. apology override consulted (apology variant only);
-2. leader action = override, or the stage-game equilibrium;
+1. apology countdown consulted (apology variant only);
+2. leader action = high collaboration while the countdown is non-zero, or
+   the stage-game equilibrium;
 3. follower action = best response to the leader action;
 4. disruption sampled (stochastic variants only; deterministic variants
    consume no random draws) — ``run_step`` draws it from its stream, the
@@ -12,7 +13,8 @@ external contract because reordering it changes trajectories:
 5. fatigue updated — a cobot failure charges the turn as if collaboration
    had been low, a difficult pick adds its surcharge;
 6. outcome classified under the variant's trust rule, trust updated;
-7. apology controller ticked for a consumed override, then fed the outcome.
+7. apology countdown advanced by ``repair.apology_after``: a forced turn is
+   consumed, then a severe failure re-arms ``cfg.apology_duration``.
 
 ``run_shift`` and ``run_paired`` (``run_ensemble`` is its one-config case)
 share one flat loop that runs this sequence over plain floats, bools and an
@@ -67,7 +69,7 @@ from .game import (
     human_reward,
     solve_stage_game,
 )
-from .repair import ApologyController, leader_override, on_outcome, tick
+from .repair import apology_after
 
 MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # A shift keeps one record per turn. At this bound, ``run`` writing every
@@ -162,16 +164,26 @@ class ShiftSummary:
 
 def run_step(
     state: HumanState,
-    ctrl: ApologyController,
+    remaining: int,
     stream: RandomStream,
     cfg: ModelConfig,
     step: int = 1,
-) -> tuple[StepRecord, HumanState, ApologyController]:
-    """Execute one turn of the fixed sequence documented at module level."""
+) -> tuple[StepRecord, HumanState, int]:
+    """Execute one turn of the fixed sequence documented at module level.
+
+    ``remaining`` is the number of apology turns left before the turn, in
+    ``[0, cfg.apology_duration]``; the apology variant forces high
+    collaboration while it is non-zero. Returns the turn's record, the next
+    state and the count after the turn, which other variants leave as is.
+    """
+    if not 0 <= remaining <= cfg.apology_duration:
+        raise ValueError(
+            f"remaining must lie in [0, {cfg.apology_duration}] (got {remaining})"
+        )
     variant = cfg.variant
-    override = leader_override(ctrl) if variant.has_apology else None
-    if override is not None:
-        pair = ACTION_PAIRS[override, human_best_response(override, state.trust, cfg.game)]
+    if variant.has_apology and remaining:
+        high = CollabLevel.HIGH
+        pair = ACTION_PAIRS[high, human_best_response(high, state.trust, cfg.game)]
     else:
         pair = solve_stage_game(state, cfg.game)
 
@@ -193,13 +205,8 @@ def run_step(
     outcome = classify_interaction(variant.trust_rule, pair, severe, cfg.game)
     trust_post = update_trust(state.trust, outcome, cfg.trust)
 
-    new_ctrl = ctrl
     if variant.has_apology:
-        # Tick before arming: a severe failure during an active apology must
-        # still leave a full window behind it.
-        if override is not None:
-            new_ctrl = tick(new_ctrl)
-        new_ctrl = on_outcome(new_ctrl, outcome)
+        remaining = apology_after(remaining, outcome, cfg.apology_duration)
 
     record = StepRecord(
         step=step,
@@ -213,9 +220,9 @@ def run_step(
         extra_fatigue=extra,
         trust_post=trust_post,
         fatigue_post=fatigue_post,
-        apology_remaining_post=new_ctrl.remaining,
+        apology_remaining_post=remaining,
     )
-    return record, HumanState(fatigue=fatigue_post, trust=trust_post), new_ctrl
+    return record, HumanState(fatigue=fatigue_post, trust=trust_post), remaining
 
 
 class _StagePolicy:

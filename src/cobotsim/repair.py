@@ -2,41 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dynamics import InteractionOutcome
-from .game import CollabLevel
 
 
-@dataclass(frozen=True, slots=True)
-class ApologyController:
-    """Counts down the remaining forced-collaboration turns."""
-
-    remaining: int = 0
-    duration: int = 3
-
-    def __post_init__(self) -> None:
-        if self.duration < 1:
-            raise ValueError(f"duration must be >= 1 (got {self.duration})")
-        if not 0 <= self.remaining <= self.duration:
-            raise ValueError(
-                f"remaining must lie in [0, duration] (got {self.remaining})"
-            )
-
-
-def on_outcome(ctrl: ApologyController, outcome: InteractionOutcome) -> ApologyController:
-    """Severe failures arm (or re-arm) the full apology window; everything
-    else leaves the counter alone."""
+def apology_after(remaining: int, outcome: InteractionOutcome, duration: int) -> int:
+    """Apology turns left after a turn that began with ``remaining``. A forced
+    turn is consumed first (saturating at zero), then a severe failure re-arms
+    the full ``duration``: a failure during an active apology must still leave
+    a full window behind it."""
     if outcome is InteractionOutcome.SEVERE_FAILURE:
-        return ApologyController(remaining=ctrl.duration, duration=ctrl.duration)
-    return ctrl
-
-
-def leader_override(ctrl: ApologyController) -> CollabLevel | None:
-    """High collaboration while the window is open, otherwise no override."""
-    return CollabLevel.HIGH if ctrl.remaining > 0 else None
-
-
-def tick(ctrl: ApologyController) -> ApologyController:
-    """Consume one apology turn (saturating at zero)."""
-    return ApologyController(remaining=max(0, ctrl.remaining - 1), duration=ctrl.duration)
+        return duration
+    return max(0, remaining - 1)

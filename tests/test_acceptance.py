@@ -14,7 +14,6 @@ import pytest
 
 from cobotsim import (
     ActionPair,
-    ApologyController,
     CollabLevel,
     DisruptionParams,
     EffortLevel,
@@ -221,12 +220,12 @@ def test_criterion_6_invariant_fuzz_sweep():
         cfg = _random_config(rng)
         stream = RandomStream(cfg.seed)
         state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
-        ctrl = ApologyController(remaining=0, duration=cfg.apology_duration)
+        remaining = 0
         high_turns = 0
         produced = 0.0
         records = []
         for step in range(1, cfg.horizon + 1):
-            record, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
+            record, state, remaining = run_step(state, remaining, stream, cfg, step=step)
             records.append(record)
             assert 0.0 <= record.trust_post <= 1.0
             assert record.fatigue_post >= 0.0

@@ -43,18 +43,7 @@ def test_one_polyline_per_series():
         assert svg.count(f'class="series-{name}"') == 1
 
 
-def test_series_subset_selection():
-    svg = emit_svg_chart(records_for("v1.1"), series=("trust",))
-    assert 'class="series-trust"' in svg
-    assert 'class="series-fatigue"' not in svg
-
-
 def test_empty_and_unknown_series_rejected():
-    records = records_for("v1.1")
-    with pytest.raises(ValueError):
-        emit_svg_chart(records, series=())
-    with pytest.raises(ValueError):
-        emit_svg_chart(records, series=("speed",))
     with pytest.raises(ValueError):
         emit_svg_chart([])
 

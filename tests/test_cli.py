@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobotsim import ModelConfig, ModelVariant, render_config, run_shift
+from cobotsim import cli
 from cobotsim.cli import build_parser, main
 from cobotsim.configio import KNOWN_KEYS
 from cobotsim.reports import emit_trajectory_csv
@@ -314,6 +316,29 @@ def test_compare_renders_one_row_per_seed(capsys):
 def test_compare_rejects_single_seed(capsys):
     assert main(["compare", "--seeds", "1"]) == 2
     assert "at least 2 seeds" in capsys.readouterr().err
+
+
+def test_compare_saves_its_report(tmp_path, capsys):
+    assert main(["compare", "--seeds", "2", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    text = (tmp_path / "compare.txt").read_text(encoding="utf-8")
+    assert out == text + f"wrote {tmp_path / 'compare.txt'}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["compare.txt"]
+
+
+def test_table2_without_severe_failures(capsys):
+    # Seed 12 draws no cobot failure in 50 turns: no recovery to take a median of.
+    assert main(["table2", "--seeds", "1", "--base-seed", "12"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("no severe failure") == 2
+
+
+def test_censoring_cap_follows_the_horizon(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ModelConfig", partial(ModelConfig, horizon=20))
+    assert main(["table2", "--seeds", "20"]) == 0
+    assert "(medians, censored counted as 20): " in capsys.readouterr().out
+    assert main(["compare", "--seeds", "20"]) == 0
+    assert "median first recovery (censored as 20): " in capsys.readouterr().out
 
 
 def test_module_entry_point_smoke(tmp_path):

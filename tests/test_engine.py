@@ -8,7 +8,6 @@ import pytest
 
 from cobotsim import (
     ActionPair,
-    ApologyController,
     CollabLevel,
     DisruptionEvent,
     DisruptionParams,
@@ -47,7 +46,7 @@ def cfg_for(variant, **kwargs):
 def test_opening_turn_refined():
     cfg = cfg_for("v1.1")
     record, state, _ = run_step(
-        HumanState(0.0, 0.5), ApologyController(), RandomStream(0), cfg
+        HumanState(0.0, 0.5), 0, RandomStream(0), cfg
     )
     assert record.cobot_action is HIGH_C
     assert record.human_action is NORMAL
@@ -61,7 +60,7 @@ def test_opening_turn_refined():
 def test_opening_turn_naive():
     cfg = cfg_for("v1.0")
     record, _, _ = run_step(
-        HumanState(0.0, 0.5), ApologyController(), RandomStream(0), cfg
+        HumanState(0.0, 0.5), 0, RandomStream(0), cfg
     )
     assert (record.cobot_action, record.human_action) == (HIGH_C, NORMAL)
     assert record.outcome is InteractionOutcome.MINOR_FAILURE
@@ -71,14 +70,14 @@ def test_opening_turn_naive():
 def test_apology_override_forces_high_collaboration():
     cfg = cfg_for("v1.3", disruption=DisruptionParams(chance=0.0))
     for trust in (0.0, 0.1, 0.45, 0.9):
-        record, _, ctrl = run_step(
+        record, _, remaining = run_step(
             HumanState(0.0, trust),
-            ApologyController(remaining=2, duration=3),
+            2,
             RandomStream(0),
             cfg,
         )
         assert record.cobot_action is HIGH_C
-        assert ctrl.remaining == 1  # consumed one apology turn
+        assert remaining == 1  # consumed one apology turn
 
 
 def test_cobot_failure_charges_low_collaboration_fatigue():
@@ -86,7 +85,7 @@ def test_cobot_failure_charges_low_collaboration_fatigue():
     # pair would have been (high, high): fatigue must be charged at (high, low)
     cfg = cfg_for("v1.2", disruption=DisruptionParams(chance=1.0, severe_share=1.0))
     record, _, _ = run_step(
-        HumanState(0.0, 0.9), ApologyController(), RandomStream(0), cfg
+        HumanState(0.0, 0.9), 0, RandomStream(0), cfg
     )
     assert record.cobot_action is HIGH_C
     assert record.human_action is HIGH_E
@@ -100,7 +99,7 @@ def test_cobot_failure_charges_low_collaboration_fatigue():
 def test_difficult_pick_adds_surcharge_without_touching_trust():
     cfg = cfg_for("v1.2", disruption=DisruptionParams(chance=1.0, severe_share=0.0))
     record, _, _ = run_step(
-        HumanState(0.0, 0.9), ApologyController(), RandomStream(0), cfg
+        HumanState(0.0, 0.9), 0, RandomStream(0), cfg
     )
     assert record.disruption_event is DisruptionEvent.DIFFICULT_PICK
     assert record.extra_fatigue == 5.0
@@ -144,9 +143,9 @@ def test_deterministic_variants_consume_no_draws():
         cfg = cfg_for(variant, seed=7)
         stream = RandomStream(cfg.seed)
         state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
-        ctrl = ApologyController(duration=cfg.apology_duration)
+        remaining = 0
         for step in range(1, cfg.horizon + 1):
-            _, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
+            _, state, remaining = run_step(state, remaining, stream, cfg, step=step)
         assert stream.state == cfg.seed
 
 
@@ -190,11 +189,11 @@ def test_apology_escapes_low_trust_trap():
     # which the stage game keeps collaborating on its own
     cfg = cfg_for("v1.3", disruption=DisruptionParams(chance=0.0))
     state = HumanState(10.0, 0.45)
-    ctrl = ApologyController(remaining=3, duration=3)
+    remaining = 3
     stream = RandomStream(0)
     trust_path = []
     for step in range(1, 6):
-        record, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
+        record, state, remaining = run_step(state, remaining, stream, cfg, step=step)
         trust_path.append(record.trust_post)
     assert trust_path[:3] == [0.5, 0.55, 0.6]
     assert trust_path[3] > 0.6
@@ -205,11 +204,11 @@ def test_disengagement_trap_without_apology():
     # trust decays monotonically to zero
     cfg = cfg_for("v1.2", disruption=DisruptionParams(chance=0.0))
     state = HumanState(10.0, 0.45)
-    ctrl = ApologyController()
+    remaining = 0
     stream = RandomStream(0)
     trust_path = []
     for step in range(1, 11):
-        record, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
+        record, state, remaining = run_step(state, remaining, stream, cfg, step=step)
         trust_path.append(record.trust_post)
         assert record.cobot_action is LOW_C
     assert all(b < a or b == 0.0 for a, b in zip(trust_path, trust_path[1:]))
@@ -377,11 +376,11 @@ def _forced_at_zero_trust(records):
 def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
     cfg = cfg_for(variant, seed=seed, **kwargs)
     state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
-    ctrl = ApologyController(duration=cfg.apology_duration)
+    remaining = 0
     stream = RandomStream(cfg.seed)
     records, _ = run_shift(cfg)
     for got in records:
-        expected, state, ctrl = run_step(state, ctrl, stream, cfg, step=got.step)
+        expected, state, remaining = run_step(state, remaining, stream, cfg, step=got.step)
         assert got == expected, got.step
     assert exercised(records, cfg.game)
 
@@ -531,11 +530,11 @@ def test_run_ensemble_rejects_seeds_outside_64_bits():
 def _chained_summary(cfg):
     """summarize_shift over the per-turn reference, chained from cfg's seed."""
     state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
-    ctrl = ApologyController(duration=cfg.apology_duration)
+    remaining = 0
     stream = RandomStream(cfg.seed)
     records = []
     for step in range(1, cfg.horizon + 1):
-        record, state, ctrl = run_step(state, ctrl, stream, cfg, step=step)
+        record, state, remaining = run_step(state, remaining, stream, cfg, step=step)
         records.append(record)
     return summarize_shift(records, cfg.horizon)
 
