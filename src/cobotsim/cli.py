@@ -116,13 +116,20 @@ def _load_config(args: argparse.Namespace) -> ModelConfig:
         cfg = parse_config(text)
     else:
         cfg = ModelConfig()
-    shorthand = []
+    # The shorthands are applied one at a time, so an error names its flag.
     if getattr(args, "variant", None):
-        shorthand.append(f"variant = {args.variant}")
+        try:
+            cfg = replace(cfg, variant=ModelVariant(args.variant))
+        except ValueError:
+            valid = ", ".join(v.value for v in ModelVariant)
+            raise ConfigError(
+                f"--variant: variant must be one of {valid} (got '{args.variant}')"
+            ) from None
     if getattr(args, "seed", None) is not None:
-        shorthand.append(f"seed = {args.seed}")
-    if shorthand:
-        cfg = config_with_overrides(cfg, shorthand)
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     if args.overrides:
         cfg = config_with_overrides(cfg, args.overrides)
     return cfg
@@ -207,6 +214,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
+    if args.seed is not None:
+        raise ConfigError(
+            "--seed does not apply to ensemble, which runs --seeds consecutive "
+            "seeds; choose the first with --base-seed"
+        )
     cfg = _load_config(args)
     _check_base_seed(args)
     ens = run_ensemble(cfg, args.seeds, args.base_seed)

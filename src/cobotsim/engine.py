@@ -29,8 +29,14 @@ carries its post-turn trust, computed once by ``update_trust``, so the loop
 does no trust arithmetic. Fatigue is quantized as ``update_fatigue`` does,
 except that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS: such
 a value has at most STATE_DECIMALS decimals, so rounding returns it
-unchanged. ``run_step`` executes one turn with the public state types and is
-the single-turn reference that the tests compare the loop against.
+unchanged. The same arithmetic lets the loop fast-forward: once trust sits
+at a fixed point of a trust-keyed decision, every undisrupted turn repeats
+the last one with fatigue up by one constant increment, and while fatigue
+and increment are non-negative multiples of 2**-STATE_DECIMALS below
+2**(52 - STATE_DECIMALS) each sum is exact, so ``fatigue + k * inc`` is
+what k turns would reach (see ``_simulate``). ``run_step`` executes one turn
+with the public state types and is the single-turn reference that the tests
+compare the loop against.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # artifact takes about 2 s and 64 MB (CPython 3.11, 2-vCPU Xeon).
 MAX_HORIZON = 100_000
 _NO_EVENT = (0, False)  # past the last event of a schedule; turns start at 1
+# Below this, sums of multiples of 2**-STATE_DECIMALS are exact doubles.
+_EXACT_FATIGUE = 2.0 ** (52 - STATE_DECIMALS)
 
 
 class ModelVariant(str, Enum):
@@ -113,6 +121,11 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("horizon", "seed", "apology_duration"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no turn count.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
         if self.horizon > MAX_HORIZON:
@@ -327,11 +340,34 @@ def _simulate(
     """One shift of ``cfg`` under the disruption schedule ``events`` (see
     ``disruption.schedule``): the turn sequence of ``run_step`` over plain
     values, with recovery times tracked as the shift runs. Returns the
-    records (None unless ``keep_records``) and the summary."""
+    records (None unless ``keep_records``) and the summary.
+
+    After a steady turn the loop jumps, in one step, to the turn before the
+    next event or to the horizon. A turn is steady when the stage game
+    decided it under a trust-only key (calm or saturated side of the band),
+    no apology was active and no event struck, and trust did not move: each
+    later turn up to the next event then meets the same key, decision,
+    outcome and trust, and adds the same ``inc`` to fatigue. The k skipped
+    turns are exact, so the jump is taken only when:
+
+    - ``inc >= 0``, so fatigue never falls: a saturated side stays
+      saturated, and on the calm side the last skipped turn's key test,
+      ``(end - inc) + max_increment > threshold``, is the largest of them;
+      that test must stay false;
+    - ``inc`` and fatigue are multiples of 2**-STATE_DECIMALS and ``end =
+      fatigue + k * inc`` lies below ``_EXACT_FATIGUE``, so every partial
+      sum is an exact double and needs no ``round()``.
+
+    Recovery needs no rescan: trust is constant and the steady turn already
+    tested it against every pending target. Otherwise the loop goes on one
+    turn at a time."""
     apology = cfg.variant.has_apology
     pick_extra = cfg.disruption.difficult_pick_fatigue
-    duration = cfg.apology_duration
+    duration, horizon = cfg.apology_duration, cfg.horizon
     leader, forced = policy.leader, policy.apology
+    calm_get, saturated_get = policy.solved.get, policy.saturated.get
+    threshold = policy.threshold
+    min_inc, max_inc = policy.min_increment, policy.max_increment
     upcoming = iter(events)
     event_turn, event_severe = next(upcoming, _NO_EVENT)
     none, pick, failure = (
@@ -352,12 +388,24 @@ def _simulate(
     lowest = math.inf  # smallest pending target
     recovered: dict[int, int] = {}
 
-    for step in range(1, cfg.horizon + 1):
-        cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust = (
-            forced(trust) if remaining else leader(trust, fatigue)
-        )
+    step = 0
+    while step < horizon:
+        step += 1
+        # The stage game's trust-only keys, looked up here; ``limit`` is the
+        # threshold a steady stretch must stay calm under (inf once
+        # saturated), or None where the turn is not trust-keyed.
+        if remaining:
+            decision, limit = forced(trust), None
+        elif not fatigue + max_inc > threshold:
+            decision, limit = calm_get(trust) or leader(trust, fatigue), threshold
+        elif fatigue + min_inc > threshold:
+            decision, limit = saturated_get(trust) or leader(trust, fatigue), math.inf
+        else:
+            decision, limit = leader(trust, fatigue), None
+        cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust = decision
         event, extra = none, 0.0
         if step == event_turn:
+            limit = None
             if event_severe:
                 event, inc, outcome, trust_post = failure, failed_inc, severe, severe_trust
             else:
@@ -401,6 +449,34 @@ def _simulate(
         items_picked.append(items)
         if fatigue_post > peak:
             peak = fatigue_post
+        # A steady turn: every turn up to the next event repeats it, with
+        # fatigue rising by inc. Jump over them where that sum is exact.
+        if (
+            limit is not None
+            and trust_post == trust
+            and inc >= 0.0
+            and (inc * dyadic).is_integer()
+            and (fatigue_post * dyadic).is_integer()
+        ):
+            k = (event_turn or horizon + 1) - 1 - step
+            end = fatigue_post + k * inc
+            if k and end < _EXACT_FATIGUE and not (end - inc) + max_inc > limit:
+                if keep_records:
+                    f = fatigue_post
+                    for t in range(step + 1, step + k + 1):
+                        g = f + inc
+                        records.append(
+                            StepRecord(
+                                t, trust, f, cobot, human, none, outcome, items,
+                                0.0, trust, g, 0,
+                            )
+                        )
+                        f = g
+                items_picked += [items] * k
+                if end > peak:
+                    peak = end
+                fatigue_post = end
+                step += k
         trust, fatigue = trust_post, fatigue_post
 
     summary = ShiftSummary(

@@ -165,6 +165,42 @@ def test_base_seed_past_64_bits_exits_2(capsys, command):
     assert f"--base-seed {2**64 - 1}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "-1", "--set", "horizon=5"],
+         "config error: --seed: seed must be an unsigned 64-bit integer (got -1)"),
+        (["--variant", "v9", "--set", "horizon=5"],
+         "config error: --variant: variant must be one of v1.0, v1.1, v1.2, v1.3 "
+         "(got 'v9')"),
+    ],
+    ids=["seed", "variant"],
+)
+def test_shorthand_error_names_its_flag(tmp_path, capsys, argv, message):
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "override" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_ensemble_rejects_seed_flag(capsys):
+    # It once ran seeds 1..2 and ignored --seed 3 without a word.
+    assert main(["ensemble", "--variant", "v1.2", "--seed", "3", "--seeds", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --seed does not apply to ensemble" in captured.err
+    assert "--base-seed" in captured.err
+    assert captured.out == ""
+
+
+def test_ensemble_accepts_seed_line_of_config_file(tmp_path, capsys):
+    # render_config writes a seed line; the ensemble runs from --base-seed.
+    path = tmp_path / "cfg.txt"
+    path.write_text(render_config(ModelConfig(variant=ModelVariant.V1_2, seed=9)))
+    assert main(["ensemble", "--config", str(path), "--seeds", "2"]) == 0
+    assert "v1.2: 2 seeds from 1" in capsys.readouterr().out
+
+
 def test_horizon_past_bound_exits_2(tmp_path, capsys):
     assert main(["run", "--set", "horizon=100001", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -5,6 +5,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobotsim import (
     ActionPair,
@@ -343,6 +345,74 @@ def _forced_at_zero_trust(records):
     )
 
 
+def _steady_stretches(records, game):
+    """``(side, increment, post-turn fatigue, k)`` for each steady turn: a
+    stage-game turn on a trust-only side of the band ("calm" or "saturated")
+    with no event and no trust change, followed by k >= 1 undisrupted turns
+    before the next event or the horizon. The shift loop may jump over
+    those k turns."""
+    threshold, table = game.fatigue_threshold, game.fatigue_table.values()
+    leader_steps = {r.step for r in _leader_turns(records)}
+    stretches = []
+    for i, r in enumerate(records):
+        if (r.step not in leader_steps or r.disruption_event is not DisruptionEvent.NONE
+                or r.trust_post != r.trust_pre):
+            continue
+        if not r.fatigue_pre + max(table) > threshold:
+            side = "calm"
+        elif r.fatigue_pre + min(table) > threshold:
+            side = "saturated"
+        else:
+            continue
+        k = 0
+        for later in records[i + 1:]:
+            if later.disruption_event is not DisruptionEvent.NONE:
+                break
+            k += 1
+        if k:
+            inc = game.fatigue_table[(r.human_action, r.cobot_action)]
+            stretches.append((side, inc, r.fatigue_post, k))
+    return stretches
+
+
+def _dyadic(x):
+    return (x * 2.0**STATE_DECIMALS).is_integer()
+
+
+def _jump_taken(stretch, game):
+    """Whether the shift loop's exactness conditions admit the jump."""
+    side, inc, fatigue, k = stretch
+    end = fatigue + k * inc
+    return (
+        inc >= 0.0 and _dyadic(inc) and _dyadic(fatigue) and end < 2.0**40
+        and (side == "saturated"
+             or not (end - inc) + max(game.fatigue_table.values()) > game.fatigue_threshold)
+    )
+
+
+def _stretch(side, condition=_jump_taken):
+    """An ``exercised`` predicate: some steady stretch on ``side`` meets
+    ``condition``, by default that the jump is taken."""
+    def exercised(records, game):
+        return any(
+            s[0] == side and condition(s, game) for s in _steady_stretches(records, game)
+        )
+    return exercised
+
+
+def _crosses_band(stretch, game):
+    _, inc, fatigue, k = stretch
+    end = fatigue + k * inc
+    return (inc >= 0.0 and _dyadic(fatigue) and _dyadic(inc)
+            and (end - inc) + max(game.fatigue_table.values()) > game.fatigue_threshold)
+
+
+_ZERO_HIGH_HIGH = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): 0.5,
+                   (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 0.0}
+_POINT_3_HIGH_HIGH = {**_ZERO_HIGH_HIGH, (HIGH_E, HIGH_C): 0.3}
+_FINE = {key: value + 2**-12 for key, value in GameParams().fatigue_table.items()}
+
+
 @pytest.mark.parametrize(
     "variant, kwargs, exercised",
     [
@@ -367,10 +437,39 @@ def _forced_at_zero_trust(records):
         ("v1.3", {"game": _SATURATED_TIE, "horizon": 300,
                   "trust": TrustParams(initial_trust=0.8)},
          _saturated_at_a_calm_trust),
+        # Steady stretches: jumped, or declined for one reason each.
+        ("v1.2", {}, _stretch("calm")),
+        ("v1.2", {"horizon": 400}, _stretch("saturated")),
+        # From trust 0 the leader stays low until the penalty forces high
+        # collaboration at fatigue 79.25, inside the band: a stretch jumped
+        # into the band would miss that turn.
+        ("v1.1", {"horizon": 300,
+                  "trust": TrustParams(initial_trust=0.0, initial_fatigue=0.25)},
+         _stretch("calm", _crosses_band)),
+        ("v1.1", {"game": GameParams(fatigue_table=_ZERO_HIGH_HIGH)},
+         _stretch("calm", lambda s, game: _jump_taken(s, game) and s[1] == 0.0)),
+        ("v1.1", {"game": GameParams(fatigue_table=_NEGATIVE)},
+         _stretch("calm", lambda s, game: s[1] < 0.0)),
+        ("v1.2", {"trust": TrustParams(initial_fatigue=2**-13)},
+         _stretch("calm", lambda s, game: not _dyadic(s[2]))),
+        # 0.2 + 0.3 == 0.5, a dyadic fatigue; the increment 0.3 is not.
+        ("v1.1", {"game": GameParams(fatigue_table=_POINT_3_HIGH_HIGH),
+                  "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.2)},
+         _stretch("calm", lambda s, game: _dyadic(s[2]) and not _dyadic(s[1]))),
+        ("v1.2", {"trust": TrustParams(initial_fatigue=2.0**40 - 8)},
+         _stretch("saturated", lambda s, game: s[2] + s[3] * s[1] >= 2.0**40)),
+        # Past 2**41 a double is a multiple of 2**-11, so sums of these
+        # increments round: a jump there would round once instead of k times.
+        ("v1.2", {"game": GameParams(fatigue_table=_FINE),
+                  "trust": TrustParams(initial_fatigue=2.0**41 - 8)},
+         _stretch("saturated", lambda s, game: s[2] + s[3] * s[1] >= 2.0**41)),
     ],
     ids=["initial-2^-12", "below-2^-12", "above-2^-12", "initial-2^-13",
          "non-dyadic-table", "negative-entry-clamp", "forced-from-trust-0",
-         "saturated-tie"],
+         "saturated-tie", "jump-calm", "jump-saturated", "jump-declined-band",
+         "jump-zero-increment", "jump-declined-negative", "jump-declined-2^-13",
+         "jump-declined-non-dyadic-increment", "jump-declined-2^40",
+         "jump-declined-2^41"],
 )
 @pytest.mark.parametrize("seed", [3, 11])
 def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
@@ -378,10 +477,11 @@ def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
     state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
     remaining = 0
     stream = RandomStream(cfg.seed)
-    records, _ = run_shift(cfg)
+    records, summary = run_shift(cfg)
     for got in records:
         expected, state, remaining = run_step(state, remaining, stream, cfg, step=got.step)
         assert got == expected, got.step
+    assert summary == summarize_shift(records, cfg.horizon)
     assert exercised(records, cfg.game)
 
 
@@ -507,6 +607,14 @@ def test_model_config_validation():
         ModelConfig(apology_duration=0)
 
 
+@pytest.mark.parametrize("name", ["horizon", "seed", "apology_duration"])
+@pytest.mark.parametrize("value", [2.5, 50.0, True, "5"])
+def test_model_config_rejects_non_integer_counts(name, value):
+    # apology_duration=2.5 once ran and recorded -7.5 apology turns left.
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer \(got {value!r}\)$"):
+        ModelConfig(variant=ModelVariant.V1_3, **{name: value})
+
+
 def test_initial_state_comes_from_trust_params():
     cfg = cfg_for("v1.1", trust=TrustParams(initial_trust=0.8, initial_fatigue=3.0))
     records, _ = run_shift(cfg)
@@ -527,8 +635,8 @@ def test_run_ensemble_rejects_seeds_outside_64_bits():
         run_ensemble(cfg_for("v1.2"), n_seeds=2, base_seed=2**64 - 1)
 
 
-def _chained_summary(cfg):
-    """summarize_shift over the per-turn reference, chained from cfg's seed."""
+def _chained_records(cfg):
+    """The per-turn reference's records, chained from cfg's seed."""
     state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
     remaining = 0
     stream = RandomStream(cfg.seed)
@@ -536,7 +644,12 @@ def _chained_summary(cfg):
     for step in range(1, cfg.horizon + 1):
         record, state, remaining = run_step(state, remaining, stream, cfg, step=step)
         records.append(record)
-    return summarize_shift(records, cfg.horizon)
+    return records
+
+
+def _chained_summary(cfg):
+    """summarize_shift over the per-turn reference, chained from cfg's seed."""
+    return summarize_shift(_chained_records(cfg), cfg.horizon)
 
 
 @pytest.mark.parametrize("base_seed", [7, 2**64 - 30])
@@ -551,6 +664,54 @@ def test_run_paired_matches_chained_run_step_per_seed(base_seed):
         assert (ens.n_seeds, ens.base_seed) == (30, base_seed)
         assert ens == run_ensemble(cfg, n_seeds=30, base_seed=base_seed)
     assert any(s.recovery_times for s in paired[0].summaries)
+
+
+_LATTICE_INCREMENTS = (0.0, 0.25, 0.5, 1.0, 2.5, 3.0, 0.3, -0.5)
+
+
+@st.composite
+def dyadic_lattice_params(draw):
+    """ModelConfig fields, all variants' own, from a mostly dyadic lattice:
+    multiples of 2**-12 let the shift loop jump over steady stretches, and
+    0.3, -0.5, 2**-13 and 2**40 - 8 make it decline them."""
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    table = {key: pick(*_LATTICE_INCREMENTS) for key in GameParams().fatigue_table}
+    return {
+        "horizon": draw(st.integers(1, 300)),
+        "seed": draw(st.integers(0, 2**64 - 2)),
+        "game": GameParams(
+            fatigue_table=table,
+            fatigue_threshold=pick(2.0, 10.0, 30.0, 80.0, 80.3, 300.0),
+            cobot_tiebreak_trust=pick(0.0, 0.5, 0.75, 1.0),
+        ),
+        "trust": TrustParams(
+            gain=pick(0.05, 0.125, 0.25),
+            severe_loss=pick(0.25, 0.5, 1.0),
+            initial_trust=pick(0.0, 0.5, 0.8, 1.0),
+            initial_fatigue=pick(0.0, 2**-13, 2**-12, 1.5, 79.0, 2.0**40 - 8),
+        ),
+        "disruption": DisruptionParams(
+            chance=pick(0.0, 0.05, 0.1, 0.3),
+            difficult_pick_fatigue=pick(0.0, 0.5, 0.3, 5.0),
+        ),
+        "apology_duration": draw(st.integers(1, 5)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyadic_lattice_params())
+def test_shift_loop_is_exact_on_a_dyadic_lattice(params):
+    # Random uniform configs are never multiples of 2**-12, so the fuzz
+    # sweep of criterion 6 never jumps a steady stretch; this lattice does.
+    cfgs = [ModelConfig(variant=v, **params) for v in ModelVariant]
+    for cfg in cfgs:
+        records = _chained_records(cfg)
+        assert run_shift(cfg) == (records, summarize_shift(records, cfg.horizon))
+    paired = run_paired(cfgs, n_seeds=2, base_seed=params["seed"])
+    for cfg, ens in zip(cfgs, paired):
+        assert ens.summaries == [
+            run_shift(replace(cfg, seed=cfg.seed + i))[1] for i in range(2)
+        ]
 
 
 def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
