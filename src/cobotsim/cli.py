@@ -214,9 +214,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    if args.seed is not None:
+    # A config file's seed line is accepted, since render_config writes one;
+    # a flag asking for a seed would be ignored.
+    if args.seed is not None or any(
+        pair.partition("=")[0].strip() == "seed" for pair in args.overrides
+    ):
+        flag = "--seed" if args.seed is not None else "--set seed"
         raise ConfigError(
-            "--seed does not apply to ensemble, which runs --seeds consecutive "
+            f"{flag} does not apply to ensemble, which runs --seeds consecutive "
             "seeds; choose the first with --base-seed"
         )
     cfg = _load_config(args)
@@ -242,6 +247,17 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     return 0
 
 
+def _paired_recovery(n_seeds: int, base_seed: int) -> tuple:
+    """v1.2 and v1.3 at the defaults over the same seeds: ``(ensembles,
+    capped median first recoveries, cap, ratio v1.3/v1.2)``. Censored
+    recoveries count as the horizon; the ratio is nan without a v1.2 median."""
+    cfgs = [ModelConfig(variant=v) for v in (ModelVariant.V1_2, ModelVariant.V1_3)]
+    ensembles = run_paired(cfgs, n_seeds, base_seed)
+    cap = float(cfgs[0].horizon)
+    med12, med13 = medians = [median_recovery_capped(ens, cap=cap) for ens in ensembles]
+    return ensembles, medians, cap, med13 / med12 if med12 else float("nan")
+
+
 def format_kpi_table(n_seeds: int, base_seed: int = 1) -> str:
     """KPI table across all variants: deterministic rows exactly, stochastic
     rows as ensemble means (single runs of those variants are seed lottery)."""
@@ -258,22 +274,16 @@ def format_kpi_table(n_seeds: int, base_seed: int = 1) -> str:
              f"{s.final_trust:.2f}", behavior)
         )
 
-    cfgs = [ModelConfig(variant=v) for v in (ModelVariant.V1_2, ModelVariant.V1_3)]
-    cap = float(cfgs[0].horizon)
-    medians = []
-    for cfg, ens in zip(cfgs, run_paired(cfgs, n_seeds, base_seed)):
-        med = median_recovery_capped(ens, cap=cap)
-        medians.append(med)
+    ensembles, medians, cap, ratio = _paired_recovery(n_seeds, base_seed)
+    for label, ens, med in zip(("v1.2*", "v1.3*"), ensembles, medians):
         behavior = "no severe failure" if med is None else (
             f"median recovery {med:g} turns, "
             f"{ens.censored_count}/{ens.runs_with_severe} censored"
         )
         rows.append(
-            (f"{cfg.variant.value}*", f"{ens.mean_productivity:.1f}",
+            (label, f"{ens.mean_productivity:.1f}",
              f"{ens.mean_final_fatigue:.1f}", f"{ens.mean_final_trust:.2f}", behavior)
         )
-    med12, med13 = medians
-    ratio = med13 / med12 if med12 else float("nan")
 
     header = ("Model", "Productivity", "Final fatigue", "Final trust", "Trust behavior / recovery")
     widths = [
@@ -300,12 +310,7 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
     disruption schedule in both variants, so each row is a controlled pair."""
     if n_seeds < 2:
         raise ConfigError(f"compare requires at least 2 seeds (got {n_seeds})")
-    base = ModelConfig()
-    ens12, ens13 = run_paired(
-        [replace(base, variant=ModelVariant.V1_2), replace(base, variant=ModelVariant.V1_3)],
-        n_seeds,
-        base_seed,
-    )
+    (ens12, ens13), (med12, med13), cap, ratio = _paired_recovery(n_seeds, base_seed)
 
     def cell(summary) -> str:
         if not summary.recovery_times:
@@ -324,10 +329,6 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
         s12, s13 = ens12.summaries[i], ens13.summaries[i]
         lines.append(f"{base_seed + i:>8} | {cell(s12):<22} | {cell(s13):<22}")
 
-    cap = float(base.horizon)
-    med12 = median_recovery_capped(ens12, cap=cap)
-    med13 = median_recovery_capped(ens13, cap=cap)
-    ratio = med13 / med12 if med12 else float("nan")
     lines += [
         "",
         f"runs with a severe failure: v1.2 {ens12.runs_with_severe}, "

@@ -22,21 +22,21 @@ int apology countdown. Step 4 reads the seed's sparse disruption schedule,
 drawn up front by ``disruption.schedule``; ``run_paired`` draws each seed's
 schedule once, with one ``ScheduleDrawer`` per call, and runs every config
 over it. The loop takes the stage game from a memo made once per call and
-stage-game parameter set (``_StagePolicy``, keyed by trust alone on both
-sides of the fatigue threshold), and tracks recovery times as the shift
-runs; ensembles build no per-turn records. Each memoised decision
-carries its post-turn trust, computed once by ``update_trust``, so the loop
-does no trust arithmetic. Fatigue is quantized as ``update_fatigue`` does,
-except that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS: such
-a value has at most STATE_DECIMALS decimals, so rounding returns it
-unchanged. The same arithmetic lets the loop fast-forward: once trust sits
-at a fixed point of a trust-keyed decision, every undisrupted turn repeats
-the last one with fatigue up by one constant increment, and while fatigue
-and increment are non-negative multiples of 2**-STATE_DECIMALS below
-2**(52 - STATE_DECIMALS) each sum is exact, so ``fatigue + k * inc`` is
-what k turns would reach (see ``_simulate``). ``run_step`` executes one turn
-with the public state types and is the single-turn reference that the tests
-compare the loop against.
+stage-game parameter set (``_StagePolicy``: one table per fatigue level, the
+number of the game's threshold tests that hold, keyed by trust), and tracks
+recovery times as the shift runs; ensembles build no per-turn records. Each
+memoised decision carries its post-turn trust, computed once by
+``update_trust``, so the loop does no trust arithmetic. Fatigue is quantized
+as ``update_fatigue`` does, except that ``round()`` is skipped for multiples
+of 2**-STATE_DECIMALS: such a value has at most STATE_DECIMALS decimals, so
+rounding returns it unchanged. The same arithmetic lets the loop
+fast-forward: once trust sits at a fixed point of a memoised decision, every
+undisrupted turn that keeps the fatigue level repeats the last one with
+fatigue up by one constant increment, and while fatigue and increment are
+non-negative multiples of 2**-STATE_DECIMALS below 2**(52 - STATE_DECIMALS)
+each sum is exact, so ``fatigue + k * inc`` is what k turns would reach (see
+``_simulate``). ``run_step`` executes one turn with the public state types
+and is the single-turn reference that the tests compare the loop against.
 """
 
 from __future__ import annotations
@@ -84,6 +84,9 @@ MAX_HORIZON = 100_000
 _NO_EVENT = (0, False)  # past the last event of a schedule; turns start at 1
 # Below this, sums of multiples of 2**-STATE_DECIMALS are exact doubles.
 _EXACT_FATIGUE = 2.0 ** (52 - STATE_DECIMALS)
+# The fatigue level at which all the stage game's threshold tests hold, one
+# per joint action (see ``_StagePolicy``).
+_TOP = len(ACTION_PAIRS)
 
 
 class ModelVariant(str, Enum):
@@ -121,6 +124,8 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        if not isinstance(self.variant, ModelVariant):
+            raise ValueError(f"variant must be a ModelVariant (got {self.variant!r})")
         for name in ("horizon", "seed", "apology_duration"):
             value = getattr(self, name)
             # bool is an int subclass, but True is no turn count.
@@ -244,29 +249,24 @@ class _StagePolicy:
     and ``cfg.variant.trust_rule``, so ``run_paired`` shares one between the
     configs that agree on those (v1.2 and v1.3 at equal parameters).
 
-    ``solve_stage_game`` reads fatigue only through the threshold tests of
-    ``cobot_utility``. The key ``(trust, fatigue + inc > threshold for each
-    table increment)`` evaluates those same float expressions, so equal keys
-    select the same equilibrium. Rounded float addition is monotone, so two
-    sides need no tests: while ``fatigue + max(increments)`` does not exceed
-    the threshold no test is true, and once ``fatigue + min(increments)``
-    exceeds it every test is. There the key is ``trust`` alone: a calm trust
-    shares ``solved`` with the tuple keys (a float never equals a tuple),
-    and a saturated trust has its own dict, ``saturated``, because the two
-    sides can select different equilibria at one trust. Misses call the game
-    module, whose tie-break rules therefore stay the only ones. A decision
-    holds the per-turn constants of one action pair at one trust: ``(cobot,
-    human, items, increment, increment if the cobot fails, outcome unless
-    severe, post-turn trust for that outcome, post-turn trust after a severe
-    failure)``. Both
-    trusts come from ``update_trust`` on the miss, so the shift loop rounds
-    no trust itself.
+    ``solve_stage_game`` reads fatigue only through the threshold tests
+    ``fatigue + inc > threshold`` of ``cobot_utility``, one per table
+    increment. Rounded float addition is monotone, so the tests that hold
+    are always those of the ``level`` largest increments, where ``level``
+    counts them (0 to 4): ``(trust, level)`` fixes every test, and
+    ``tables[level]`` memoises the decisions of one level keyed by trust.
+    ``edges`` lists the increments from the largest down, then -inf:
+    ``edges[level]`` is the increment whose test turns true next as fatigue
+    rises, and none does at the top level. Misses call the game module,
+    whose tie-break rules therefore stay the only ones. A decision holds the
+    per-turn constants of one action pair at one trust: ``(cobot, human,
+    items, increment, increment if the cobot fails, outcome unless severe,
+    post-turn trust for that outcome, post-turn trust after a severe
+    failure)``. Both trusts come from ``update_trust`` on the miss, so the
+    shift loop rounds no trust itself.
     """
 
-    __slots__ = (
-        "cfg", "pairs", "increments", "min_increment", "max_increment", "threshold",
-        "solved", "saturated", "forced",
-    )
+    __slots__ = ("cfg", "pairs", "edges", "threshold", "tables", "forced")
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
@@ -282,12 +282,11 @@ class _StagePolicy:
             )
             for (cobot, human), pair in ACTION_PAIRS.items()
         }
-        self.increments = tuple(fatigue_increment(pair, game) for pair in self.pairs)
-        self.min_increment = min(self.increments)
-        self.max_increment = max(self.increments)
+        increments = sorted((fatigue_increment(pair, game) for pair in self.pairs),
+                            reverse=True)
+        self.edges = (*increments, -math.inf)
         self.threshold = game.fatigue_threshold
-        self.solved: dict[float | tuple, tuple] = {}
-        self.saturated: dict[float, tuple] = {}
+        self.tables: tuple[dict[float, tuple], ...] = tuple({} for _ in self.edges)
         self.forced: dict[float, tuple] = {}
 
     def _decision(self, pair: ActionPair, trust: float) -> tuple:
@@ -299,26 +298,19 @@ class _StagePolicy:
             update_trust(trust, InteractionOutcome.SEVERE_FAILURE, tp),
         )
 
-    def leader(self, trust: float, fatigue: float) -> tuple:
-        """Decision of the stage-game equilibrium at (trust, fatigue)."""
+    def level(self, fatigue: float) -> int:
+        """How many threshold tests of the stage game hold at ``fatigue``."""
         threshold = self.threshold
-        if not fatigue + self.max_increment > threshold:
-            memo, key = self.solved, trust
-        elif fatigue + self.min_increment > threshold:
-            memo, key = self.saturated, trust
-        else:
-            a, b, c, d = self.increments
-            memo, key = self.solved, (
-                trust,
-                fatigue + a > threshold,
-                fatigue + b > threshold,
-                fatigue + c > threshold,
-                fatigue + d > threshold,
-            )
-        decision = memo.get(key)
+        return sum(fatigue + inc > threshold for inc in self.edges[:-1])
+
+    def leader(self, trust: float, fatigue: float, level: int | None = None) -> tuple:
+        """Decision of the stage-game equilibrium at (trust, fatigue), whose
+        level is computed here unless the caller passes it."""
+        table = self.tables[self.level(fatigue) if level is None else level]
+        decision = table.get(trust)
         if decision is None:
             pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), self.cfg.game)
-            decision = memo[key] = self._decision(pair, trust)
+            decision = table[trust] = self._decision(pair, trust)
         return decision
 
     def apology(self, trust: float) -> tuple:
@@ -342,18 +334,21 @@ def _simulate(
     values, with recovery times tracked as the shift runs. Returns the
     records (None unless ``keep_records``) and the summary.
 
-    After a steady turn the loop jumps, in one step, to the turn before the
-    next event or to the horizon. A turn is steady when the stage game
-    decided it under a trust-only key (calm or saturated side of the band),
-    no apology was active and no event struck, and trust did not move: each
-    later turn up to the next event then meets the same key, decision,
+    Each stage-game turn finds its level (see ``_StagePolicy``) once: by
+    one test on either side of the band, where the loop reads the memo
+    itself, or by ``policy.level`` inside it. After a steady turn the loop
+    jumps, in one step, to the turn before the next event or to the
+    horizon. A turn is steady when the stage game decided it, no apology
+    was active and no event struck, and trust did not move: each later turn
+    up to the next event, while it keeps the level, meets the same decision,
     outcome and trust, and adds the same ``inc`` to fatigue. The k skipped
     turns are exact, so the jump is taken only when:
 
-    - ``inc >= 0``, so fatigue never falls: a saturated side stays
-      saturated, and on the calm side the last skipped turn's key test,
-      ``(end - inc) + max_increment > threshold``, is the largest of them;
-      that test must stay false;
+    - ``inc >= 0``, so fatigue never falls and no test that holds turns
+      false. The test of the level's ``edge``, ``edges[level]``, is the
+      next to turn true; it must stay false up to the last skipped turn,
+      ``not (end - inc) + edge > threshold``, which always holds at the
+      top level, whose edge is -inf;
     - ``inc`` and fatigue are multiples of 2**-STATE_DECIMALS and ``end =
       fatigue + k * inc`` lies below ``_EXACT_FATIGUE``, so every partial
       sum is an exact double and needs no ``round()``.
@@ -365,9 +360,9 @@ def _simulate(
     pick_extra = cfg.disruption.difficult_pick_fatigue
     duration, horizon = cfg.apology_duration, cfg.horizon
     leader, forced = policy.leader, policy.apology
-    calm_get, saturated_get = policy.solved.get, policy.saturated.get
-    threshold = policy.threshold
-    min_inc, max_inc = policy.min_increment, policy.max_increment
+    edges, threshold = policy.edges, policy.threshold
+    largest, smallest, top_edge = edges[0], edges[_TOP - 1], edges[_TOP]
+    calm_get, top_get = policy.tables[0].get, policy.tables[_TOP].get
     upcoming = iter(events)
     event_turn, event_severe = next(upcoming, _NO_EVENT)
     none, pick, failure = (
@@ -391,21 +386,21 @@ def _simulate(
     step = 0
     while step < horizon:
         step += 1
-        # The stage game's trust-only keys, looked up here; ``limit`` is the
-        # threshold a steady stretch must stay calm under (inf once
-        # saturated), or None where the turn is not trust-keyed.
+        # The edge of the turn's fatigue level; None, here or at an event
+        # below, where no steady stretch starts.
         if remaining:
-            decision, limit = forced(trust), None
-        elif not fatigue + max_inc > threshold:
-            decision, limit = calm_get(trust) or leader(trust, fatigue), threshold
-        elif fatigue + min_inc > threshold:
-            decision, limit = saturated_get(trust) or leader(trust, fatigue), math.inf
+            decision, edge = forced(trust), None
+        elif not fatigue + largest > threshold:
+            decision, edge = calm_get(trust) or leader(trust, fatigue, 0), largest
+        elif fatigue + smallest > threshold:
+            decision, edge = top_get(trust) or leader(trust, fatigue, _TOP), top_edge
         else:
-            decision, limit = leader(trust, fatigue), None
+            level = policy.level(fatigue)
+            decision, edge = leader(trust, fatigue, level), edges[level]
         cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust = decision
         event, extra = none, 0.0
         if step == event_turn:
-            limit = None
+            edge = None
             if event_severe:
                 event, inc, outcome, trust_post = failure, failed_inc, severe, severe_trust
             else:
@@ -449,10 +444,11 @@ def _simulate(
         items_picked.append(items)
         if fatigue_post > peak:
             peak = fatigue_post
-        # A steady turn: every turn up to the next event repeats it, with
-        # fatigue rising by inc. Jump over them where that sum is exact.
+        # A steady turn: every turn up to the next event that keeps the level
+        # repeats it, with fatigue rising by inc. Jump over them where that
+        # sum is exact.
         if (
-            limit is not None
+            edge is not None
             and trust_post == trust
             and inc >= 0.0
             and (inc * dyadic).is_integer()
@@ -460,7 +456,7 @@ def _simulate(
         ):
             k = (event_turn or horizon + 1) - 1 - step
             end = fatigue_post + k * inc
-            if k and end < _EXACT_FATIGUE and not (end - inc) + max_inc > limit:
+            if k and end < _EXACT_FATIGUE and not (end - inc) + edge > threshold:
                 if keep_records:
                     f = fatigue_post
                     for t in range(step + 1, step + k + 1):

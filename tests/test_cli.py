@@ -193,6 +193,16 @@ def test_ensemble_rejects_seed_flag(capsys):
     assert captured.out == ""
 
 
+def test_ensemble_rejects_seed_override(capsys):
+    # It once ran seeds 1..2 and ignored seed=3 without a word.
+    argv = ["ensemble", "--variant", "v1.2", "--set", "seed=3", "--seeds", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error: --set seed does not apply to ensemble" in captured.err
+    assert "--base-seed" in captured.err
+    assert captured.out == ""
+
+
 def test_ensemble_accepts_seed_line_of_config_file(tmp_path, capsys):
     # render_config writes a seed line; the ensemble runs from --base-seed.
     path = tmp_path / "cfg.txt"
@@ -438,3 +448,15 @@ def test_any_config_document_runs_or_exits_2(text):
             assert len(written) == 3
             for artifact in written:
                 assert not re.findall(r"\b(?:nan|inf|Infinity)\b", artifact, re.IGNORECASE)
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["table2", "--seeds", "50"], "table2_seeds50.txt"),
+     (["compare", "--seeds", "20"], "compare_seeds20.txt")],
+    ids=["table2", "compare"],
+)
+def test_report_matches_golden_file(argv, golden, capsys):
+    assert main(argv) == 0
+    expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -282,9 +282,9 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
         above = math.nextafter(edge, math.inf)
         fatigues += [math.nextafter(below, -math.inf), below, edge, above,
                      math.nextafter(above, math.inf)]
-    # The calm trust-only key holds up to the last fatigue whose sum with the
-    # largest increment stays at or below the threshold in float terms; the
-    # saturated one from the first whose sum with the smallest exceeds it.
+    # Level 0 holds up to the last fatigue whose sum with the largest
+    # increment stays at or below the threshold in float terms; the top level
+    # from the first whose sum with the smallest exceeds it.
     threshold, table = game.fatigue_threshold, game.fatigue_table.values()
     calm_end = _crossing(threshold, max(table))
     saturated_start = _crossing(threshold, min(table))
@@ -296,11 +296,9 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
             cobot, human = policy.leader(trust, fatigue)[:2]
             expected = solve_stage_game(HumanState(fatigue, trust), game)
             assert ActionPair(cobot, human) == expected, (trust, fatigue)
-    # All three keys were exercised: trust alone below the calm crossing,
-    # the threshold tests between the crossings, and trust alone in its own
-    # dict from the saturated crossing on.
-    assert {type(key) for key in policy.solved} == {float, tuple}
-    assert policy.saturated
+    # Level 0 below the calm crossing, a band level between the crossings
+    # and the top level from the saturated crossing on were all memoised.
+    assert policy.tables[0] and any(policy.tables[1:-1]) and policy.tables[-1]
     if game is _SATURATED_TIE:
         assert policy.leader(0.6, 0.0)[:2] == (HIGH_C, HIGH_E)
         assert policy.leader(0.6, saturated_start)[:2] == (LOW_C, NORMAL)
@@ -345,24 +343,30 @@ def _forced_at_zero_trust(records):
     )
 
 
+def _edges(game):
+    """The table increments from the largest down, then -inf: at level L,
+    the test of the L-th is the next to turn true as fatigue rises."""
+    return sorted(game.fatigue_table.values(), reverse=True) + [-math.inf]
+
+
+def _level(fatigue, game):
+    """How many of the stage game's threshold tests hold at ``fatigue``."""
+    return sum(fatigue + inc > game.fatigue_threshold for inc in game.fatigue_table.values())
+
+
+_TOP = 4  # the level where every test holds
+
+
 def _steady_stretches(records, game):
-    """``(side, increment, post-turn fatigue, k)`` for each steady turn: a
-    stage-game turn on a trust-only side of the band ("calm" or "saturated")
-    with no event and no trust change, followed by k >= 1 undisrupted turns
-    before the next event or the horizon. The shift loop may jump over
-    those k turns."""
-    threshold, table = game.fatigue_threshold, game.fatigue_table.values()
+    """``(level, increment, post-turn fatigue, k)`` for each steady turn: a
+    stage-game turn with no event and no trust change, followed by k >= 1
+    undisrupted turns before the next event or the horizon. The shift loop
+    may jump over those k turns."""
     leader_steps = {r.step for r in _leader_turns(records)}
     stretches = []
     for i, r in enumerate(records):
         if (r.step not in leader_steps or r.disruption_event is not DisruptionEvent.NONE
                 or r.trust_post != r.trust_pre):
-            continue
-        if not r.fatigue_pre + max(table) > threshold:
-            side = "calm"
-        elif r.fatigue_pre + min(table) > threshold:
-            side = "saturated"
-        else:
             continue
         k = 0
         for later in records[i + 1:]:
@@ -371,7 +375,7 @@ def _steady_stretches(records, game):
             k += 1
         if k:
             inc = game.fatigue_table[(r.human_action, r.cobot_action)]
-            stretches.append((side, inc, r.fatigue_post, k))
+            stretches.append((_level(r.fatigue_pre, game), inc, r.fatigue_post, k))
     return stretches
 
 
@@ -379,38 +383,60 @@ def _dyadic(x):
     return (x * 2.0**STATE_DECIMALS).is_integer()
 
 
+def _exact(stretch):
+    """Whether the k skipped turns' fatigue sums are exact."""
+    _, inc, fatigue, k = stretch
+    return inc >= 0.0 and _dyadic(inc) and _dyadic(fatigue) and fatigue + k * inc < 2.0**40
+
+
+def _keeps_level(stretch, game):
+    """Whether the last skipped turn still fails the test of the level's edge."""
+    level, inc, fatigue, k = stretch
+    end = fatigue + k * inc
+    return not (end - inc) + _edges(game)[level] > game.fatigue_threshold
+
+
 def _jump_taken(stretch, game):
     """Whether the shift loop's exactness conditions admit the jump."""
-    side, inc, fatigue, k = stretch
-    end = fatigue + k * inc
-    return (
-        inc >= 0.0 and _dyadic(inc) and _dyadic(fatigue) and end < 2.0**40
-        and (side == "saturated"
-             or not (end - inc) + max(game.fatigue_table.values()) > game.fatigue_threshold)
-    )
+    return _exact(stretch) and _keeps_level(stretch, game)
 
 
-def _stretch(side, condition=_jump_taken):
-    """An ``exercised`` predicate: some steady stretch on ``side`` meets
+def _crosses_edge(stretch, game):
+    """An exact stretch whose last turns would reach the next level."""
+    return _exact(stretch) and not _keeps_level(stretch, game)
+
+
+def _stretch(level, condition=_jump_taken):
+    """An ``exercised`` predicate: some steady stretch at ``level`` meets
     ``condition``, by default that the jump is taken."""
     def exercised(records, game):
         return any(
-            s[0] == side and condition(s, game) for s in _steady_stretches(records, game)
+            s[0] == level and condition(s, game) for s in _steady_stretches(records, game)
         )
     return exercised
 
 
-def _crosses_band(stretch, game):
-    _, inc, fatigue, k = stretch
-    end = fatigue + k * inc
-    return (inc >= 0.0 and _dyadic(fatigue) and _dyadic(inc)
-            and (end - inc) + max(game.fatigue_table.values()) > game.fatigue_threshold)
+def _to_the_edge(stretch, game):
+    """A jump whose last skipped turn is the last one at its level: one more
+    turn would pass the level's edge."""
+    level, inc, fatigue, k = stretch
+    return (_jump_taken(stretch, game)
+            and fatigue + k * inc + _edges(game)[level] > game.fatigue_threshold)
 
 
 _ZERO_HIGH_HIGH = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): 0.5,
                    (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 0.0}
 _POINT_3_HIGH_HIGH = {**_ZERO_HIGH_HIGH, (HIGH_E, HIGH_C): 0.3}
 _FINE = {key: value + 2**-12 for key, value in GameParams().fatigue_table.items()}
+# Four distinct increments, 10, 1, 0.5 and 0.25, under the default threshold 80.
+# At trust 1.0 the leader plays (high, high), +1 a turn, until fatigue + 1
+# exceeds 80 at level 2, where it turns to (low, normal). From fatigue 0.5
+# level 1 runs from 70.5 to 78.5: a shift of 79 turns ends there, and one
+# turn more starts at 79.5, past the edge.
+_BAND_STEPS = {(NORMAL, LOW_C): 0.25, (NORMAL, HIGH_C): 0.5,
+               (HIGH_E, LOW_C): 10.0, (HIGH_E, HIGH_C): 1.0}
+_IN_THE_BAND = {"game": GameParams(fatigue_table=_BAND_STEPS),
+                "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.5)}
 
 
 @pytest.mark.parametrize(
@@ -438,37 +464,40 @@ _FINE = {key: value + 2**-12 for key, value in GameParams().fatigue_table.items(
                   "trust": TrustParams(initial_trust=0.8)},
          _saturated_at_a_calm_trust),
         # Steady stretches: jumped, or declined for one reason each.
-        ("v1.2", {}, _stretch("calm")),
-        ("v1.2", {"horizon": 400}, _stretch("saturated")),
+        ("v1.2", {}, _stretch(0)),
+        ("v1.2", {"horizon": 400}, _stretch(_TOP)),
         # From trust 0 the leader stays low until the penalty forces high
         # collaboration at fatigue 79.25, inside the band: a stretch jumped
         # into the band would miss that turn.
         ("v1.1", {"horizon": 300,
                   "trust": TrustParams(initial_trust=0.0, initial_fatigue=0.25)},
-         _stretch("calm", _crosses_band)),
+         _stretch(0, _crosses_edge)),
         ("v1.1", {"game": GameParams(fatigue_table=_ZERO_HIGH_HIGH)},
-         _stretch("calm", lambda s, game: _jump_taken(s, game) and s[1] == 0.0)),
+         _stretch(0, lambda s, game: _jump_taken(s, game) and s[1] == 0.0)),
         ("v1.1", {"game": GameParams(fatigue_table=_NEGATIVE)},
-         _stretch("calm", lambda s, game: s[1] < 0.0)),
+         _stretch(0, lambda s, game: s[1] < 0.0)),
         ("v1.2", {"trust": TrustParams(initial_fatigue=2**-13)},
-         _stretch("calm", lambda s, game: not _dyadic(s[2]))),
+         _stretch(0, lambda s, game: not _dyadic(s[2]))),
         # 0.2 + 0.3 == 0.5, a dyadic fatigue; the increment 0.3 is not.
         ("v1.1", {"game": GameParams(fatigue_table=_POINT_3_HIGH_HIGH),
                   "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.2)},
-         _stretch("calm", lambda s, game: _dyadic(s[2]) and not _dyadic(s[1]))),
+         _stretch(0, lambda s, game: _dyadic(s[2]) and not _dyadic(s[1]))),
+        ("v1.1", {**_IN_THE_BAND, "horizon": 79}, _stretch(1, _to_the_edge)),
+        ("v1.1", {**_IN_THE_BAND, "horizon": 80}, _stretch(1, _crosses_edge)),
         ("v1.2", {"trust": TrustParams(initial_fatigue=2.0**40 - 8)},
-         _stretch("saturated", lambda s, game: s[2] + s[3] * s[1] >= 2.0**40)),
+         _stretch(_TOP, lambda s, game: s[2] + s[3] * s[1] >= 2.0**40)),
         # Past 2**41 a double is a multiple of 2**-11, so sums of these
         # increments round: a jump there would round once instead of k times.
         ("v1.2", {"game": GameParams(fatigue_table=_FINE),
                   "trust": TrustParams(initial_fatigue=2.0**41 - 8)},
-         _stretch("saturated", lambda s, game: s[2] + s[3] * s[1] >= 2.0**41)),
+         _stretch(_TOP, lambda s, game: s[2] + s[3] * s[1] >= 2.0**41)),
     ],
     ids=["initial-2^-12", "below-2^-12", "above-2^-12", "initial-2^-13",
          "non-dyadic-table", "negative-entry-clamp", "forced-from-trust-0",
          "saturated-tie", "jump-calm", "jump-saturated", "jump-declined-band",
          "jump-zero-increment", "jump-declined-negative", "jump-declined-2^-13",
-         "jump-declined-non-dyadic-increment", "jump-declined-2^40",
+         "jump-declined-non-dyadic-increment", "jump-band-to-edge",
+         "jump-declined-band-edge", "jump-declined-2^40",
          "jump-declined-2^41"],
 )
 @pytest.mark.parametrize("seed", [3, 11])
@@ -615,6 +644,12 @@ def test_model_config_rejects_non_integer_counts(name, value):
         ModelConfig(variant=ModelVariant.V1_3, **{name: value})
 
 
+def test_model_config_rejects_a_variant_string():
+    # run_shift of it once ended in an AttributeError on str.
+    with pytest.raises(ValueError, match=r"^variant must be a ModelVariant \(got 'v1\.2'\)$"):
+        ModelConfig(variant="v1.2")
+
+
 def test_initial_state_comes_from_trust_params():
     cfg = cfg_for("v1.1", trust=TrustParams(initial_trust=0.8, initial_fatigue=3.0))
     records, _ = run_shift(cfg)
@@ -673,7 +708,8 @@ _LATTICE_INCREMENTS = (0.0, 0.25, 0.5, 1.0, 2.5, 3.0, 0.3, -0.5)
 def dyadic_lattice_params(draw):
     """ModelConfig fields, all variants' own, from a mostly dyadic lattice:
     multiples of 2**-12 let the shift loop jump over steady stretches, and
-    0.3, -0.5, 2**-13 and 2**40 - 8 make it decline them."""
+    0.3, -0.5, 2**-13 and 2**40 - 8 make it decline them. Initial fatigues
+    29.75 and 79.5 start inside the band of thresholds 30 and 80."""
     pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
     table = {key: pick(*_LATTICE_INCREMENTS) for key in GameParams().fatigue_table}
     return {
@@ -688,7 +724,7 @@ def dyadic_lattice_params(draw):
             gain=pick(0.05, 0.125, 0.25),
             severe_loss=pick(0.25, 0.5, 1.0),
             initial_trust=pick(0.0, 0.5, 0.8, 1.0),
-            initial_fatigue=pick(0.0, 2**-13, 2**-12, 1.5, 79.0, 2.0**40 - 8),
+            initial_fatigue=pick(0.0, 2**-13, 2**-12, 1.5, 29.75, 79.0, 79.5, 2.0**40 - 8),
         ),
         "disruption": DisruptionParams(
             chance=pick(0.0, 0.05, 0.1, 0.3),
