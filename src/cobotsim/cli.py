@@ -289,12 +289,10 @@ def format_kpi_table(n_seeds: int, base_seed: int = 1) -> str:
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
     ]
-    sep = "-+-".join("-" * w for w in widths)
-    lines = [
-        " | ".join(h.ljust(w) for h, w in zip(header, widths)),
-        sep,
-    ]
-    lines += [" | ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
+    # The last column is left unpadded: no line ends in spaces.
+    lines = [" | ".join([*(c.ljust(w) for c, w in zip(r, widths[:-1])), r[-1]])
+             for r in (header, *rows)]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
     lines += [
         "",
         f"* ensemble mean over {n_seeds} seeds (base seed {base_seed}); "
@@ -322,12 +320,12 @@ def format_comparison(n_seeds: int, base_seed: int = 1) -> str:
         f"paired comparison, {n_seeds} seeds from {base_seed} "
         "(identical disruption schedules per seed)",
         "",
-        f"{'seed':>8} | {'v1.2 first recovery':<22} | {'v1.3 first recovery':<22}",
+        f"{'seed':>8} | {'v1.2 first recovery':<22} | v1.3 first recovery",
         f"{'-' * 8}-+-{'-' * 22}-+-{'-' * 22}",
     ]
     for i in range(n_seeds):
         s12, s13 = ens12.summaries[i], ens13.summaries[i]
-        lines.append(f"{base_seed + i:>8} | {cell(s12):<22} | {cell(s13):<22}")
+        lines.append(f"{base_seed + i:>8} | {cell(s12):<22} | {cell(s13)}")
 
     lines += [
         "",

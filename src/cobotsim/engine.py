@@ -21,22 +21,24 @@ share one flat loop that runs this sequence over plain floats, bools and an
 int apology countdown. Step 4 reads the seed's sparse disruption schedule,
 drawn up front by ``disruption.schedule``; ``run_paired`` draws each seed's
 schedule once, with one ``ScheduleDrawer`` per call, and runs every config
-over it. The loop takes the stage game from a memo made once per call and
-stage-game parameter set (``_StagePolicy``: one table per fatigue level, the
-number of the game's threshold tests that hold, keyed by trust), and tracks
-recovery times as the shift runs; ensembles build no per-turn records. Each
-memoised decision carries its post-turn trust, computed once by
-``update_trust``, so the loop does no trust arithmetic. Fatigue is quantized
-as ``update_fatigue`` does, except that ``round()`` is skipped for multiples
-of 2**-STATE_DECIMALS: such a value has at most STATE_DECIMALS decimals, so
-rounding returns it unchanged. The same arithmetic lets the loop
-fast-forward: once trust sits at a fixed point of a memoised decision, every
-undisrupted turn that keeps the fatigue level repeats the last one with
-fatigue up by one constant increment, and while fatigue and increment are
-non-negative multiples of 2**-STATE_DECIMALS below 2**(52 - STATE_DECIMALS)
-each sum is exact, so ``fatigue + k * inc`` is what k turns would reach (see
-``_simulate``). ``run_step`` executes one turn with the public state types
-and is the single-turn reference that the tests compare the loop against.
+over it. The loop takes every leader decision from a memo made once per
+call and stage-game parameter set (``_StagePolicy``: one table per fatigue
+level, the number of the game's threshold tests that hold, plus one for
+apology turns, each keyed by trust), and tracks recovery times as the shift
+runs; ensembles build no per-turn records. Each memoised decision carries
+its post-turn trust, computed once by ``update_trust``, so the loop does no
+trust arithmetic. Fatigue is quantized as ``update_fatigue`` does, except
+that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS: such a
+value has at most STATE_DECIMALS decimals, so rounding returns it
+unchanged. The same arithmetic lets the loop fast-forward: once trust sits
+at a fixed point of a stage-game decision, every undisrupted turn that
+keeps the fatigue level repeats the last one with fatigue up by one
+constant increment, and while fatigue and increment are non-negative
+multiples of 2**-STATE_DECIMALS below 2**(52 - STATE_DECIMALS) each sum is
+exact, so ``fatigue + k * inc`` is what k turns would reach. Each decision
+says whether it can start such a jump (its ``edge``, see ``_simulate``).
+``run_step`` executes one turn with the public state types and is the
+single-turn reference that the tests compare the loop against.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ _EXACT_FATIGUE = 2.0 ** (52 - STATE_DECIMALS)
 # The fatigue level at which all the stage game's threshold tests hold, one
 # per joint action (see ``_StagePolicy``).
 _TOP = len(ACTION_PAIRS)
+# The memo table of the forced turns of an apology.
+_APOLOGY = _TOP + 1
 
 
 class ModelVariant(str, Enum):
@@ -244,7 +248,7 @@ def run_step(
 
 
 class _StagePolicy:
-    """The stage game of one parameter set, memoised for one call of
+    """Every leader decision of one parameter set, memoised for one call of
     ``run_shift`` or ``run_paired``. It reads only ``cfg.game``, ``cfg.trust``
     and ``cfg.variant.trust_rule``, so ``run_paired`` shares one between the
     configs that agree on those (v1.2 and v1.3 at equal parameters).
@@ -255,18 +259,16 @@ class _StagePolicy:
     are always those of the ``level`` largest increments, where ``level``
     counts them (0 to 4): ``(trust, level)`` fixes every test, and
     ``tables[level]`` memoises the decisions of one level keyed by trust.
-    ``edges`` lists the increments from the largest down, then -inf:
-    ``edges[level]`` is the increment whose test turns true next as fatigue
-    rises, and none does at the top level. Misses call the game module,
-    whose tie-break rules therefore stay the only ones. A decision holds the
-    per-turn constants of one action pair at one trust: ``(cobot, human,
-    items, increment, increment if the cobot fails, outcome unless severe,
-    post-turn trust for that outcome, post-turn trust after a severe
-    failure)``. Both trusts come from ``update_trust`` on the miss, so the
-    shift loop rounds no trust itself.
+    One more table, ``tables[_APOLOGY]``, holds the forced high-collaboration
+    turns of an apology, which read no fatigue. ``edges`` lists the
+    increments from the largest down, then -inf: ``edges[level]`` is the
+    increment whose test turns true next as fatigue rises, and none does at
+    the top level. Misses call the game module, whose tie-break rules
+    therefore stay the only ones. A decision holds the per-turn constants of
+    one action pair at one trust and level, see ``_decision``.
     """
 
-    __slots__ = ("cfg", "pairs", "edges", "threshold", "tables", "forced")
+    __slots__ = ("cfg", "pairs", "edges", "threshold", "tables")
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
@@ -286,16 +288,31 @@ class _StagePolicy:
                             reverse=True)
         self.edges = (*increments, -math.inf)
         self.threshold = game.fatigue_threshold
-        self.tables: tuple[dict[float, tuple], ...] = tuple({} for _ in self.edges)
-        self.forced: dict[float, tuple] = {}
+        self.tables = tuple({} for _ in range(_APOLOGY + 1))
 
-    def _decision(self, pair: ActionPair, trust: float) -> tuple:
-        """The constants of ``pair`` followed by its two post-turn trusts."""
+    def _decision(self, pair: ActionPair, trust: float, level: int) -> tuple:
+        """``(cobot, human, items, increment, increment if the cobot fails,
+        outcome unless severe, post-turn trust for that outcome, post-turn
+        trust after a severe failure, edge)``. Both trusts come from
+        ``update_trust``, so the shift loop rounds no trust itself.
+
+        ``edge`` is ``edges[level]`` when an undisrupted turn of this
+        decision may start a fast-forward (see ``_simulate``), else None.
+        That needs the stage game to decide the turn (not an apology, whose
+        countdown changes the next turn), trust to stay put, so every later
+        turn at this level meets this decision again, and the increment to
+        be a non-negative multiple of 2**-STATE_DECIMALS, so fatigue never
+        falls and its sums stay exact.
+        """
         constants = self.pairs[pair]
-        outcome, tp = constants[-1], self.cfg.trust
+        inc, outcome, tp = constants[3], constants[-1], self.cfg.trust
+        trust_post = update_trust(trust, outcome, tp)
+        steady = (trust_post == trust and level != _APOLOGY and inc >= 0.0
+                  and (inc * 2.0**STATE_DECIMALS).is_integer())
         return constants + (
-            update_trust(trust, outcome, tp),
+            trust_post,
             update_trust(trust, InteractionOutcome.SEVERE_FAILURE, tp),
+            self.edges[level] if steady else None,
         )
 
     def level(self, fatigue: float) -> int:
@@ -303,23 +320,19 @@ class _StagePolicy:
         threshold = self.threshold
         return sum(fatigue + inc > threshold for inc in self.edges[:-1])
 
-    def leader(self, trust: float, fatigue: float, level: int | None = None) -> tuple:
-        """Decision of the stage-game equilibrium at (trust, fatigue), whose
-        level is computed here unless the caller passes it."""
-        table = self.tables[self.level(fatigue) if level is None else level]
+    def leader(self, trust: float, fatigue: float, level: int) -> tuple:
+        """Decision at (trust, fatigue) of ``level``: the forced high
+        collaboration at ``_APOLOGY``, else the stage-game equilibrium."""
+        table = self.tables[level]
         decision = table.get(trust)
         if decision is None:
-            pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), self.cfg.game)
-            decision = table[trust] = self._decision(pair, trust)
-        return decision
-
-    def apology(self, trust: float) -> tuple:
-        """Decision of a forced high-collaboration turn at ``trust``."""
-        decision = self.forced.get(trust)
-        if decision is None:
-            human = human_best_response(CollabLevel.HIGH, trust, self.cfg.game)
-            pair = ACTION_PAIRS[CollabLevel.HIGH, human]
-            decision = self.forced[trust] = self._decision(pair, trust)
+            game = self.cfg.game
+            if level == _APOLOGY:
+                high = CollabLevel.HIGH
+                pair = ACTION_PAIRS[high, human_best_response(high, trust, game)]
+            else:
+                pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), game)
+            decision = table[trust] = self._decision(pair, trust, level)
         return decision
 
 
@@ -336,33 +349,30 @@ def _simulate(
 
     Each stage-game turn finds its level (see ``_StagePolicy``) once: by
     one test on either side of the band, where the loop reads the memo
-    itself, or by ``policy.level`` inside it. After a steady turn the loop
-    jumps, in one step, to the turn before the next event or to the
-    horizon. A turn is steady when the stage game decided it, no apology
-    was active and no event struck, and trust did not move: each later turn
-    up to the next event, while it keeps the level, meets the same decision,
-    outcome and trust, and adds the same ``inc`` to fatigue. The k skipped
-    turns are exact, so the jump is taken only when:
+    itself, or by ``policy.level`` inside it. After a turn whose decision
+    carries an ``edge`` (see ``_StagePolicy._decision``), the loop jumps, in
+    one step, to the turn before the next event or to the horizon: each
+    later turn up to the next event, while it keeps the level, meets the
+    same decision, outcome and trust, and adds the same ``inc`` to fatigue.
+    The k skipped turns are exact, so the jump is taken only when:
 
-    - ``inc >= 0``, so fatigue never falls and no test that holds turns
-      false. The test of the level's ``edge``, ``edges[level]``, is the
-      next to turn true; it must stay false up to the last skipped turn,
-      ``not (end - inc) + edge > threshold``, which always holds at the
-      top level, whose edge is -inf;
-    - ``inc`` and fatigue are multiples of 2**-STATE_DECIMALS and ``end =
-      fatigue + k * inc`` lies below ``_EXACT_FATIGUE``, so every partial
-      sum is an exact double and needs no ``round()``.
+    - no event struck the turn, and its fatigue needed no ``round()``, so
+      it is a multiple of 2**-STATE_DECIMALS;
+    - k > 0, and ``end = fatigue + k * inc`` lies below ``_EXACT_FATIGUE``,
+      so every partial sum is an exact double and needs no ``round()``;
+    - the test of the level's ``edge``, the next to turn true, stays false
+      up to the last skipped turn, ``not (end - inc) + edge > threshold``,
+      which always holds at the top level, whose edge is -inf.
 
-    Recovery needs no rescan: trust is constant and the steady turn already
-    tested it against every pending target. Otherwise the loop goes on one
-    turn at a time."""
-    apology = cfg.variant.has_apology
+    Recovery needs no rescan: trust is constant and the jumped-from turn
+    already tested it against every pending target. Otherwise the loop goes
+    on one turn at a time."""
     pick_extra = cfg.disruption.difficult_pick_fatigue
-    duration, horizon = cfg.apology_duration, cfg.horizon
-    leader, forced = policy.leader, policy.apology
+    duration = cfg.apology_duration if cfg.variant.has_apology else 0
+    horizon, leader, tables = cfg.horizon, policy.leader, policy.tables
     edges, threshold = policy.edges, policy.threshold
-    largest, smallest, top_edge = edges[0], edges[_TOP - 1], edges[_TOP]
-    calm_get, top_get = policy.tables[0].get, policy.tables[_TOP].get
+    largest, smallest = edges[0], edges[_TOP - 1]
+    calm_get, top_get, apology_get = tables[0].get, tables[_TOP].get, tables[_APOLOGY].get
     upcoming = iter(events)
     event_turn, event_severe = next(upcoming, _NO_EVENT)
     none, pick, failure = (
@@ -386,20 +396,18 @@ def _simulate(
     step = 0
     while step < horizon:
         step += 1
-        # The edge of the turn's fatigue level; None, here or at an event
-        # below, where no steady stretch starts.
         if remaining:
-            decision, edge = forced(trust), None
+            decision = apology_get(trust) or leader(trust, fatigue, _APOLOGY)
         elif not fatigue + largest > threshold:
-            decision, edge = calm_get(trust) or leader(trust, fatigue, 0), largest
+            decision = calm_get(trust) or leader(trust, fatigue, 0)
         elif fatigue + smallest > threshold:
-            decision, edge = top_get(trust) or leader(trust, fatigue, _TOP), top_edge
+            decision = top_get(trust) or leader(trust, fatigue, _TOP)
         else:
-            level = policy.level(fatigue)
-            decision, edge = leader(trust, fatigue, level), edges[level]
-        cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust = decision
+            decision = leader(trust, fatigue, policy.level(fatigue))
+        (cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust,
+         edge) = decision
         event, extra = none, 0.0
-        if step == event_turn:
+        if step == event_turn:  # no jump from an event's turn
             edge = None
             if event_severe:
                 event, inc, outcome, trust_post = failure, failed_inc, severe, severe_trust
@@ -414,7 +422,7 @@ def _simulate(
         if not fatigue_post > 0.0:  # max(0.0, x), also for -0.0 and NaN
             fatigue_post = 0.0
         elif not (fatigue_post * dyadic).is_integer():
-            fatigue_post = round(fatigue_post, STATE_DECIMALS)
+            fatigue_post, edge = round(fatigue_post, STATE_DECIMALS), None
         # Tick before arming: a severe failure during an active apology must
         # still leave a full window behind it.
         if remaining:
@@ -432,8 +440,7 @@ def _simulate(
             severe_turns.append(step)
             pending.append((step, trust))
             lowest = min(lowest, trust)
-            if apology:
-                remaining = duration
+            remaining = duration
         if keep_records:
             records.append(
                 StepRecord(
@@ -444,16 +451,10 @@ def _simulate(
         items_picked.append(items)
         if fatigue_post > peak:
             peak = fatigue_post
-        # A steady turn: every turn up to the next event that keeps the level
-        # repeats it, with fatigue rising by inc. Jump over them where that
-        # sum is exact.
-        if (
-            edge is not None
-            and trust_post == trust
-            and inc >= 0.0
-            and (inc * dyadic).is_integer()
-            and (fatigue_post * dyadic).is_integer()
-        ):
+        # Every turn up to the next event that keeps the level repeats this
+        # one, with fatigue rising by inc. Jump over them where that sum is
+        # exact.
+        if edge is not None:
             k = (event_turn or horizon + 1) - 1 - step
             end = fatigue_post + k * inc
             if k and end < _EXACT_FATIGUE and not (end - inc) + edge > threshold:
@@ -622,11 +623,6 @@ def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary
         s.recovery_times[0][1] for s in summaries if s.recovery_times
     ]
     censored = sum(1 for k in first_recovery if k is None)
-    median_recovery = (
-        statistics.median(math.inf if k is None else k for k in first_recovery)
-        if first_recovery
-        else None
-    )
     return EnsembleSummary(
         n_seeds=len(summaries),
         base_seed=base_seed,
@@ -640,15 +636,19 @@ def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary
         runs_with_severe=len(first_recovery),
         first_recovery_steps=first_recovery,
         censored_count=censored,
-        median_first_recovery=median_recovery,
+        median_first_recovery=_median_recovery(first_recovery, math.inf),
     )
+
+
+def _median_recovery(steps: list[int | None], cap: float) -> float | None:
+    """Median of first-recovery ``steps`` with censored entries counted as
+    ``cap``; None when there are none."""
+    if not steps:
+        return None
+    return statistics.median(cap if k is None else k for k in steps)
 
 
 def median_recovery_capped(ens: EnsembleSummary, cap: float) -> float | None:
     """Median first recovery with censored entries counted as ``cap`` —
     the convention used when forming recovery-time ratios."""
-    if not ens.first_recovery_steps:
-        return None
-    return statistics.median(
-        cap if k is None else k for k in ens.first_recovery_steps
-    )
+    return _median_recovery(ens.first_recovery_steps, cap)

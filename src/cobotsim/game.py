@@ -103,12 +103,13 @@ class GameParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite (got {value})")
-        for (effort, collab), value in self.fatigue_table.items():
-            if not math.isfinite(value):
-                # Named as its config key, game.fatigue_<effort>_<collab>.
-                raise ValueError(
-                    f"fatigue_{effort.value}_{collab.value} must be finite (got {value})"
-                )
+        table = self.fatigue_table
+        missing = [name for key, name in _FATIGUE_ENTRIES.items() if key not in table]
+        if missing:
+            raise ValueError(f"fatigue_table lacks {', '.join(missing)}")
+        for key, name in _FATIGUE_ENTRIES.items():
+            if not math.isfinite(table[key]):
+                raise ValueError(f"{name} must be finite (got {table[key]})")
         # A turn's reward is the items it picks.
         if not self.reward_normal >= 0.0:
             raise ValueError(f"reward_normal must be >= 0 (got {self.reward_normal})")
@@ -139,6 +140,12 @@ class GameParams:
 
 # Fixed once: ``dataclasses.fields`` rebuilds its tuple on every call.
 _SCALAR_FIELDS = tuple(f.name for f in fields(GameParams) if f.name != "fatigue_table")
+# Every fatigue-table key, named as its config key, game.fatigue_<effort>_<collab>.
+_FATIGUE_ENTRIES = {
+    (effort, collab): f"fatigue_{effort.value}_{collab.value}"
+    for effort in EffortLevel
+    for collab in CollabLevel
+}
 
 
 def human_reward(effort: EffortLevel, params: GameParams) -> float:

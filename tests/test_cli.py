@@ -459,4 +459,6 @@ def test_any_config_document_runs_or_exits_2(text):
 def test_report_matches_golden_file(argv, golden, capsys):
     assert main(argv) == 0
     expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    out = capsys.readouterr().out
+    assert out == expected
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []

@@ -293,15 +293,15 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
     policy = _StagePolicy(cfg_for("v1.1", game=game))
     for trust in (0.0, 0.3, 0.5, 0.6, 0.75, 1.0):
         for fatigue in fatigues + fatigues[::-1]:
-            cobot, human = policy.leader(trust, fatigue)[:2]
+            cobot, human = policy.leader(trust, fatigue, policy.level(fatigue))[:2]
             expected = solve_stage_game(HumanState(fatigue, trust), game)
             assert ActionPair(cobot, human) == expected, (trust, fatigue)
     # Level 0 below the calm crossing, a band level between the crossings
     # and the top level from the saturated crossing on were all memoised.
-    assert policy.tables[0] and any(policy.tables[1:-1]) and policy.tables[-1]
+    assert policy.tables[0] and any(policy.tables[1:_TOP]) and policy.tables[_TOP]
     if game is _SATURATED_TIE:
-        assert policy.leader(0.6, 0.0)[:2] == (HIGH_C, HIGH_E)
-        assert policy.leader(0.6, saturated_start)[:2] == (LOW_C, NORMAL)
+        assert policy.leader(0.6, 0.0, 0)[:2] == (HIGH_C, HIGH_E)
+        assert policy.leader(0.6, saturated_start, _TOP)[:2] == (LOW_C, NORMAL)
 
 
 # ------------------------------------------------------------- fast paths
@@ -340,6 +340,18 @@ def _forced_at_zero_trust(records):
     return any(
         prev.apology_remaining_post and rec.trust_pre == 0.0
         for prev, rec in zip(records, records[1:])
+    )
+
+
+def _steady_forced_turn(records):
+    """An undisrupted forced turn that keeps trust and is followed by an
+    undisrupted forced turn: the loop must not jump from an apology turn,
+    whose countdown changes the turns after it."""
+    return any(
+        prev.apology_remaining_post and rec.apology_remaining_post
+        and rec.trust_post == rec.trust_pre
+        and rec.disruption_event is nxt.disruption_event is DisruptionEvent.NONE
+        for prev, rec, nxt in zip(records, records[1:], records[2:])
     )
 
 
@@ -460,6 +472,10 @@ _IN_THE_BAND = {"game": GameParams(fatigue_table=_BAND_STEPS),
         ("v1.3", {"trust": TrustParams(severe_loss=1.0),
                   "disruption": DisruptionParams(chance=0.3)},
          lambda recs, game: _forced_at_zero_trust(recs)),
+        # Trust climbs back to 1.0 inside a five-turn apology window.
+        ("v1.3", {"trust": TrustParams(gain=0.25, severe_loss=0.25, initial_trust=1.0),
+                  "apology_duration": 5},
+         lambda recs, game: _steady_forced_turn(recs)),
         ("v1.3", {"game": _SATURATED_TIE, "horizon": 300,
                   "trust": TrustParams(initial_trust=0.8)},
          _saturated_at_a_calm_trust),
@@ -494,6 +510,7 @@ _IN_THE_BAND = {"game": GameParams(fatigue_table=_BAND_STEPS),
     ],
     ids=["initial-2^-12", "below-2^-12", "above-2^-12", "initial-2^-13",
          "non-dyadic-table", "negative-entry-clamp", "forced-from-trust-0",
+         "forced-steady-trust",
          "saturated-tie", "jump-calm", "jump-saturated", "jump-declined-band",
          "jump-zero-increment", "jump-declined-negative", "jump-declined-2^-13",
          "jump-declined-non-dyadic-increment", "jump-band-to-edge",
@@ -512,6 +529,29 @@ def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
         assert got == expected, got.step
     assert summary == summarize_shift(records, cfg.horizon)
     assert exercised(records, cfg.game)
+
+
+@pytest.mark.parametrize(
+    "table, trust, level, trust_post, steady",
+    [
+        (None, 1.0, 0, 1.0, True),  # (high, high) keeps trust at its maximum
+        (None, 0.0, 0, 0.0, True),  # (low, normal): the spiral's fixed point
+        (None, 0.5, 0, 0.55, False),
+        # The countdown, not the decision, fixes the next turn's leader.
+        (None, 1.0, engine._APOLOGY, 1.0, False),
+        (_NEGATIVE, 1.0, 0, 1.0, False),  # (high, normal) lowers fatigue by 1
+        (_POINT_3_HIGH_HIGH, 1.0, 0, 1.0, False),
+    ],
+    ids=["trust-1", "trust-0", "trust-moves", "apology", "negative-increment",
+         "non-dyadic-increment"],
+)
+def test_decision_carries_its_fast_forward_edge(table, trust, level, trust_post, steady):
+    game = GameParams() if table is None else GameParams(fatigue_table=table)
+    policy = _StagePolicy(cfg_for("v1.1", game=game))
+    decision = policy.leader(trust, 0.0, level)
+    assert len(decision) == 9
+    assert decision[6] == trust_post
+    assert decision[-1] == (policy.edges[0] if steady else None)
 
 
 # ---------------------------------------------------------------- recovery

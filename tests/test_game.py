@@ -262,3 +262,18 @@ def test_human_state_validation():
 def test_game_params_validation(kwargs):
     with pytest.raises(ValueError):
         GameParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kept, named",
+    [
+        (0, "fatigue_normal_low, fatigue_normal_high, fatigue_high_low, fatigue_high_high"),
+        (3, "fatigue_high_high"),
+    ],
+    ids=["empty", "one-missing"],
+)
+def test_fatigue_table_must_have_every_entry(kept, named):
+    # Without the check, run_shift of such a table ends in a KeyError.
+    partial = dict(list(GameParams().fatigue_table.items())[:kept])
+    with pytest.raises(ValueError, match=f"^fatigue_table lacks {named}$"):
+        GameParams(fatigue_table=partial)

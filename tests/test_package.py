@@ -1,5 +1,5 @@
-"""Package surface: the public names resolve, and every module the benchmark
-imports by name exists."""
+"""Package surface: the public names resolve, every module the benchmark
+imports by name exists, and the CLI names its tracer wraps are bound."""
 
 import ast
 import importlib
@@ -7,7 +7,9 @@ from pathlib import Path
 
 import cobotsim
 
-BENCH_RUNNER = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_RUNNER = BENCH / "run.py"
+BENCH_TRACING = BENCH / "tracing.py"
 
 
 def test_every_public_name_resolves_once():
@@ -16,21 +18,31 @@ def test_every_public_name_resolves_once():
     assert missing == []
 
 
-def benchmark_submodules():
-    """The ``SUBMODULES`` tuple of the benchmark runner, read without
-    importing it."""
-    tree = ast.parse(BENCH_RUNNER.read_text(encoding="utf-8"))
+def benchmark_constant(path, name):
+    """The literal assigned to ``name`` at the top level of the benchmark
+    file ``path``, read without importing it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "SUBMODULES"
+            isinstance(target, ast.Name) and target.id == name
             for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no SUBMODULES assignment in {BENCH_RUNNER}")
+    raise AssertionError(f"no {name} assignment in {path}")
 
 
 def test_benchmark_submodules_import():
-    names = benchmark_submodules()
+    names = benchmark_constant(BENCH_RUNNER, "SUBMODULES")
     assert names
     for name in names:
         importlib.import_module(f"cobotsim.{name}")
+
+
+def test_traced_cli_bindings_resolve():
+    # The tracer skips a binding that is gone, so a renamed CLI import would
+    # report its span as zero calls instead of failing.
+    bindings = benchmark_constant(BENCH_TRACING, "BINDINGS")
+    cli = importlib.import_module("cobotsim.cli")
+    attrs = [attr for module, attr, _ in bindings if module == "cobotsim.cli"]
+    assert attrs
+    assert [attr for attr in attrs if not hasattr(cli, attr)] == []
