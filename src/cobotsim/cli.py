@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import shutil
 import sys
+from collections.abc import Collection
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -34,72 +36,39 @@ EMIT_FORMATS = ("csv", "json", "svg")
 MAX_SEEDS = 100_000
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a formatter for every add_argument, and each one asks for
-    # the terminal size; ask once instead, with argparse's own margin of 2.
-    formatter = partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+def add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", metavar="FILE", help="key = value config file")
+    p.add_argument(
+        "--set",
+        dest="overrides",
+        metavar="KEY=VALUE",
+        action="append",
+        default=[],
+        help="override any config scalar by dotted key (repeatable)",
     )
-    parser = argparse.ArgumentParser(
-        prog="cobotsim",
-        description="Simulate human-cobot picking shifts with trust and fatigue "
-        "co-regulation.",
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--variant", help="model variant: v1.0, v1.1, v1.2 or v1.3")
+    p.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
 
-    def add_config_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", metavar="FILE", help="key = value config file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            metavar="KEY=VALUE",
-            action="append",
-            default=[],
-            help="override any config scalar by dotted key (repeatable)",
-        )
-        p.add_argument("--variant", help="model variant: v1.0, v1.1, v1.2 or v1.3")
-        p.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
 
-    def add_seed_flags(p: argparse.ArgumentParser, seeds_help: str) -> None:
-        p.add_argument("--seeds", type=int, default=1000, help=seeds_help)
-        p.add_argument("--base-seed", type=int, default=1, help="first seed")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+def add_seed_flags(p: argparse.ArgumentParser, seeds_help: str) -> None:
+    p.add_argument("--seeds", type=int, default=1000, help=seeds_help)
+    p.add_argument("--base-seed", type=int, default=1, help="first seed")
+    p.add_argument("--out", metavar="DIR", help="output directory")
 
-    run_p = sub.add_parser(
-        "run", help="simulate one shift and write its artifacts", formatter_class=formatter
-    )
-    add_config_flags(run_p)
-    run_p.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    run_p.add_argument(
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    add_config_flags(p)
+    p.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    p.add_argument(
         "--emit",
         default="csv,json",
         help="comma-separated artifact formats from: csv, json, svg",
     )
 
-    ens_p = sub.add_parser(
-        "ensemble",
-        help="run one variant across consecutive seeds",
-        formatter_class=formatter,
-    )
-    add_config_flags(ens_p)
-    add_seed_flags(ens_p, "number of seeds")
 
-    t2_p = sub.add_parser(
-        "table2",
-        help="KPI table: deterministic variants exactly, stochastic as ensembles",
-        formatter_class=formatter,
-    )
-    add_seed_flags(t2_p, "ensemble size")
-
-    cmp_p = sub.add_parser(
-        "compare",
-        help="paired-seed resilience comparison of v1.2 vs v1.3",
-        formatter_class=formatter,
-    )
-    add_seed_flags(cmp_p, "number of paired seeds")
-
-    return parser
+def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
+    add_config_flags(p)
+    add_seed_flags(p, "number of seeds")
 
 
 def _load_config(args: argparse.Namespace) -> ModelConfig:
@@ -110,7 +79,7 @@ def _load_config(args: argparse.Namespace) -> ModelConfig:
                 raise ConfigError(f"config path is not a regular file: {path}")
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         cfg = parse_config(text)
@@ -357,18 +326,85 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's help line, the function adding its flags, and its handler,
+# in the order the help lists them.
 _COMMANDS = {
-    "run": _cmd_run,
-    "ensemble": _cmd_ensemble,
-    "table2": _cmd_report,
-    "compare": _cmd_report,
+    "run": ("simulate one shift and write its artifacts", _add_run_flags, _cmd_run),
+    "ensemble": (
+        "run one variant across consecutive seeds",
+        _add_ensemble_flags,
+        _cmd_ensemble,
+    ),
+    "table2": (
+        "KPI table: deterministic variants exactly, stochastic as ensembles",
+        partial(add_seed_flags, seeds_help="ensemble size"),
+        _cmd_report,
+    ),
+    "compare": (
+        "paired-seed resilience comparison of v1.2 vs v1.3",
+        partial(add_seed_flags, seeds_help="number of paired seeds"),
+        _cmd_report,
+    ),
 }
+# argparse's own rendering of the full command list.
+_ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
+
+
+def build_parser(commands: Collection[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a sub-parser for each of ``commands``, by default all.
+
+    A parser built for fewer commands prints the same usage line as the full
+    one, so its errors read the same; only the full parser can list the
+    commands in its help or report a missing or unknown one.
+    """
+    # argparse makes a formatter for every add_argument, and each one asks for
+    # the terminal size; ask once instead, with argparse's own margin of 2.
+    formatter = partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = argparse.ArgumentParser(
+        prog="cobotsim",
+        description="Simulate human-cobot picking shifts with trust and fatigue "
+        "co-regulation.",
+        formatter_class=formatter,
+    )
+    chosen = [name for name in _COMMANDS if name in commands]
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if len(chosen) == len(_COMMANDS) else _ALL_COMMANDS,
+    )
+    for name in chosen:
+        help_line, add_flags, _ = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_line, formatter_class=formatter))
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); return the
+    exit status: 0 on success, 2 on a config error, 1 when stdout is closed.
+
+    When ``argv`` starts with a command name, only that command's sub-parser
+    is built. Anything else (no argument, ``--help``, an unknown command, an
+    option before the command) gets the full parser, whose help and errors
+    list every command.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    first = argv[0] if argv else None
+    parser = build_parser((first,) if first in _COMMANDS else _COMMANDS)
     try:
-        return _COMMANDS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+            _, _, handler = _COMMANDS[args.command]
+            return handler(args)
+        finally:
+            # A closed pipe surfaces here when stdout is buffered.
+            sys.stdout.flush()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send that to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

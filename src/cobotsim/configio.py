@@ -139,5 +139,18 @@ def render_config(cfg: ModelConfig) -> str:
 
 
 def config_with_overrides(cfg: ModelConfig, pairs: list[str]) -> ModelConfig:
-    """Apply ``key=value`` strings (e.g. from --set flags) on top of ``cfg``."""
-    return parse_config("\n".join(pairs), base=cfg, label="override")
+    """Apply ``key=value`` strings (e.g. from --set flags) on top of ``cfg``.
+
+    Each pair is one line, so an error names the pair by its position: a
+    pair holding a line break is rejected, not read as several overrides.
+    """
+    lines = []
+    for n, pair in enumerate(pairs, start=1):
+        split = pair.splitlines()
+        if len(split) > 1:
+            raise ConfigError(
+                f"override {n}: expected one 'key=value', got {len(split)} lines "
+                f"in {pair!r}"
+            )
+        lines += split or [""]
+    return parse_config("\n".join(lines), base=cfg, label="override")

@@ -1,11 +1,14 @@
 """CLI surface: parsing, artifact emission, exit codes, and report rendering."""
 
+import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -462,3 +465,189 @@ def test_report_matches_golden_file(argv, golden, capsys):
     out = capsys.readouterr().out
     assert out == expected
     assert [line for line in out.splitlines() if line != line.rstrip()] == []
+
+
+def golden_messages():
+    """``(argv, exit status, stdout, stderr)`` for each case of
+    ``golden/cli_messages.txt``, recorded with ``COLUMNS=100`` and run in an
+    empty working directory."""
+    text = (Path(__file__).parent / "golden" / "cli_messages.txt").read_text(encoding="utf-8")
+    cases = []
+    for chunk in text.split("==== ")[1:]:
+        argv, rest = chunk.split("\n", 1)
+        status, rest = rest.removeprefix("exit ").split("\n---- stdout\n", 1)
+        out, err = rest.split("---- stderr\n", 1)
+        cases.append((json.loads(argv), int(status), out, err))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "argv, status, out, err",
+    [pytest.param(*case, id=" ".join(case[0]) or "-") for case in golden_messages()],
+)
+def test_messages_match_golden_file(monkeypatch, tmp_path, capsys, argv, status, out, err):
+    # Help screens, usage errors and each command's output, byte for byte,
+    # whichever parser main builds for them.
+    monkeypatch.setenv("COLUMNS", "100")
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (status, out, err)
+
+
+def test_golden_messages_cover_every_command():
+    helps, runs = set(), set()
+    for argv, status, _, _ in golden_messages():
+        if argv and {"-h", "--help"} & set(argv):
+            helps.add(argv[0])
+        elif argv and status == 0:
+            runs.add(argv[0])
+    assert helps >= {"--help", *cli._COMMANDS}
+    assert runs == set(cli._COMMANDS)
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Counts of ``ArgumentParser``s built and arguments added since the
+    fixture was set up; reset by assigning zeros."""
+    counts = {"parsers": 0, "arguments": 0}
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add_argument(self, *args, **kwargs):
+        counts["arguments"] += 1
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+    return counts
+
+
+def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys):
+    # One top-level parser and one sub-parser; no parser is kept between calls.
+    for _ in range(2):
+        parser_builds.update(parsers=0, arguments=0)
+        assert main(["run", "--emit", "csv", "--out", str(tmp_path)]) == 0
+        assert parser_builds == {"parsers": 2, "arguments": 8}
+    parser_builds.update(parsers=0, arguments=0)
+    assert main(["table2", "--seeds", "2"]) == 0
+    assert parser_builds["parsers"] == 2
+    for argv in (["--help"], ["-h", "run"]):
+        parser_builds.update(parsers=0, arguments=0)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert parser_builds == {"parsers": 5, "arguments": 24}
+    parser_builds.update(parsers=0, arguments=0)
+    assert main(["compare", "--seeds", "1"]) == 2
+    assert parser_builds["parsers"] == 2
+    capsys.readouterr()
+
+
+# The command lines of this file that argparse accepts; DIR and FILE stand for
+# their paths.
+_VALID_ARGVS = [
+    ["run", "--variant", "v1.1", "--seed", "42"],
+    ["run", "--variant", "v1.1", "--seed", "42", "--out", "DIR", "--emit", "csv,json,svg"],
+    ["run", "--variant", "v1.0", "--out", "DIR", "--emit", "csv"],
+    ["run", "--config", "FILE", "--set", "horizon = 5", "--out", "DIR", "--emit", "json"],
+    ["run", "--set", "game.reward_normal=-3", "--set", "game.reward_high=-1",
+     "--set", "game.penalty_weight=1", "--emit", "svg", "--out", "DIR"],
+    ["run", "--seed", "-1", "--set", "horizon=5", "--out", "DIR"],
+    ["run", "--config", "FILE"],
+    ["run", *_FATIGUE_OVERFLOW, "--out", "DIR"],
+    ["run", "--variant", "v9", "--set", "horizon=5", "--out", "DIR"],
+    ["run", "--out", "DIR", "--emit", "pdf"],
+    ["ensemble", "--variant", "v1.2"],
+    ["ensemble", "--variant", "v1.2", "--seed", "3", "--seeds", "2"],
+    ["ensemble", "--variant", "v1.2", "--set", "seed=3", "--seeds", "2"],
+    ["ensemble", "--config", "FILE", "--seeds", "2"],
+    ["ensemble", "--seeds", "3", "--out", "DIR", "--set", "fatigue.initial=1e308"],
+    ["ensemble", "--variant", "v1.2", "--seeds", "20", "--out", "DIR"],
+    ["table2"],
+    ["table2", "--seeds", "20", "--out", "DIR"],
+    ["table2", "--seeds", "1", "--base-seed", "12"],
+    ["table2", "--seeds", "100001"],
+    ["compare", "--seeds", "10"],
+    ["compare", "--seeds", "2", "--base-seed", "-5"],
+    ["compare", "--seeds", "2", "--base-seed", str(2**64 - 1)],
+    ["compare", "--seeds", "2", "--out", "DIR"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=lambda argv: " ".join(argv)[:60])
+def test_one_command_parser_reads_the_full_parsers_namespace(argv):
+    assert build_parser([argv[0]]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_one_command_parser_prints_the_full_usage_line():
+    full = build_parser()
+    for command in cli._COMMANDS:
+        assert build_parser([command]).format_usage() == full.format_usage()
+
+
+def run_with_closed_stdout(argv, unbuffered):
+    """Exit status and stderr of ``python -m cobotsim argv`` whose stdout
+    pipe is closed before it writes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "cobotsim", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # long before the interpreter has imported cobotsim
+    with proc.stderr:
+        err = proc.stderr.read()
+    return proc.wait(), err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv", [["compare", "--seeds", "5"], ["table2", "--seeds", "5"], ["run", "--out", "DIR"]],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, unbuffered):
+    # Both ended in a BrokenPipeError: a traceback and exit 1 unbuffered, an
+    # "Exception ignored" message and exit 120 buffered.
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+    assert run_with_closed_stdout(argv, unbuffered) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_help_quiet(unbuffered):
+    # argparse drops a failed unbuffered write (exit 0); a buffered one fails
+    # at main's flush (exit 1).
+    code, err = run_with_closed_stdout(["--help"], unbuffered)
+    assert code in (0, 1)
+    assert err == b""
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # It was read as the key '﻿horizon', which prints like 'horizon'.
+    text = "horizon = 7\nvariant = v1.3\ntrust.gain = 0.2\n"
+    configs = []
+    for name, prefix in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode("utf-8"))
+        configs.append(cli._load_config(build_parser().parse_args(["run", "--config", str(path)])))
+    assert configs[0] == configs[1] == ModelConfig(
+        horizon=7, variant=ModelVariant.V1_3, trust=replace(ModelConfig().trust, gain=0.2)
+    )
+
+
+def test_set_holding_a_line_break_exits_2(tmp_path, capsys):
+    # It silently set horizon and variant from one flag.
+    argv = ["run", "--set", "trust.gain=0.1", "--set", "horizon=5\nvariant=v1.0",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: override 2: expected one 'key=value', got 2 lines in "
+        "'horizon=5\\nvariant=v1.0'\n"
+    )
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())

@@ -174,3 +174,24 @@ def test_round_trip_preserves_float_values_exactly(gain, chance, threshold):
 def test_overrides_use_override_label():
     with pytest.raises(ConfigError, match="override 1: unknown key"):
         config_with_overrides(ModelConfig(), ["nope = 1"])
+
+
+@pytest.mark.parametrize("pair", ["horizon=5\nvariant=v1.0", "horizon=5\rseed=3",
+                                  "horizon=5 variant=v1.0", "\nhorizon=5"])
+def test_override_holding_a_line_break_is_rejected(pair):
+    # Such a pair once set each of its lines as a separate override.
+    with pytest.raises(ConfigError, match=r"^override 2: expected one 'key=value', got 2 lines"):
+        config_with_overrides(ModelConfig(), ["trust.gain = 0.1", pair])
+
+
+def test_override_errors_are_labelled_by_flag():
+    # A trailing line break is whitespace: the pair stays one override, and
+    # the next pair keeps its own number (it was once labelled 3).
+    base = ModelConfig()
+    assert config_with_overrides(base, ["horizon=5\n", "", "seed=4"]) == config_with_overrides(
+        base, ["horizon=5", "seed=4"]
+    )
+    with pytest.raises(ConfigError, match=r"^override 2: gain must lie in"):
+        config_with_overrides(base, ["horizon=5\n", "trust.gain=2"])
+    with pytest.raises(ConfigError, match=r"^override 3: expected an integer for 'seed'"):
+        config_with_overrides(base, ["horizon=5\r\n", "", "seed=x"])
