@@ -15,7 +15,7 @@ import re
 from dataclasses import replace
 
 from .engine import ModelConfig, ModelVariant
-from .game import CollabLevel, EffortLevel
+from .game import _FATIGUE_ENTRIES, CollabLevel, EffortLevel
 
 
 class ConfigError(ValueError):
@@ -55,14 +55,6 @@ KNOWN_KEYS = tuple(_KEYS)
 _GROUPS = tuple(dict.fromkeys(group for group, _, _ in _KEYS.values()))
 
 
-def _field_name(field: str | tuple[EffortLevel, CollabLevel]) -> str:
-    """The name validation messages give a field (see ``GameParams.validate``)."""
-    if isinstance(field, tuple):
-        effort, collab = field
-        return f"fatigue_{effort.value}_{collab.value}"
-    return field
-
-
 def parse_config(
     text: str, base: ModelConfig | None = None, label: str = "line"
 ) -> ModelConfig:
@@ -74,7 +66,8 @@ def parse_config(
     cfg = base if base is not None else ModelConfig()
     # group -> overridden fields, in table order: root, game, trust, disruption.
     changes: dict[str, dict[str, object]] = {group: {} for group in _GROUPS}
-    line_of_key: dict[str, int] = {}
+    # field name, as validation messages give it -> last line setting it
+    line_of_name: dict[str, int] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -104,7 +97,7 @@ def parse_config(
             table[field] = value
         else:
             changes[group][field] = value
-        line_of_key[key] = lineno
+        line_of_name[_FATIGUE_ENTRIES.get(field, field)] = lineno
 
     # Sub-configs validate before the root, as when each is constructed.
     root = changes.pop("")
@@ -119,8 +112,8 @@ def parse_config(
         # "severe_loss"); fall back to the bare message.
         message = str(exc)
         hits = [
-            n for key, n in line_of_key.items()
-            if re.search(rf"\b{re.escape(_field_name(_KEYS[key][1]))}\b", message)
+            n for name, n in line_of_name.items()
+            if re.search(rf"\b{re.escape(name)}\b", message)
         ]
         if hits:
             raise ConfigError(f"{label} {max(hits)}: {message}") from None

@@ -24,19 +24,21 @@ schedule once, with one ``ScheduleDrawer`` per call, and runs every config
 over it. The loop takes every leader decision from a memo made once per
 call and stage-game parameter set (``_StagePolicy``: one table per fatigue
 level, the number of the game's threshold tests that hold, plus one for
-apology turns, each keyed by trust), and tracks recovery times as the shift
-runs; ensembles build no per-turn records. Each memoised decision carries
-its post-turn trust, computed once by ``update_trust``, so the loop does no
-trust arithmetic. Fatigue is quantized as ``update_fatigue`` does, except
-that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS: such a
-value has at most STATE_DECIMALS decimals, so rounding returns it
-unchanged. The same arithmetic lets the loop fast-forward: once trust sits
-at a fixed point of a stage-game decision, every undisrupted turn that
-keeps the fatigue level repeats the last one with fatigue up by one
-constant increment, and while fatigue and increment are non-negative
-multiples of 2**-STATE_DECIMALS below 2**(52 - STATE_DECIMALS) each sum is
-exact, so ``fatigue + k * inc`` is what k turns would reach. Each decision
-says whether it can start such a jump (its ``edge``, see ``_simulate``).
+apology turns, each keyed by trust), and keeps one recovery ledger as the
+shift runs: an entry per severe failure, with those not yet regained in a
+heap keyed by their pre-drop trust. Ensembles build no per-turn records.
+Each memoised decision carries its post-turn trust, computed once by
+``update_trust``, so the loop does no trust arithmetic. Fatigue is quantized
+as ``update_fatigue`` does, except that ``round()`` is skipped for multiples
+of 2**-STATE_DECIMALS: such a value has at most STATE_DECIMALS decimals, so
+rounding returns it unchanged. The same arithmetic lets the loop
+fast-forward: once trust sits at a fixed point of a stage-game decision,
+every undisrupted turn that keeps the fatigue level repeats the last one
+with fatigue up by one constant increment, and while fatigue and increment
+are non-negative multiples of 2**-STATE_DECIMALS below
+2**(52 - STATE_DECIMALS) each sum is exact, so ``fatigue + k * inc`` is
+what k turns would reach. Each decision says whether it can start such a
+jump (its ``edge``, see ``_simulate``).
 ``run_step`` executes one turn with the public state types and is the
 single-turn reference that the tests compare the loop against.
 """
@@ -47,6 +49,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 
 from .disruption import (
     DisruptionEvent,
@@ -81,7 +84,7 @@ from .repair import apology_after
 
 MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # A shift keeps one record per turn. At this bound, ``run`` writing every
-# artifact takes about 2 s and 64 MB (CPython 3.11, 2-vCPU Xeon).
+# artifact takes about 1.2 s and 79 MB (CPython 3.11, 2-vCPU Xeon).
 MAX_HORIZON = 100_000
 _NO_EVENT = (0, False)  # past the last event of a schedule; turns start at 1
 # Below this, sums of multiples of 2**-STATE_DECIMALS are exact doubles.
@@ -174,14 +177,18 @@ class StepRecord:
 class ShiftSummary:
     """KPIs of one shift. ``recovery_times`` holds one entry per severe
     failure: (turn, steps until trust regained its pre-drop level, or None
-    when the shift ended first)."""
+    when the shift ended first). ``severe_failure_turns`` reads the turns
+    from it."""
 
     productivity: float
     final_fatigue: float
     final_trust: float
     peak_fatigue: float
-    severe_failure_turns: list[int]
     recovery_times: list[tuple[int, int | None]]
+
+    @property
+    def severe_failure_turns(self) -> list[int]:
+        return [turn for turn, _ in self.recovery_times]
 
 
 def run_step(
@@ -344,8 +351,14 @@ def _simulate(
 ) -> tuple[list[StepRecord] | None, ShiftSummary]:
     """One shift of ``cfg`` under the disruption schedule ``events`` (see
     ``disruption.schedule``): the turn sequence of ``run_step`` over plain
-    values, with recovery times tracked as the shift runs. Returns the
-    records (None unless ``keep_records``) and the summary.
+    values. Returns the records (None unless ``keep_records``) and the
+    summary.
+
+    ``recoveries`` gets one ``(turn, None)`` entry per severe failure, and
+    ``pending`` is a heap of the ``(pre-drop trust, index)`` of each failure
+    not yet regained, above an ``(inf, -1)`` sentinel. Each turn pops the
+    failures whose target its post-turn trust reaches and writes their
+    steps into their entries, which become ``recovery_times`` as they stand.
 
     Each stage-game turn finds its level (see ``_StagePolicy``) once: by
     one test on either side of the band, where the loop reads the memo
@@ -364,9 +377,9 @@ def _simulate(
       up to the last skipped turn, ``not (end - inc) + edge > threshold``,
       which always holds at the top level, whose edge is -inf.
 
-    Recovery needs no rescan: trust is constant and the jumped-from turn
-    already tested it against every pending target. Otherwise the loop goes
-    on one turn at a time."""
+    The jump needs no recovery check: trust is constant through it, and the
+    jumped-from turn already popped every target at or below it. Otherwise
+    the loop goes on one turn at a time."""
     pick_extra = cfg.disruption.difficult_pick_fatigue
     duration = cfg.apology_duration if cfg.variant.has_apology else 0
     horizon, leader, tables = cfg.horizon, policy.leader, policy.tables
@@ -388,10 +401,8 @@ def _simulate(
     # compensate float sums, so a running total could differ in the last bit.
     items_picked: list[float] = []
     peak = -math.inf
-    severe_turns: list[int] = []
-    pending: list[tuple[int, float]] = []  # (severe turn, pre-drop trust) not yet regained
-    lowest = math.inf  # smallest pending target
-    recovered: dict[int, int] = {}
+    recoveries: list[tuple[int, int | None]] = []
+    pending: list[tuple[float, int]] = [(math.inf, -1)]
 
     step = 0
     while step < horizon:
@@ -427,19 +438,13 @@ def _simulate(
         # still leave a full window behind it.
         if remaining:
             remaining -= 1
-        if trust_post >= lowest:
-            unmet = []
-            for turn, target in pending:
-                if trust_post >= target:
-                    recovered[turn] = step - turn
-                else:
-                    unmet.append((turn, target))
-            pending = unmet
-            lowest = min([target for _, target in pending], default=math.inf)
+        while trust_post >= pending[0][0]:
+            index = heappop(pending)[1]
+            turn = recoveries[index][0]
+            recoveries[index] = (turn, step - turn)
         if outcome is severe:
-            severe_turns.append(step)
-            pending.append((step, trust))
-            lowest = min(lowest, trust)
+            heappush(pending, (trust, len(recoveries)))
+            recoveries.append((step, None))
             remaining = duration
         if keep_records:
             records.append(
@@ -481,8 +486,7 @@ def _simulate(
         final_fatigue=fatigue,
         final_trust=trust,
         peak_fatigue=peak,
-        severe_failure_turns=severe_turns,
-        recovery_times=[(turn, recovered.get(turn)) for turn in severe_turns],
+        recovery_times=recoveries,
     )
     return (records if keep_records else None), summary
 
@@ -504,7 +508,6 @@ def summarize_shift(records: list[StepRecord], horizon: int) -> ShiftSummary:
         final_fatigue=records[-1].fatigue_post,
         final_trust=records[-1].trust_post,
         peak_fatigue=max(r.fatigue_post for r in records),
-        severe_failure_turns=severe_turns,
         recovery_times=[(t, recovery_time(records, t, horizon)) for t in severe_turns],
     )
 
@@ -536,7 +539,7 @@ class EnsembleSummary:
     ``first_recovery_steps`` has one entry per run that saw at least one
     severe failure: the first failure's recovery time, or None when censored.
     The median treats censored entries as +inf. A mean or median is inf
-    (or nan) where summing finite values overflows a double.
+    where summing finite values overflows a double.
     """
 
     n_seeds: int
@@ -607,11 +610,12 @@ def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> Ensemble
 
 def _mean(values: list[float]) -> float:
     """``statistics.fmean``, except that finite values whose sum passes the
-    largest double give a non-finite mean instead of an ``OverflowError``."""
+    largest double give inf instead of an ``OverflowError``. Every KPI
+    averaged is >= 0, so no sum meets inf + -inf."""
     try:
         return statistics.fmean(values)
-    except (OverflowError, ValueError):  # fsum overflowed, or saw inf + -inf
-        return sum(values) / len(values)
+    except OverflowError:
+        return math.inf
 
 
 def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary:

@@ -614,6 +614,12 @@ def test_summary_collects_recoveries():
     assert summary.severe_failure_turns == [t for t, _ in summary.recovery_times]
     for turn, steps in summary.recovery_times:
         assert steps is None or steps >= 1
+    # The two later failures are regained while the two earlier ones stay
+    # pending to the end, so recoveries are not met in the order of failure.
+    cfg = cfg_for("v1.2", seed=7)
+    records, summary = run_shift(cfg)
+    assert summary.recovery_times == [(26, None), (30, None), (40, 1), (48, 1)]
+    assert summary == summarize_shift(records, cfg.horizon)
 
 
 # ---------------------------------------------------------------- ensembles
