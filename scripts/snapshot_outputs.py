@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Write the stdout and artifacts of a fixed set of cobotsim commands, one
+directory per command, under OUT_DIR.
+
+Every command runs in-process from inside OUT_DIR with a relative ``--out``
+name, so two snapshots, say of two commits, compare with ``diff -r``:
+
+    PYTHONPATH=src python3 scripts/snapshot_outputs.py /tmp/before
+    ... switch commits ...
+    PYTHONPATH=src python3 scripts/snapshot_outputs.py /tmp/after
+    diff -r /tmp/before /tmp/after
+
+Exits 1 if any command exits non-zero, after running the rest.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from cobotsim.cli import main
+
+VARIANTS = ("v1.0", "v1.1", "v1.2", "v1.3")
+
+
+def commands():
+    """``(directory, argv)`` of each command, ``argv`` without its ``--out``."""
+    yield "table2_seeds1000", ["table2", "--seeds", "1000"]
+    yield "compare_seeds1000", ["compare", "--seeds", "1000"]
+    yield "compare_seeds300_top", [
+        "compare", "--seeds", "300", "--base-seed", "18446744073709551000"
+    ]
+    for variant in VARIANTS:
+        for seeds in (1, 2, 1000):
+            yield f"ensemble_{variant}_seeds{seeds}", [
+                "ensemble", "--variant", variant, "--seeds", str(seeds)
+            ]
+    for variant in ("v1.2", "v1.3"):
+        for horizon in (50, 2000):
+            for seed in (0, 7, 42):
+                yield f"run_{variant}_h{horizon}_seed{seed}", [
+                    "run", "--variant", variant, "--seed", str(seed),
+                    "--set", f"horizon={horizon}", "--emit", "csv,json,svg",
+                ]
+
+
+def snapshot(out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+    status = 0
+    for name, argv in commands():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "--out", name])
+        Path(name).mkdir(exist_ok=True)
+        Path(name, "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+        if code:
+            print(f"{name}: exit {code}", file=sys.stderr)
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {Path(sys.argv[0]).name} OUT_DIR")
+    sys.exit(snapshot(Path(sys.argv[1])))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shlex
 import shutil
 import sys
 from collections.abc import Collection
@@ -387,12 +388,22 @@ def main(argv: list[str] | None = None) -> int:
     When ``argv`` starts with a command name, only that command's sub-parser
     is built. Anything else (no argument, ``--help``, an unknown command, an
     option before the command) gets the full parser, whose help and errors
-    list every command.
+    list every command. An option before a command named later is an error
+    that shows the line with the command moved to the front.
     """
     if argv is None:
         argv = sys.argv[1:]
     first = argv[0] if argv else None
     parser = build_parser((first,) if first in _COMMANDS else _COMMANDS)
+    if first and first.startswith("-") and first not in ("-h", "--help"):
+        command = next((arg for arg in argv[1:] if arg in _COMMANDS), None)
+        if command is not None:
+            rest = list(argv)
+            rest.remove(command)
+            parser.error(
+                "options go after the command, as in: "
+                f"cobotsim {shlex.join([command, *rest])}"
+            )
     try:
         try:
             args = parser.parse_args(argv)

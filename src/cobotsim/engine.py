@@ -24,9 +24,11 @@ schedule once, with one ``ScheduleDrawer`` per call, and runs every config
 over it. The loop takes every leader decision from a memo made once per
 call and stage-game parameter set (``_StagePolicy``: one table per fatigue
 level, the number of the game's threshold tests that hold, plus one for
-apology turns, each keyed by trust), and keeps one recovery ledger as the
-shift runs: an entry per severe failure, with those not yet regained in a
-heap keyed by their pre-drop trust. Ensembles build no per-turn records.
+apology turns, each keyed by trust and filled on a miss by the parameter
+set's ``game.StageGame``, the solver behind the public game functions too),
+and keeps one recovery ledger as the shift runs: an entry per severe
+failure, with those not yet regained in a heap keyed by their pre-drop
+trust. Ensembles build no per-turn records.
 Each memoised decision carries its post-turn trust, computed once by
 ``update_trust``, so the loop does no trust arithmetic. Fatigue is quantized
 as ``update_fatigue`` does, except that ``round()`` is skipped for multiples
@@ -75,6 +77,7 @@ from .game import (
     EffortLevel,
     GameParams,
     HumanState,
+    StageGame,
     fatigue_increment,
     human_best_response,
     human_reward,
@@ -89,6 +92,14 @@ MAX_HORIZON = 100_000
 _NO_EVENT = (0, False)  # past the last event of a schedule; turns start at 1
 # Below this, sums of multiples of 2**-STATE_DECIMALS are exact doubles.
 _EXACT_FATIGUE = 2.0 ** (52 - STATE_DECIMALS)
+# x is a multiple of 2**-STATE_DECIMALS iff x * _DYADIC is an integer.
+_DYADIC = 2.0**STATE_DECIMALS
+# Enum members, read once: each read of one through its class costs a
+# lookup, and every shift reads these.
+_NONE, _PICK, _FAILURE = (
+    DisruptionEvent.NONE, DisruptionEvent.DIFFICULT_PICK, DisruptionEvent.COBOT_FAILURE
+)
+_SEVERE = InteractionOutcome.SEVERE_FAILURE
 # The fatigue level at which all the stage game's threshold tests hold, one
 # per joint action (see ``_StagePolicy``).
 _TOP = len(ACTION_PAIRS)
@@ -270,16 +281,18 @@ class _StagePolicy:
     turns of an apology, which read no fatigue. ``edges`` lists the
     increments from the largest down, then -inf: ``edges[level]`` is the
     increment whose test turns true next as fatigue rises, and none does at
-    the top level. Misses call the game module, whose tie-break rules
-    therefore stay the only ones. A decision holds the per-turn constants of
-    one action pair at one trust and level, see ``_decision``.
+    the top level. Misses call ``game``, the parameter set's ``StageGame``,
+    which the public game functions call too, so its tie-break rules stay
+    the only ones. A decision holds the per-turn constants of one action
+    pair at one trust and level, see ``_decision``.
     """
 
-    __slots__ = ("cfg", "pairs", "edges", "threshold", "tables")
+    __slots__ = ("cfg", "game", "pairs", "edges", "threshold", "tables")
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
         self.cfg = cfg
+        self.game = StageGame(game)
         self.pairs: dict[ActionPair, tuple] = {
             pair: (
                 cobot,
@@ -315,10 +328,10 @@ class _StagePolicy:
         inc, outcome, tp = constants[3], constants[-1], self.cfg.trust
         trust_post = update_trust(trust, outcome, tp)
         steady = (trust_post == trust and level != _APOLOGY and inc >= 0.0
-                  and (inc * 2.0**STATE_DECIMALS).is_integer())
+                  and (inc * _DYADIC).is_integer())
         return constants + (
             trust_post,
-            update_trust(trust, InteractionOutcome.SEVERE_FAILURE, tp),
+            update_trust(trust, _SEVERE, tp),
             self.edges[level] if steady else None,
         )
 
@@ -333,12 +346,10 @@ class _StagePolicy:
         table = self.tables[level]
         decision = table.get(trust)
         if decision is None:
-            game = self.cfg.game
             if level == _APOLOGY:
-                high = CollabLevel.HIGH
-                pair = ACTION_PAIRS[high, human_best_response(high, trust, game)]
+                pair = self.game.best_response(CollabLevel.HIGH, trust)
             else:
-                pair = solve_stage_game(HumanState(fatigue=fatigue, trust=trust), game)
+                pair = self.game.solve(trust, fatigue)
             decision = table[trust] = self._decision(pair, trust, level)
         return decision
 
@@ -388,11 +399,7 @@ def _simulate(
     calm_get, top_get, apology_get = tables[0].get, tables[_TOP].get, tables[_APOLOGY].get
     upcoming = iter(events)
     event_turn, event_severe = next(upcoming, _NO_EVENT)
-    none, pick, failure = (
-        DisruptionEvent.NONE, DisruptionEvent.DIFFICULT_PICK, DisruptionEvent.COBOT_FAILURE
-    )
-    severe = InteractionOutcome.SEVERE_FAILURE
-    dyadic = 2.0**STATE_DECIMALS
+    none, pick, failure, severe, dyadic = _NONE, _PICK, _FAILURE, _SEVERE, _DYADIC
 
     trust, fatigue = cfg.trust.initial_trust, cfg.trust.initial_fatigue
     remaining = 0  # apology turns left; only the apology variant arms it

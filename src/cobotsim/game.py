@@ -5,6 +5,12 @@ chooses an effort level knowing that commitment. Both action sets are binary,
 so the equilibrium of the stage is found by direct enumeration: compute the
 follower's best response to each leader action, then let the leader pick the
 collaboration level whose anticipated outcome it prefers.
+
+``StageGame`` is the one solver: it reads a parameter set's constants once
+and holds both tie rules. ``human_best_response`` and ``solve_stage_game``
+call it, and the shift loop keeps one per parameter set. The per-term
+functions (``human_utility``, ``cobot_utility`` and the terms they sum)
+spell out the same arithmetic for readers and tests.
 """
 
 from __future__ import annotations
@@ -161,9 +167,13 @@ def fatigue_increment(pair: ActionPair, params: GameParams) -> float:
 def perceived_cost(pair: ActionPair, trust: float, params: GameParams) -> float:
     """Subjective cost of the turn: its fatigue increment scaled by the
     trust-dependent multiplier."""
+    _check_trust(trust)
+    return fatigue_increment(pair, params) * params.cost_multiplier(trust)
+
+
+def _check_trust(trust: float) -> None:
     if not 0.0 <= trust <= 1.0:
         raise ValueError(f"trust must lie in [0, 1] (got {trust})")
-    return fatigue_increment(pair, params) * params.cost_multiplier(trust)
 
 
 def human_utility(pair: ActionPair, trust: float, params: GameParams) -> float:
@@ -179,11 +189,8 @@ def human_best_response(
     Ties reciprocate high collaboration with high effort and otherwise
     conserve energy.
     """
-    u_normal = human_utility(ACTION_PAIRS[collab, EffortLevel.NORMAL], trust, params)
-    u_high = human_utility(ACTION_PAIRS[collab, EffortLevel.HIGH], trust, params)
-    if abs(u_high - u_normal) <= TIE_EPS:
-        return EffortLevel.HIGH if collab is CollabLevel.HIGH else EffortLevel.NORMAL
-    return EffortLevel.HIGH if u_high > u_normal else EffortLevel.NORMAL
+    _check_trust(trust)
+    return StageGame(params).best_response(collab, trust).human
 
 
 def cobot_utility(pair: ActionPair, state: HumanState, params: GameParams) -> float:
@@ -207,14 +214,63 @@ def solve_stage_game(state: HumanState, params: GameParams) -> ActionPair:
     the leader is indifferent it collaborates iff trust has reached the
     tie-break level.
     """
-    pair_low = ACTION_PAIRS[
-        CollabLevel.LOW, human_best_response(CollabLevel.LOW, state.trust, params)
-    ]
-    pair_high = ACTION_PAIRS[
-        CollabLevel.HIGH, human_best_response(CollabLevel.HIGH, state.trust, params)
-    ]
-    u_low = cobot_utility(pair_low, state, params)
-    u_high = cobot_utility(pair_high, state, params)
-    if abs(u_high - u_low) <= TIE_EPS:
-        return pair_high if state.trust >= params.cobot_tiebreak_trust else pair_low
-    return pair_high if u_high > u_low else pair_low
+    return StageGame(params).solve(state.trust, state.fatigue)
+
+
+class StageGame:
+    """The stage game of one parameter set, its constants read once.
+
+    ``best_response`` and ``solve`` evaluate ``human_utility`` and
+    ``cobot_utility`` with the same float operations in the same order, so
+    they return what the per-term functions imply, bit for bit. Trust and
+    fatigue are not validated here; the public functions do that.
+    """
+
+    __slots__ = ("low", "high", "base", "slope", "threshold", "penalty", "tiebreak")
+
+    def __init__(self, params: GameParams) -> None:
+        # (pair, reward, increment) per joint action, in ACTION_PAIRS order.
+        low_normal, low_high, high_normal, high_high = (
+            (pair, human_reward(pair.human, params), fatigue_increment(pair, params))
+            for pair in ACTION_PAIRS.values()
+        )
+        # Per collaboration level: normal effort, high effort, and the effort
+        # a follower tie goes to. Ties reciprocate high collaboration with
+        # high effort and otherwise conserve energy.
+        self.low = (low_normal, low_high, low_normal)
+        self.high = (high_normal, high_high, high_high)
+        self.base, self.slope = params.cost_kappa_base, params.cost_kappa_trust_slope
+        self.threshold, self.penalty = params.fatigue_threshold, params.penalty_weight
+        self.tiebreak = params.cobot_tiebreak_trust
+
+    def _follow(self, options: tuple, trust: float) -> tuple[ActionPair, float, float]:
+        """The follower's ``(pair, reward, increment)`` among one level's
+        ``options``: the higher utility, reward minus increment times the
+        cost multiplier, or the tie's choice within ``TIE_EPS``."""
+        normal, high, tie = options
+        kappa = self.base - self.slope * trust
+        u_normal = normal[1] - normal[2] * kappa
+        u_high = high[1] - high[2] * kappa
+        if abs(u_high - u_normal) <= TIE_EPS:
+            return tie
+        return high if u_high > u_normal else normal
+
+    def best_response(self, collab: CollabLevel, trust: float) -> ActionPair:
+        """The follower's pair given the leader's ``collab``."""
+        options = self.high if collab is CollabLevel.HIGH else self.low
+        return self._follow(options, trust)[0]
+
+    def solve(self, trust: float, fatigue: float) -> ActionPair:
+        """The equilibrium pair at (trust, fatigue): the leader's payoff is
+        the follower's reward, less the penalty when fatigue plus the pair's
+        increment passes the threshold; an indifferent leader collaborates
+        iff trust has reached the tie-break level."""
+        pair_low, u_low, inc_low = self._follow(self.low, trust)
+        pair_high, u_high, inc_high = self._follow(self.high, trust)
+        if fatigue + inc_low > self.threshold:
+            u_low -= self.penalty
+        if fatigue + inc_high > self.threshold:
+            u_high -= self.penalty
+        if abs(u_high - u_low) <= TIE_EPS:
+            return pair_high if trust >= self.tiebreak else pair_low
+        return pair_high if u_high > u_low else pair_low

@@ -117,7 +117,7 @@ def emit_summary_json(summary: ShiftSummary | EnsembleSummary) -> str:
             "final_fatigue": summary.final_fatigue,
             "final_trust": summary.final_trust,
             "peak_fatigue": summary.peak_fatigue,
-            "severe_failures": list(summary.severe_failure_turns),
+            "severe_failures": summary.severe_failure_turns,
             "recovery_times": [
                 _recovery_entry(turn, steps) for turn, steps in summary.recovery_times
             ],

@@ -32,6 +32,7 @@ from cobotsim import (
 from cobotsim import engine
 from cobotsim.dynamics import STATE_DECIMALS
 from cobotsim.engine import _StagePolicy, summarize_shift
+from cobotsim.game import StageGame
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -798,12 +799,13 @@ def test_shift_loop_is_exact_on_a_dyadic_lattice(params):
 
 def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
     solves = []
+    solve = StageGame.solve
 
-    def counting(state, game):
-        solves.append(state)
-        return solve_stage_game(state, game)
+    def counting(game, trust, fatigue):
+        solves.append((trust, fatigue))
+        return solve(game, trust, fatigue)
 
-    monkeypatch.setattr(engine, "solve_stage_game", counting)
+    monkeypatch.setattr(StageGame, "solve", counting)
     faster_gain = TrustParams(gain=0.1)
     cfgs = [cfg_for("v1.2"), cfg_for("v1.3"), cfg_for("v1.2", trust=faster_gain)]
     alone = [run_ensemble(cfg, n_seeds=40, base_seed=5) for cfg in cfgs]

@@ -2,7 +2,7 @@
 against a brute-force enumeration oracle."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobotsim import (
@@ -19,7 +19,7 @@ from cobotsim import (
     perceived_cost,
     solve_stage_game,
 )
-from cobotsim.game import TIE_EPS
+from cobotsim.game import ACTION_PAIRS, TIE_EPS, StageGame
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -216,6 +216,97 @@ def test_equilibrium_matches_enumeration_oracle(params):
             assert solve_stage_game(state, params) == brute_force_equilibrium(
                 state, params
             )
+
+
+def real(lo, hi):
+    """Quarters, whose sums such as ``(threshold - inc) + inc`` are exact and
+    land on the threshold, or any float in [lo, hi]."""
+    return st.one_of(st.integers(lo * 4, hi * 4).map(lambda k: k / 4), st.floats(lo, hi))
+
+
+@st.composite
+def game_params(draw):
+    reward_normal = draw(real(0, 3))
+    reward_high = reward_normal + draw(real(1, 12)) / 4
+    base = draw(real(1, 4))
+    return GameParams(
+        reward_normal=reward_normal,
+        reward_high=reward_high,
+        fatigue_table={
+            (effort, collab): draw(real(0, 3))
+            for effort in EffortLevel
+            for collab in CollabLevel
+        },
+        cost_kappa_base=base,
+        cost_kappa_trust_slope=draw(real(-2, 0) | st.floats(0, base - 0.5)),
+        fatigue_threshold=draw(real(1, 100)),
+        penalty_weight=reward_high + draw(real(1, 200)),
+        cobot_tiebreak_trust=draw(real(0, 1)),
+    )
+
+
+def follower_tie_trusts(params):
+    """Per collaboration level, the trust where high and normal effort give
+    equal utility, when it lies in [0, 1]."""
+    ties = []
+    for collab in CollabLevel:
+        normal, high = ACTION_PAIRS[collab, NORMAL], ACTION_PAIRS[collab, HIGH_E]
+        inc_gap = fatigue_increment(high, params) - fatigue_increment(normal, params)
+        if inc_gap and params.cost_kappa_trust_slope:
+            kappa = (params.reward_high - params.reward_normal) / inc_gap
+            trust = (params.cost_kappa_base - kappa) / params.cost_kappa_trust_slope
+            if 0.0 <= trust <= 1.0:
+                ties.append(trust)
+    return ties
+
+
+def follower_oracle(collab, trust, params):
+    """The documented follower rule over ``human_utility``: the better
+    effort, and within TIE_EPS high effort iff collaboration is high."""
+    normal, high = ACTION_PAIRS[collab, NORMAL], ACTION_PAIRS[collab, HIGH_E]
+    u_normal = human_utility(normal, trust, params)
+    u_high = human_utility(high, trust, params)
+    if abs(u_high - u_normal) <= TIE_EPS:
+        return high if collab is HIGH_C else normal
+    return high if u_high > u_normal else normal
+
+
+def leader_oracle(state, params):
+    """The documented leader rule over ``cobot_utility`` and the follower
+    oracle's pairs: the better pair, and within TIE_EPS high collaboration
+    iff trust has reached the tie-break level."""
+    low = follower_oracle(LOW_C, state.trust, params)
+    high = follower_oracle(HIGH_C, state.trust, params)
+    u_low = cobot_utility(low, state, params)
+    u_high = cobot_utility(high, state, params)
+    if abs(u_high - u_low) <= TIE_EPS:
+        return high if state.trust >= params.cobot_tiebreak_trust else low
+    return high if u_high > u_low else low
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=game_params(),
+    trusts=st.lists(st.floats(0, 1), max_size=4),
+    fatigues=st.lists(real(0, 150), max_size=4),
+)
+@example(params=GameParams(), trusts=[0.45], fatigues=[79.5])
+def test_stage_game_matches_the_per_term_rules_exactly(params, trusts, fatigues):
+    # The follower ties of the defaults sit at trust 0.6; fatigue at
+    # threshold - inc tests the strict threshold crossing.
+    trusts = [0.0, 1.0, params.cobot_tiebreak_trust, *follower_tie_trusts(params), *trusts]
+    fatigues = [0.0, *fatigues] + [
+        params.fatigue_threshold - inc
+        for inc in params.fatigue_table.values()
+        if params.fatigue_threshold >= inc
+    ]
+    game = StageGame(params)
+    for trust in trusts:
+        for collab in CollabLevel:
+            assert game.best_response(collab, trust) == follower_oracle(collab, trust, params)
+        for fatigue in fatigues:
+            state = HumanState(fatigue, trust)
+            assert game.solve(trust, fatigue) == leader_oracle(state, params)
 
 
 def test_penalty_dominance(params):

@@ -35,3 +35,22 @@ def test_render_figures_writes_one_chart_and_csv_per_variant(tmp_path):
     assert sorted(p.name for p in figures.glob("*.csv")) == [
         "v1_0.csv", "v1_1.csv", "v1_2.csv", "v1_3.csv"
     ]
+
+
+def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
+    result = run_script("snapshot_outputs.py", "snap", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    snap = tmp_path / "snap"
+    dirs = {p.name for p in snap.iterdir()}
+    assert len(dirs) == 3 + 4 * 3 + 2 * 2 * 3
+    assert {"compare_seeds300_top", "ensemble_v1.0_seeds1000", "run_v1.3_h2000_seed42"} <= dirs
+    artifacts = {
+        "table2": ["table2.txt"],
+        "compare": ["compare.txt"],
+        "ensemble": ["ensemble.json"],
+        "run": ["chart.svg", "summary.json", "trajectory.csv"],
+    }
+    files = {str(p.relative_to(snap)) for p in snap.rglob("*") if p.is_file()}
+    assert files == {
+        f"{d}/{name}" for d in dirs for name in ["stdout.txt", *artifacts[d.split("_")[0]]]
+    }
