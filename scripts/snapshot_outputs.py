@@ -36,6 +36,15 @@ def commands():
             yield f"ensemble_{variant}_seeds{seeds}", [
                 "ensemble", "--variant", variant, "--seeds", str(seeds)
             ]
+    # Shifts whose first event falls past the shared event-free opening of
+    # run_paired, and deterministic shifts longer than it.
+    yield "ensemble_v1.3_seeds40_h1000_chance0.002", [
+        "ensemble", "--variant", "v1.3", "--seeds", "40",
+        "--set", "horizon=1000", "--set", "disruption.chance=0.002",
+    ]
+    yield "ensemble_v1.1_seeds3_h300", [
+        "ensemble", "--variant", "v1.1", "--seeds", "3", "--set", "horizon=300"
+    ]
     for variant in ("v1.2", "v1.3"):
         for horizon in (50, 2000):
             for seed in (0, 7, 42):

@@ -221,7 +221,10 @@ def _paired_recovery(n_seeds: int, base_seed: int) -> tuple:
     """v1.2 and v1.3 at the defaults over the same seeds: ``(ensembles,
     capped median first recoveries, cap, ratio v1.3/v1.2)``. Censored
     recoveries count as the horizon; the ratio is nan without a v1.2 median."""
-    cfgs = [ModelConfig(variant=v) for v in (ModelVariant.V1_2, ModelVariant.V1_3)]
+    base = ModelConfig(variant=ModelVariant.V1_2)
+    # One GameParams and TrustParams for both, so run_paired shares their
+    # memo without comparing them.
+    cfgs = [base, replace(base, variant=ModelVariant.V1_3)]
     ensembles = run_paired(cfgs, n_seeds, base_seed)
     cap = float(cfgs[0].horizon)
     med12, med13 = medians = [median_recovery_capped(ens, cap=cap) for ens in ensembles]

@@ -11,7 +11,9 @@ the reference. The shift loop reads a seed's whole schedule instead, drawn
 by ``ScheduleDrawer``: it computes splitmix64 for a block of stream
 positions at once, packed as 128-bit lanes of one Python int, and compares
 every lane against an exact integer cutoff (``uniform_cutoff``), so its
-events equal the reference's draw for draw.
+events equal the reference's draw for draw. The compare reads one byte per
+lane, the output's top eight bits, and settles the rare lanes whose byte
+ties the cutoff's on the full output (``_below``).
 """
 
 from __future__ import annotations
@@ -118,6 +120,42 @@ def uniform_cutoff(c: float) -> int:
     return hi
 
 
+def _cutoff_table(cutoff: int) -> bytes:
+    """The ``bytes.translate`` table of ``cutoff``'s one-byte test: it maps
+    a lane's top output byte to 1 below the cutoff's top byte, to 0 above
+    it, and to 2 (a tie) on it, unless the cutoff's low 56 bits are zero, so
+    that no output with that top byte lies below it."""
+    top, low = cutoff >> 56, cutoff & ((1 << 56) - 1)
+    table = bytearray(256)
+    table[:top] = b"\x01" * top
+    if low:
+        table[top] = 2
+    return bytes(table)
+
+
+def _below(lanes: bytes, top: bytes, cutoff: int, table: bytes) -> bytes | bytearray:
+    """Per lane, 1 where its splitmix64 output lies below ``cutoff``, else 0.
+
+    ``lanes`` holds each lane's value before the final ``z ^= z >> 31``,
+    16 little-endian bytes per lane, and ``top`` its byte 7, bits 56-63.
+    That xor-shift leaves them as they are, since ``z >> 31 < 2**33``, so
+    they are the output's top byte, and ``table`` (see ``_cutoff_table``)
+    decides every lane whose top byte differs from the cutoff's. Each tie,
+    one lane in 256 where the cutoff's low bits are non-zero, is settled on
+    the full output ``w ^ (w >> 31)``.
+    """
+    hits = top.translate(table)
+    tie = hits.find(2)
+    if tie < 0:
+        return hits
+    hits = bytearray(hits)
+    while tie >= 0:
+        w = int.from_bytes(lanes[16 * tie:16 * tie + 8], "little")
+        hits[tie] = (w ^ (w >> 31)) < cutoff
+        tie = hits.find(2, tie + 1)
+    return hits
+
+
 class ScheduleDrawer:
     """Draws ``schedule`` for many seeds of one horizon and one
     ``DisruptionParams``, with splitmix64 computed for a block of stream
@@ -127,10 +165,10 @@ class ScheduleDrawer:
     The lane states ``state + j * gamma`` come from a ramp constant made once
     per drawer; each xor-shift-multiply step is then a few big-int operations
     under a per-lane 64-bit mask, and no lane carries into the next, because
-    a product of two 64-bit values fits in 128 bits. One subtraction per
-    cutoff sets bit 64 of exactly the lanes whose output lies below it (see
-    ``uniform_cutoff``); the walk from those hits to turns shifts every turn
-    after an event by one position, its severity draw. A block has at most
+    a product of two 64-bit values fits in 128 bits. The lanes are compared
+    with the two cutoffs (see ``uniform_cutoff``) one byte per lane, by
+    ``_below``; the walk from those hits to turns shifts every turn after an
+    event by one position, its severity draw. A block has at most
     ``_LANES`` lanes, so memory stays bounded for any horizon: a walk that
     runs past its block draws the next one from where it stopped.
     """
@@ -148,25 +186,25 @@ class ScheduleDrawer:
         self.mask = _MASK64 * ones
         layout[::16] = bytes(range(lanes))  # lane j holds j; _LANES <= 256
         self.ramp = _GAMMA * int.from_bytes(layout, "little")
-        # Lane value 2**64 + cutoff - 1 - z has bit 64 set iff z < cutoff.
-        self.occurs = (2**64 - 1 + uniform_cutoff(dp.chance)) * ones
-        self.severe = (2**64 - 1 + uniform_cutoff(dp.severe_share)) * ones
+        cutoff = uniform_cutoff(dp.chance)
+        self.occurs = cutoff, _cutoff_table(cutoff)
+        cutoff = uniform_cutoff(dp.severe_share)
+        self.severe = cutoff, _cutoff_table(cutoff)
 
-    def _block(self, state: int) -> tuple[bytes, bytes]:
+    def _block(self, state: int) -> tuple[bytes | bytearray, bytes | bytearray]:
         """Per lane, one byte: 1 where the draw at that position lies below
         the chance, and 1 where it lies below the severe share. Lane 0 is the
-        draw whose splitmix64 state is ``state``."""
-        ones, mask = self.ones, self.mask
-        z = (state * ones + self.ramp) & mask
+        draw whose splitmix64 state is ``state``. The final xor-shift is left
+        to ``_below``, which needs it only for ties."""
+        mask = self.mask
+        z = (state * self.ones + self.ramp) & mask
         z ^= (z >> 30) & mask
         z = (z * _MIX1) & mask
         z ^= (z >> 27) & mask
         z = (z * _MIX2) & mask
-        z ^= (z >> 31) & mask
-        size = 16 * self.lanes
-        occurs = (((self.occurs - z) >> 64) & ones).to_bytes(size, "little")[::16]
-        severe = (((self.severe - z) >> 64) & ones).to_bytes(size, "little")[::16]
-        return occurs, severe
+        lanes = z.to_bytes(16 * self.lanes, "little")
+        top = lanes[7::16]
+        return _below(lanes, top, *self.occurs), _below(lanes, top, *self.severe)
 
     def draw(self, seed: int) -> list[tuple[int, bool]]:
         """``schedule(seed, horizon, dp)`` for this drawer's horizon and dp."""

@@ -29,6 +29,11 @@ set's ``game.StageGame``, the solver behind the public game functions too),
 and keeps one recovery ledger as the shift runs: an entry per severe
 failure, with those not yet regained in a heap keyed by their pre-drop
 trust. Ensembles build no per-turn records.
+Before its first disruption, every shift of a parameter set follows one
+event-free trajectory, so ``run_paired`` runs that opening once per call
+and parameter set, for at most ``_OPENING`` turns, and starts each shift
+from its state at the turn before the shift's first event (see
+``_simulate``).
 Each memoised decision carries its post-turn trust, computed once by
 ``update_trust``, so the loop does no trust arithmetic. Fatigue is quantized
 as ``update_fatigue`` does, except that ``round()`` is skipped for multiples
@@ -48,10 +53,10 @@ single-turn reference that the tests compare the loop against.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import accumulate
 
 from .disruption import (
     DisruptionEvent,
@@ -105,6 +110,9 @@ _SEVERE = InteractionOutcome.SEVERE_FAILURE
 _TOP = len(ACTION_PAIRS)
 # The memo table of the forced turns of an apology.
 _APOLOGY = _TOP + 1
+# Most turns of the event-free opening ``run_paired`` shares between seeds:
+# enough for the opening ramp, and a fixed cost on any horizon.
+_OPENING = 256
 
 
 class ModelVariant(str, Enum):
@@ -359,11 +367,22 @@ def _simulate(
     events: list[tuple[int, bool]],
     policy: _StagePolicy,
     keep_records: bool,
+    opening: tuple[list[tuple[float, float, float]], list[float]] | None = None,
 ) -> tuple[list[StepRecord] | None, ShiftSummary]:
     """One shift of ``cfg`` under the disruption schedule ``events`` (see
     ``disruption.schedule``): the turn sequence of ``run_step`` over plain
     values. Returns the records (None unless ``keep_records``) and the
     summary.
+
+    ``opening``, given only without ``keep_records``, is the event-free
+    shift of ``cfg``'s parameter set over its first L turns (see
+    ``_opening``): ``states[t]``, the trust, fatigue and peak fatigue after
+    turn t (``states[0]`` the initial state), and the items of each turn.
+    The shift then starts after turn ``min(first event - 1, L)``, the
+    horizon standing in for a first event when there is none. It would
+    reach that state the same way: before its first event a shift has no
+    severe failure, hence no apology and no recovery, and the opening's
+    fatigues, fast-forwarded ones too, are exact (see below).
 
     ``recoveries`` gets one ``(turn, None)`` entry per severe failure, and
     ``pending`` is a heap of the ``(pre-drop trust, index)`` of each failure
@@ -401,17 +420,20 @@ def _simulate(
     event_turn, event_severe = next(upcoming, _NO_EVENT)
     none, pick, failure, severe, dyadic = _NONE, _PICK, _FAILURE, _SEVERE, _DYADIC
 
-    trust, fatigue = cfg.trust.initial_trust, cfg.trust.initial_fatigue
-    remaining = 0  # apology turns left; only the apology variant arms it
-    records: list[StepRecord] = []
+    if opening is None:  # start from the initial state
+        opening = [(cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf)], []
+    states, items = opening
+    step = min((event_turn or horizon + 1) - 1, len(states) - 1)
+    trust, fatigue, peak = states[step]
     # Summed with sum() at the end, as summarize_shift does: newer Pythons
     # compensate float sums, so a running total could differ in the last bit.
-    items_picked: list[float] = []
-    peak = -math.inf
+    # A copy: appends leave the shared opening as it is.
+    items_picked = items[:step]
+    remaining = 0  # apology turns left; only the apology variant arms it
+    records: list[StepRecord] = []
     recoveries: list[tuple[int, int | None]] = []
     pending: list[tuple[float, int]] = [(math.inf, -1)]
 
-    step = 0
     while step < horizon:
         step += 1
         if remaining:
@@ -506,6 +528,20 @@ def run_shift(cfg: ModelConfig) -> tuple[list[StepRecord], ShiftSummary]:
     return _simulate(cfg, events, _StagePolicy(cfg), keep_records=True)
 
 
+def _opening(
+    cfg: ModelConfig, policy: _StagePolicy
+) -> tuple[list[tuple[float, float, float]], list[float]]:
+    """``cfg``'s shift without events over its first L = min(horizon,
+    ``_OPENING``) turns, as ``_simulate`` takes it: the trust, fatigue and
+    running peak fatigue after each turn t = 0..L, and each turn's items."""
+    horizon = min(cfg.horizon, _OPENING)
+    records = _simulate(replace(cfg, horizon=horizon), [], policy, keep_records=True)[0]
+    fatigues = [r.fatigue_post for r in records]
+    states = [(cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf)]
+    states += zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))
+    return states, [r.items_picked for r in records]
+
+
 def summarize_shift(records: list[StepRecord], horizon: int) -> ShiftSummary:
     severe_turns = [
         r.step for r in records if r.outcome is InteractionOutcome.SEVERE_FAILURE
@@ -573,9 +609,12 @@ def run_paired(
     Each seed's disruption schedule is drawn once, by one
     ``ScheduleDrawer``, and shared by every stochastic config, so the configs
     must agree on the horizon and the disruption parameters. Configs with the
-    same stage-game parameters share one memo. Each shift equals
-    ``run_shift`` of its config at that seed, as a shared seed pins the same
-    schedule in every variant.
+    same stage-game parameters share one memo and one event-free opening of
+    at most ``_OPENING`` turns, run once per call, from which every shift
+    starts at the turn before its first event; deterministic configs see no
+    event, so a shift of at most ``_OPENING`` turns is read off it whole.
+    Each shift equals ``run_shift`` of its config at that seed, as a shared
+    seed pins the same schedule in every variant.
     """
     if not cfgs:
         raise ValueError("run_paired needs at least one config")
@@ -589,25 +628,40 @@ def run_paired(
     horizon, disruption = cfgs[0].horizon, cfgs[0].disruption
     if any(c.horizon != horizon or c.disruption != disruption for c in cfgs):
         raise ValueError("paired configs must share horizon and disruption parameters")
-    policies: dict[str, _StagePolicy] = {}
+    shared: list[tuple[ModelConfig, _StagePolicy, tuple]] = []
     runs = []
     for cfg in cfgs:
-        # Everything a policy reads; repr, unlike ==, tells 0.0 from -0.0
-        # and 1 from 1.0, so a shared memo serves identical values.
-        key = repr((cfg.game, cfg.trust, cfg.variant.trust_rule))
-        if key not in policies:
-            policies[key] = _StagePolicy(cfg)
-        runs.append((cfg, policies[key], cfg.variant.has_disruptions, []))
+        for other, policy, opening in shared:
+            if _same_parameters(cfg, other):
+                break
+        else:
+            policy = _StagePolicy(cfg)
+            opening = _opening(cfg, policy)
+            shared.append((cfg, policy, opening))
+        runs.append((cfg, policy, opening, cfg.variant.has_disruptions, []))
     drawer = None
-    if any(stochastic for _, _, stochastic, _ in runs):
+    if any(stochastic for *_, stochastic, _ in runs):
         drawer = ScheduleDrawer(horizon, disruption)
     no_events: list[tuple[int, bool]] = []
     for seed in range(base_seed, last_seed + 1):
         events = drawer.draw(seed) if drawer else no_events
-        for cfg, policy, stochastic, summaries in runs:
+        for cfg, policy, opening, stochastic, summaries in runs:
             seen = events if stochastic else no_events
-            summaries.append(_simulate(cfg, seen, policy, keep_records=False)[1])
-    return [_aggregate(summaries, base_seed) for _, _, _, summaries in runs]
+            summaries.append(_simulate(cfg, seen, policy, False, opening)[1])
+    return [_aggregate(summaries, base_seed) for *_, summaries in runs]
+
+
+def _same_parameters(cfg: ModelConfig, other: ModelConfig) -> bool:
+    """Whether ``cfg`` and ``other`` agree on everything a ``_StagePolicy``
+    and an opening read: the trust rule, ``game`` and ``trust``."""
+    if cfg.variant.trust_rule is not other.variant.trust_rule:
+        return False
+    if cfg.game is other.game and cfg.trust is other.trust:
+        return True
+    # repr, unlike ==, tells 0.0 from -0.0 and 1 from 1.0, so a shared memo
+    # serves identical values.
+    params, other_params = (cfg.game, cfg.trust), (other.game, other.trust)
+    return params == other_params and repr(params) == repr(other_params)
 
 
 def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> EnsembleSummary:
@@ -616,13 +670,24 @@ def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> Ensemble
 
 
 def _mean(values: list[float]) -> float:
-    """``statistics.fmean``, except that finite values whose sum passes the
-    largest double give inf instead of an ``OverflowError``. Every KPI
-    averaged is >= 0, so no sum meets inf + -inf."""
+    """``statistics.fmean``, the correctly rounded sum over the count,
+    except that finite values whose sum passes the largest double give inf
+    instead of an ``OverflowError``. Every KPI averaged is >= 0, so no sum
+    meets inf + -inf."""
     try:
-        return statistics.fmean(values)
+        return math.fsum(values) / len(values)
     except OverflowError:
         return math.inf
+
+
+def _median(values) -> float:
+    """``statistics.median``: the middle value, or the mean of the two
+    middle values of an even count."""
+    values = sorted(values)
+    half = len(values) // 2
+    if len(values) % 2:
+        return values[half]
+    return (values[half - 1] + values[half]) / 2
 
 
 def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary:
@@ -639,11 +704,11 @@ def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary
         base_seed=base_seed,
         summaries=summaries,
         mean_productivity=_mean(productivity),
-        median_productivity=statistics.median(productivity),
+        median_productivity=_median(productivity),
         mean_final_trust=_mean(trust),
-        median_final_trust=statistics.median(trust),
+        median_final_trust=_median(trust),
         mean_final_fatigue=_mean(fatigue),
-        median_final_fatigue=statistics.median(fatigue),
+        median_final_fatigue=_median(fatigue),
         runs_with_severe=len(first_recovery),
         first_recovery_steps=first_recovery,
         censored_count=censored,
@@ -656,7 +721,7 @@ def _median_recovery(steps: list[int | None], cap: float) -> float | None:
     ``cap``; None when there are none."""
     if not steps:
         return None
-    return statistics.median(cap if k is None else k for k in steps)
+    return _median(cap if k is None else k for k in steps)
 
 
 def median_recovery_capped(ens: EnsembleSummary, cap: float) -> float | None:

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cobotsim import DisruptionEvent, DisruptionParams, RandomStream, sample_disruption
-from cobotsim.disruption import schedule, uniform_cutoff
+from cobotsim.disruption import _below, _cutoff_table, schedule, uniform_cutoff
 
 
 def test_zero_chance_always_none_one_draw():
@@ -112,6 +112,8 @@ _probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, ma
 # opens the next block.
 @example(seed=2**64 - 1, horizon=300, chance=0.5, severe_share=0.5)
 @example(seed=2**64 - 3, horizon=300, chance=0.5, severe_share=0.5)
+# About 2,200 lanes, so both cutoffs meet lanes whose top byte ties theirs.
+@example(seed=3, horizon=2000, chance=0.1, severe_share=0.5)
 def test_schedule_equals_turn_by_turn_draws(seed, horizon, chance, severe_share):
     dp = DisruptionParams(chance=chance, severe_share=severe_share)
     assert schedule(seed, horizon, dp) == _drawn_events(seed, horizon, dp)
@@ -137,3 +139,48 @@ def test_uniform_cutoff_is_not_the_rounded_up_product():
     # 2**64 - 1024 on draws exactly 1.0.
     assert uniform_cutoff(1.0) == 2**64 - 1024
     assert uniform_cutoff(0.1) != math.ceil(0.1 * 2**64)
+
+
+def _lane_bytes(values):
+    """64-bit lane values packed as ScheduleDrawer._block packs them."""
+    return b"".join(w.to_bytes(8, "little") + bytes(8) for w in values)
+
+
+def _output(w):
+    return w ^ (w >> 31)  # splitmix64's last step, which _block leaves out
+
+
+def test_one_byte_cutoff_test_settles_ties_on_the_full_output():
+    cut = uniform_cutoff(0.1)
+    top = cut >> 56
+    low = (1 << 56) - 1
+    # Before the last xor-shift below the cutoff, after it not; and the
+    # other way round. Both top bytes tie the cutoff's.
+    # The xor-shift moves the low 33 bits, so look 2**34 either side.
+    rises = next(w for w in range(cut - 2**34, cut, 2**20) if _output(w) >= cut)
+    falls = next(w for w in range(cut, cut + 2**34, 2**20) if _output(w) < cut)
+    lanes = [
+        (top - 1) << 56 | low,  # top byte below: 1
+        (top + 1) << 56,  # top byte above: 0
+        top << 56,  # a tie below the cutoff: 1
+        top << 56 | low,  # a tie above it: 0
+        rises,
+        falls,
+    ]
+    assert [_output(w) >> 56 for w in lanes[2:]] == [top] * 4
+    data = _lane_bytes(lanes)
+    table = _cutoff_table(cut)
+    assert table.count(2) == 1
+    hits = _below(data, data[7::16], cut, table)
+    assert list(hits) == [_output(w) < cut for w in lanes] == [1, 0, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("cut", [0, 0x40 << 56, 0xFF << 56])
+def test_cutoff_with_zero_low_bits_has_no_ties(cut):
+    table = _cutoff_table(cut)
+    assert 2 not in table
+    top = cut >> 56
+    lanes = [top << 56, top << 56 | 2**40, max(top - 1, 0) << 56]
+    data = _lane_bytes(lanes)
+    hits = _below(data, data[7::16], cut, table)
+    assert list(hits) == [_output(w) < cut for w in lanes]

@@ -31,6 +31,7 @@ from cobotsim import (
 )
 from cobotsim import engine
 from cobotsim.dynamics import STATE_DECIMALS
+from cobotsim.disruption import schedule
 from cobotsim.engine import _StagePolicy, summarize_shift
 from cobotsim.game import StageGame
 
@@ -814,6 +815,61 @@ def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
     assert run_paired(cfgs, n_seeds=40, base_seed=5) == alone
     # v1.2 and v1.3 share one memo; the third config needs its own.
     assert 0 < len(solves) < lone_solves
+
+
+def _first_event_turns(cfg, n_seeds, base_seed):
+    """Each seed's first event turn, or None for a schedule without events."""
+    return [
+        (schedule(seed, cfg.horizon, cfg.disruption) or [(None, False)])[0][0]
+        for seed in range(base_seed, base_seed + n_seeds)
+    ]
+
+
+def _assert_paired_equals_run_shift(cfgs, n_seeds, base_seed):
+    paired = run_paired(cfgs, n_seeds=n_seeds, base_seed=base_seed)
+    for cfg, ens in zip(cfgs, paired):
+        assert ens.summaries == [
+            run_shift(replace(cfg, seed=base_seed + i))[1] for i in range(n_seeds)
+        ]
+
+
+@pytest.mark.parametrize("base_seed, n_seeds", [(120, 3), (18, 4)])
+def test_opening_serves_a_first_event_at_turn_one(base_seed, n_seeds):
+    # Seeds 120 and 122 open on a cobot failure, 18 and 21 on a difficult
+    # pick; each of those shifts starts from the initial state.
+    cfgs = [cfg_for("v1.2"), cfg_for("v1.3"), cfg_for("v1.1")]
+    firsts = _first_event_turns(cfgs[0], n_seeds, base_seed)
+    assert firsts.count(1) == 2
+    _assert_paired_equals_run_shift(cfgs, n_seeds, base_seed)
+
+
+def test_opening_serves_first_events_past_its_last_turn():
+    # At this chance some first events fall past the opening's
+    # engine._OPENING turns, and some shifts see no event at all, so they
+    # start at its last turn and run on one turn at a time.
+    dp = DisruptionParams(chance=0.002)
+    cfgs = [cfg_for(v, horizon=1000, disruption=dp) for v in ("v1.2", "v1.3", "v1.1")]
+    firsts = _first_event_turns(cfgs[0], 20, 1)
+    assert None in firsts
+    assert any(t is not None and t > engine._OPENING for t in firsts)
+    assert any(t is not None and t <= engine._OPENING for t in firsts)
+    _assert_paired_equals_run_shift(cfgs, 20, 1)
+
+
+@pytest.mark.parametrize(
+    "cfgs",
+    [
+        # Past the opening's last turn, these run on one turn at a time.
+        [cfg_for(v, horizon=300, disruption=DisruptionParams(chance=0.0))
+         for v in ("v1.2", "v1.3")],
+        # Read off the opening whole.
+        [cfg_for("v1.0")],
+        [cfg_for("v1.1")],
+    ],
+    ids=["chance-0-horizon-300", "v1.0", "v1.1"],
+)
+def test_opening_serves_shifts_without_events(cfgs):
+    _assert_paired_equals_run_shift(cfgs, 3, 1)
 
 
 @pytest.mark.parametrize(

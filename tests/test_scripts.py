@@ -42,8 +42,11 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     assert result.returncode == 0, result.stderr
     snap = tmp_path / "snap"
     dirs = {p.name for p in snap.iterdir()}
-    assert len(dirs) == 3 + 4 * 3 + 2 * 2 * 3
-    assert {"compare_seeds300_top", "ensemble_v1.0_seeds1000", "run_v1.3_h2000_seed42"} <= dirs
+    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3
+    assert {
+        "compare_seeds300_top", "ensemble_v1.0_seeds1000", "ensemble_v1.1_seeds3_h300",
+        "run_v1.3_h2000_seed42",
+    } <= dirs
     artifacts = {
         "table2": ["table2.txt"],
         "compare": ["compare.txt"],
