@@ -28,12 +28,14 @@ apology turns, each keyed by trust and filled on a miss by the parameter
 set's ``game.StageGame``, the solver behind the public game functions too),
 and keeps one recovery ledger as the shift runs: an entry per severe
 failure, with those not yet regained in a heap keyed by their pre-drop
-trust. Ensembles build no per-turn records.
+trust. Ensembles build no per-turn records and keep no shifts: each
+seed's summaries are folded, as they are made, into per-seed KPIs and the
+seed's first severe failure.
 Before its first disruption, every shift of a parameter set follows one
-event-free trajectory, so ``run_paired`` runs that opening once per call
-and parameter set, for at most ``_OPENING`` turns, and starts each shift
-from its state at the turn before the shift's first event (see
-``_simulate``).
+event-free trajectory, so a ``run_paired`` call over more than one seed
+runs that opening once per parameter set, for at most ``_OPENING`` turns,
+and starts each shift from its state at the turn before the shift's first
+event (see ``_simulate``).
 Each memoised decision carries its post-turn trust, computed once by
 ``update_trust``, so the loop does no trust arithmetic. Fatigue is quantized
 as ``update_fatigue`` does, except that ``round()`` is skipped for multiples
@@ -577,27 +579,37 @@ def recovery_time(
 
 @dataclass
 class EnsembleSummary:
-    """Aggregates over consecutive-seed runs of one configuration.
+    """Aggregates over consecutive-seed runs of one configuration; it keeps
+    no shift, only each run's first severe failure.
 
-    ``first_recovery_steps`` has one entry per run that saw at least one
-    severe failure: the first failure's recovery time, or None when censored.
-    The median treats censored entries as +inf. A mean or median is inf
+    ``first_failures`` has one entry per seed: the first entry of the
+    shift's ``recovery_times``, (turn, recovery steps or None when
+    censored), or None for a shift without a severe failure. The median
+    first recovery treats censored entries as +inf. A mean or median is inf
     where summing finite values overflows a double.
     """
 
     n_seeds: int
     base_seed: int
-    summaries: list[ShiftSummary]
     mean_productivity: float
     median_productivity: float
     mean_final_trust: float
     median_final_trust: float
     mean_final_fatigue: float
     median_final_fatigue: float
-    runs_with_severe: int
-    first_recovery_steps: list[int | None]
-    censored_count: int
-    median_first_recovery: float | None
+    first_failures: list[tuple[int, int | None] | None]
+
+    @property
+    def runs_with_severe(self) -> int:
+        return self.n_seeds - self.first_failures.count(None)
+
+    @property
+    def censored_count(self) -> int:
+        return sum(1 for first in self.first_failures if first and first[1] is None)
+
+    @property
+    def median_first_recovery(self) -> float | None:
+        return median_recovery_capped(self, math.inf)
 
 
 def run_paired(
@@ -606,15 +618,34 @@ def run_paired(
     """Run every config of ``cfgs`` over seeds base_seed, base_seed + 1, ...
     and aggregate each config's KPIs, in the order of ``cfgs``.
 
+    The shifts come from ``_iter_paired``, one seed at a time, and none is
+    kept: each config keeps only every seed's productivity, final trust,
+    final fatigue and first severe failure.
+    """
+    columns = [([], [], [], []) for _ in cfgs]
+    for shifts in _iter_paired(cfgs, n_seeds, base_seed):
+        for s, (productivity, trust, fatigue, first) in zip(shifts, columns):
+            productivity.append(s.productivity)
+            trust.append(s.final_trust)
+            fatigue.append(s.final_fatigue)
+            first.append(s.recovery_times[0] if s.recovery_times else None)
+    return [_aggregate(column, base_seed) for column in columns]
+
+
+def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
+    """Yield, for each seed base_seed, base_seed + 1, ..., a tuple of one
+    ``ShiftSummary`` per config of ``cfgs``, in their order.
+
     Each seed's disruption schedule is drawn once, by one
     ``ScheduleDrawer``, and shared by every stochastic config, so the configs
     must agree on the horizon and the disruption parameters. Configs with the
-    same stage-game parameters share one memo and one event-free opening of
-    at most ``_OPENING`` turns, run once per call, from which every shift
-    starts at the turn before its first event; deterministic configs see no
-    event, so a shift of at most ``_OPENING`` turns is read off it whole.
-    Each shift equals ``run_shift`` of its config at that seed, as a shared
-    seed pins the same schedule in every variant.
+    same stage-game parameters share one memo and, over more than one seed,
+    one event-free opening of at most ``_OPENING`` turns, run once per call,
+    from which every shift starts at the turn before its first event;
+    deterministic configs see no event, so a shift of at most ``_OPENING``
+    turns is read off it whole. Each shift equals ``run_shift`` of its
+    config at that seed, as a shared seed pins the same schedule in every
+    variant.
     """
     if not cfgs:
         raise ValueError("run_paired needs at least one config")
@@ -628,7 +659,7 @@ def run_paired(
     horizon, disruption = cfgs[0].horizon, cfgs[0].disruption
     if any(c.horizon != horizon or c.disruption != disruption for c in cfgs):
         raise ValueError("paired configs must share horizon and disruption parameters")
-    shared: list[tuple[ModelConfig, _StagePolicy, tuple]] = []
+    shared: list[tuple[ModelConfig, _StagePolicy, tuple | None]] = []
     runs = []
     for cfg in cfgs:
         for other, policy, opening in shared:
@@ -636,19 +667,21 @@ def run_paired(
                 break
         else:
             policy = _StagePolicy(cfg)
-            opening = _opening(cfg, policy)
+            # Over one seed it would serve one shift per config, too few to
+            # pay for it, so those start from the initial state.
+            opening = _opening(cfg, policy) if n_seeds > 1 else None
             shared.append((cfg, policy, opening))
-        runs.append((cfg, policy, opening, cfg.variant.has_disruptions, []))
+        runs.append((cfg, policy, opening, cfg.variant.has_disruptions))
     drawer = None
-    if any(stochastic for *_, stochastic, _ in runs):
+    if any(stochastic for *_, stochastic in runs):
         drawer = ScheduleDrawer(horizon, disruption)
     no_events: list[tuple[int, bool]] = []
     for seed in range(base_seed, last_seed + 1):
         events = drawer.draw(seed) if drawer else no_events
-        for cfg, policy, opening, stochastic, summaries in runs:
-            seen = events if stochastic else no_events
-            summaries.append(_simulate(cfg, seen, policy, False, opening)[1])
-    return [_aggregate(summaries, base_seed) for *_, summaries in runs]
+        yield tuple(
+            _simulate(cfg, events if stochastic else no_events, policy, False, opening)[1]
+            for cfg, policy, opening, stochastic in runs
+        )
 
 
 def _same_parameters(cfg: ModelConfig, other: ModelConfig) -> bool:
@@ -690,41 +723,26 @@ def _median(values) -> float:
     return (values[half - 1] + values[half]) / 2
 
 
-def _aggregate(summaries: list[ShiftSummary], base_seed: int) -> EnsembleSummary:
-    """The ensemble KPIs of consecutive-seed shift summaries."""
-    productivity = [s.productivity for s in summaries]
-    trust = [s.final_trust for s in summaries]
-    fatigue = [s.final_fatigue for s in summaries]
-    first_recovery = [
-        s.recovery_times[0][1] for s in summaries if s.recovery_times
-    ]
-    censored = sum(1 for k in first_recovery if k is None)
+def _aggregate(columns: tuple[list, list, list, list], base_seed: int) -> EnsembleSummary:
+    """The ensemble KPIs of consecutive seeds' ``columns``: each shift's
+    productivity, final trust, final fatigue and first severe failure."""
+    productivity, trust, fatigue, first_failures = columns
     return EnsembleSummary(
-        n_seeds=len(summaries),
+        n_seeds=len(productivity),
         base_seed=base_seed,
-        summaries=summaries,
         mean_productivity=_mean(productivity),
         median_productivity=_median(productivity),
         mean_final_trust=_mean(trust),
         median_final_trust=_median(trust),
         mean_final_fatigue=_mean(fatigue),
         median_final_fatigue=_median(fatigue),
-        runs_with_severe=len(first_recovery),
-        first_recovery_steps=first_recovery,
-        censored_count=censored,
-        median_first_recovery=_median_recovery(first_recovery, math.inf),
+        first_failures=first_failures,
     )
-
-
-def _median_recovery(steps: list[int | None], cap: float) -> float | None:
-    """Median of first-recovery ``steps`` with censored entries counted as
-    ``cap``; None when there are none."""
-    if not steps:
-        return None
-    return _median(cap if k is None else k for k in steps)
 
 
 def median_recovery_capped(ens: EnsembleSummary, cap: float) -> float | None:
     """Median first recovery with censored entries counted as ``cap`` —
-    the convention used when forming recovery-time ratios."""
-    return _median_recovery(ens.first_recovery_steps, cap)
+    the convention used when forming recovery-time ratios; None when no run
+    saw a severe failure."""
+    steps = [cap if first[1] is None else first[1] for first in ens.first_failures if first]
+    return _median(steps) if steps else None

@@ -467,6 +467,17 @@ def test_report_matches_golden_file(argv, golden, capsys):
     assert [line for line in out.splitlines() if line != line.rstrip()] == []
 
 
+def test_ensemble_matches_golden_files(monkeypatch, tmp_path, capsys):
+    golden = Path(__file__).parent / "golden"
+    monkeypatch.chdir(tmp_path)
+    assert main(["ensemble", "--variant", "v1.3", "--seeds", "1000", "--out", "out"]) == 0
+    expected = (golden / "ensemble_v1_3_seeds1000.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+    assert (tmp_path / "out" / "ensemble.json").read_bytes() == (
+        golden / "ensemble_v1_3_seeds1000.json"
+    ).read_bytes()
+
+
 def golden_messages():
     """``(argv, exit status, stdout, stderr)`` for each case of
     ``golden/cli_messages.txt``, recorded with ``COLUMNS=100`` and run in an

@@ -1,7 +1,9 @@
 """Shift-loop tests: the fixed step sequence, whole-shift KPIs, determinism,
 paired schedules, the apology invariant, and ensemble aggregation."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -627,9 +629,20 @@ def test_summary_collects_recoveries():
 # ---------------------------------------------------------------- ensembles
 
 
+def _paired_shifts(cfgs, n_seeds, base_seed):
+    """Each config's shift summaries, in seed order, as run_paired sees them."""
+    return [list(shifts) for shifts in zip(*engine._iter_paired(cfgs, n_seeds, base_seed))]
+
+
+def _assert_first_failures(ens, shifts):
+    assert ens.first_failures == [(s.recovery_times[:1] or [None])[0] for s in shifts]
+
+
 def test_deterministic_ensemble_is_constant():
-    ens = run_ensemble(cfg_for("v1.1"), n_seeds=5, base_seed=17)
-    assert all(s == ens.summaries[0] for s in ens.summaries)
+    cfg = cfg_for("v1.1")
+    ens = run_ensemble(cfg, n_seeds=5, base_seed=17)
+    [summaries] = _paired_shifts([cfg], 5, 17)
+    assert all(s == summaries[0] for s in summaries)
     assert ens.mean_productivity == 98.0
     assert ens.runs_with_severe == 0
     assert ens.median_first_recovery is None
@@ -639,7 +652,8 @@ def test_singleton_ensemble_matches_single_run():
     cfg = cfg_for("v1.2")
     _, summary = run_shift(replace(cfg, seed=42))
     ens = run_ensemble(cfg, n_seeds=1, base_seed=42)
-    assert ens.summaries == [summary]
+    assert _paired_shifts([cfg], 1, 42) == [[summary]]
+    _assert_first_failures(ens, [summary])
     assert ens.mean_productivity == summary.productivity
     assert ens.median_final_fatigue == summary.final_fatigue
 
@@ -740,13 +754,15 @@ def test_run_paired_matches_chained_run_step_per_seed(base_seed):
     # v1.1 consumes no draws while v1.2 and v1.3 share each seed's schedule.
     cfgs = [cfg_for(v) for v in ("v1.2", "v1.3", "v1.1")]
     paired = run_paired(cfgs, n_seeds=30, base_seed=base_seed)
+    shifts = _paired_shifts(cfgs, 30, base_seed)
     assert len(paired) == len(cfgs)
-    for cfg, ens in zip(cfgs, paired):
+    for cfg, ens, summaries in zip(cfgs, paired, shifts):
         seeds = range(base_seed, base_seed + 30)
-        assert ens.summaries == [_chained_summary(replace(cfg, seed=s)) for s in seeds]
+        assert summaries == [_chained_summary(replace(cfg, seed=s)) for s in seeds]
         assert (ens.n_seeds, ens.base_seed) == (30, base_seed)
         assert ens == run_ensemble(cfg, n_seeds=30, base_seed=base_seed)
-    assert any(s.recovery_times for s in paired[0].summaries)
+        _assert_first_failures(ens, summaries)
+    assert any(s.recovery_times for s in shifts[0])
 
 
 _LATTICE_INCREMENTS = (0.0, 0.25, 0.5, 1.0, 2.5, 3.0, 0.3, -0.5)
@@ -792,10 +808,11 @@ def test_shift_loop_is_exact_on_a_dyadic_lattice(params):
         records = _chained_records(cfg)
         assert run_shift(cfg) == (records, summarize_shift(records, cfg.horizon))
     paired = run_paired(cfgs, n_seeds=2, base_seed=params["seed"])
-    for cfg, ens in zip(cfgs, paired):
-        assert ens.summaries == [
+    for cfg, ens, summaries in zip(cfgs, paired, _paired_shifts(cfgs, 2, params["seed"])):
+        assert summaries == [
             run_shift(replace(cfg, seed=cfg.seed + i))[1] for i in range(2)
         ]
+        _assert_first_failures(ens, summaries)
 
 
 def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
@@ -817,6 +834,41 @@ def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
     assert 0 < len(solves) < lone_solves
 
 
+def test_no_shift_outlives_run_paired(monkeypatch):
+    shifts = []
+    simulate = engine._simulate
+
+    def tracking(*args, **kwargs):
+        records, summary = simulate(*args, **kwargs)
+        shifts.append(weakref.ref(summary))
+        return records, summary
+
+    monkeypatch.setattr(engine, "_simulate", tracking)
+    paired = run_paired([cfg_for("v1.2"), cfg_for("v1.3")], n_seeds=30, base_seed=1)
+    gc.collect()
+    assert [ens.n_seeds for ens in paired] == [30, 30]
+    # The opening's one shift, then 30 seeds of two configs.
+    assert len(shifts) == 1 + 2 * 30
+    assert [ref for ref in shifts if ref() is not None] == []
+
+
+def test_run_paired_opens_only_for_more_than_one_seed(monkeypatch):
+    openings = []
+    opening = engine._opening
+
+    def counting(cfg, policy):
+        openings.append(cfg)
+        return opening(cfg, policy)
+
+    monkeypatch.setattr(engine, "_opening", counting)
+    for variant in ("v1.1", "v1.3"):
+        run_ensemble(cfg_for(variant), n_seeds=1, base_seed=3)
+    assert openings == []
+    # v1.2 and v1.3 share one opening.
+    run_paired([cfg_for("v1.2"), cfg_for("v1.3")], n_seeds=2, base_seed=3)
+    assert len(openings) == 1
+
+
 def _first_event_turns(cfg, n_seeds, base_seed):
     """Each seed's first event turn, or None for a schedule without events."""
     return [
@@ -827,10 +879,11 @@ def _first_event_turns(cfg, n_seeds, base_seed):
 
 def _assert_paired_equals_run_shift(cfgs, n_seeds, base_seed):
     paired = run_paired(cfgs, n_seeds=n_seeds, base_seed=base_seed)
-    for cfg, ens in zip(cfgs, paired):
-        assert ens.summaries == [
+    for cfg, ens, summaries in zip(cfgs, paired, _paired_shifts(cfgs, n_seeds, base_seed)):
+        assert summaries == [
             run_shift(replace(cfg, seed=base_seed + i))[1] for i in range(n_seeds)
         ]
+        _assert_first_failures(ens, summaries)
 
 
 @pytest.mark.parametrize("base_seed, n_seeds", [(120, 3), (18, 4)])
