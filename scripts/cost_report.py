@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Print what ``src/cobotsim`` costs in counts that do not vary between runs:
+the size of each module, and the opcodes that one fixed op of each
+benchmark workload executes.
+
+    PYTHONPATH=src python3 scripts/cost_report.py
+
+Run it on two trees to compare them where timings cannot resolve the
+difference.
+
+Size: per module, the physical lines and the code lines. Code lines are
+those holding a token found with ``tokenize`` other than a comment, a line
+break, an indent or a docstring (a string that is a statement of its own),
+so blank lines, comments and docstrings are left out.
+
+Opcodes: each op runs once to warm up (imports, memos, lazily built
+constants), then once more with ``sys.settrace`` and ``f_trace_opcodes``
+counting every opcode executed in Python frames; C functions count nothing.
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+import tokenize
+from pathlib import Path
+
+from cobotsim import cli, engine
+
+PACKAGE = Path(cli.__file__).resolve().parent
+# Tokens that are layout, not code.
+LAYOUT = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENDMARKER,
+}
+STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+
+
+def code_lines(text: str) -> int:
+    """Lines of ``text`` that hold code: not blank, comment or docstring."""
+    tokens = [
+        tok for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type not in (tokenize.COMMENT, tokenize.NL)
+    ]
+    lines = set()
+    before = tokenize.NEWLINE  # the file starts a statement
+    for tok, after in zip(tokens, tokens[1:]):
+        docstring = (tok.type == tokenize.STRING and before in STATEMENT_START
+                     and after.type in (tokenize.NEWLINE, tokenize.ENDMARKER))
+        if tok.type not in LAYOUT and not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        before = tok.type
+    return len(lines)
+
+
+def opcodes(op) -> int:
+    """Opcodes executed by ``op()`` after one warm-up call."""
+    op()
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(enter)
+    try:
+        op()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def ops(tmp: Path):
+    """``(name, op)`` of one fixed op per benchmark workload."""
+    yield "compare --seeds 25 (paired-ensemble)", lambda: cli.format_comparison(25, 1001)
+    shift = engine.ModelConfig(variant=engine.ModelVariant.V1_3, horizon=2000, seed=11)
+    yield "v1.3 2000-turn run_shift (long-shift)", lambda: engine.run_shift(shift)
+    runs = iter(range(2))
+
+    def run():
+        # A fresh directory per call, so every call makes the same writes.
+        out = tmp / f"run{next(runs)}"
+        argv = ["run", "--variant", "v1.2", "--seed", "7", "--out", str(out),
+                "--emit", "csv,json,svg"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    yield "run --emit csv,json,svg (cli-sweep)", run
+
+
+def main() -> int:
+    print(f"{'module':<16} {'lines':>6} {'code':>6}")
+    total_lines = total_code = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines, code = len(text.splitlines()), code_lines(text)
+        total_lines += lines
+        total_code += code
+        print(f"{path.name:<16} {lines:>6} {code:>6}")
+    print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
+    print()
+    print(f"{'op':<40} {'opcodes':>9}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, op in ops(Path(tmp)):
+            print(f"{name:<40} {opcodes(op):>9}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

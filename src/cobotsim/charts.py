@@ -21,10 +21,8 @@ _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 60, 70, 48, 46
 
 
 def _nice_ceiling(value: float) -> float:
-    """Smallest of 1/2/5 * 10^k at or above value (minimum 1); value itself
-    where that would overflow to inf."""
-    if value <= 1.0:
-        return 1.0
+    """Smallest of 1/2/5 * 10^k, k >= 0, at or above value, so at least 1;
+    value itself where that would overflow to inf."""
     magnitude = 1.0
     while magnitude * 10.0 < value:
         magnitude *= 10.0

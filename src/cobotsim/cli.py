@@ -354,6 +354,15 @@ _COMMANDS = {
 _ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help, written into a closed stdout,
+    raises the ``BrokenPipeError`` that argparse's own write drops, so
+    ``main`` exits 1 whether stdout is buffered or not."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser(commands: Collection[str] = _COMMANDS) -> argparse.ArgumentParser:
     """The parser with a sub-parser for each of ``commands``, by default all.
 
@@ -366,7 +375,7 @@ def build_parser(commands: Collection[str] = _COMMANDS) -> argparse.ArgumentPars
     formatter = partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cobotsim",
         description="Simulate human-cobot picking shifts with trust and fatigue "
         "co-regulation.",

@@ -17,37 +17,18 @@ external contract because reordering it changes trajectories:
    consumed, then a severe failure re-arms ``cfg.apology_duration``.
 
 ``run_shift`` and ``run_paired`` (``run_ensemble`` is its one-config case)
-share one flat loop that runs this sequence over plain floats, bools and an
-int apology countdown. Step 4 reads the seed's sparse disruption schedule,
-drawn up front by ``disruption.schedule``; ``run_paired`` draws each seed's
+share one flat loop, ``_simulate``, that runs this sequence over plain
+floats, bools and an int apology countdown; its docstring describes the
+exact fatigue arithmetic, the fast-forward over steady turns and the
+recovery ledger. Step 4 reads the seed's sparse disruption schedule, drawn
+up front by ``disruption.schedule``; ``run_paired`` draws each seed's
 schedule once, with one ``ScheduleDrawer`` per call, and runs every config
-over it. The loop takes every leader decision from a memo made once per
-call and stage-game parameter set (``_StagePolicy``: one table per fatigue
-level, the number of the game's threshold tests that hold, plus one for
-apology turns, each keyed by trust and filled on a miss by the parameter
-set's ``game.StageGame``, the solver behind the public game functions too),
-and keeps one recovery ledger as the shift runs: an entry per severe
-failure, with those not yet regained in a heap keyed by their pre-drop
-trust. Ensembles build no per-turn records and keep no shifts: each
+over it. Steps 2 and 3 come from a ``_StagePolicy``, the stage game of one
+parameter set made once per call; its docstring describes the decision
+memo, the event-free opening that shifts start from, and which configs
+share one. Ensembles build no per-turn records and keep no shifts: each
 seed's summaries are folded, as they are made, into per-seed KPIs and the
 seed's first severe failure.
-Before its first disruption, every shift of a parameter set follows one
-event-free trajectory, so a ``run_paired`` call over more than one seed
-runs that opening once per parameter set, for at most ``_OPENING`` turns,
-and starts each shift from its state at the turn before the shift's first
-event (see ``_simulate``).
-Each memoised decision carries its post-turn trust, computed once by
-``update_trust``, so the loop does no trust arithmetic. Fatigue is quantized
-as ``update_fatigue`` does, except that ``round()`` is skipped for multiples
-of 2**-STATE_DECIMALS: such a value has at most STATE_DECIMALS decimals, so
-rounding returns it unchanged. The same arithmetic lets the loop
-fast-forward: once trust sits at a fixed point of a stage-game decision,
-every undisrupted turn that keeps the fatigue level repeats the last one
-with fatigue up by one constant increment, and while fatigue and increment
-are non-negative multiples of 2**-STATE_DECIMALS below
-2**(52 - STATE_DECIMALS) each sum is exact, so ``fatigue + k * inc`` is
-what k turns would reach. Each decision says whether it can start such a
-jump (its ``edge``, see ``_simulate``).
 ``run_step`` executes one turn with the public state types and is the
 single-turn reference that the tests compare the loop against.
 """
@@ -275,34 +256,51 @@ def run_step(
     return record, HumanState(fatigue=fatigue_post, trust=trust_post), remaining
 
 
-class _StagePolicy:
-    """Every leader decision of one parameter set, memoised for one call of
-    ``run_shift`` or ``run_paired``. It reads only ``cfg.game``, ``cfg.trust``
-    and ``cfg.variant.trust_rule``, so ``run_paired`` shares one between the
-    configs that agree on those (v1.2 and v1.3 at equal parameters).
+class _StagePolicy(StageGame):
+    """The stage game of one parameter set, with every leader decision
+    memoised for one call of ``run_shift`` or ``run_paired``, and the
+    parameter set's event-free opening.
 
-    ``solve_stage_game`` reads fatigue only through the threshold tests
-    ``fatigue + inc > threshold`` of ``cobot_utility``, one per table
-    increment. Rounded float addition is monotone, so the tests that hold
-    are always those of the ``level`` largest increments, where ``level``
-    counts them (0 to 4): ``(trust, level)`` fixes every test, and
-    ``tables[level]`` memoises the decisions of one level keyed by trust.
-    One more table, ``tables[_APOLOGY]``, holds the forced high-collaboration
-    turns of an apology, which read no fatigue. ``edges`` lists the
-    increments from the largest down, then -inf: ``edges[level]`` is the
-    increment whose test turns true next as fatigue rises, and none does at
-    the top level. Misses call ``game``, the parameter set's ``StageGame``,
-    which the public game functions call too, so its tie-break rules stay
-    the only ones. A decision holds the per-turn constants of one action
-    pair at one trust and level, see ``_decision``.
+    Sharing: a policy reads only ``cfg.game``, ``cfg.trust`` and
+    ``cfg.variant.trust_rule``, so it serves every config that agrees on
+    those (``serves``); ``run_paired`` shares one between v1.2 and v1.3 at
+    equal parameters.
+
+    Levels and memo: ``solve`` reads fatigue only through the threshold tests
+    ``fatigue + inc > threshold``, one per table increment. Rounded float
+    addition is monotone, so the tests that hold are always those of the
+    ``level`` largest increments, where ``level`` counts them (0 to 4):
+    ``(trust, level)`` fixes every test, and ``tables[level]`` memoises the
+    decisions of one level keyed by trust. One more table,
+    ``tables[_APOLOGY]``, holds the forced high-collaboration turns of an
+    apology, which read no fatigue. ``edges`` lists the increments from the
+    largest down, then -inf: ``edges[level]`` is the increment whose test
+    turns true next as fatigue rises, and none does at the top level. Misses
+    call ``solve`` and ``best_response``, which the public game functions
+    call too, so their tie-break rules stay the only ones. A decision holds
+    the per-turn constants of one action pair at one trust and level, see
+    ``_decision``.
+
+    Opening: before its first event a shift has no severe failure, hence no
+    apology and no recovery, so every shift of the parameter set follows one
+    event-free trajectory up to the turn before its first event.
+    ``opening`` holds it as ``_simulate`` reads it: ``states[t]``, the
+    trust, fatigue and running peak fatigue after turn t (``states[0]`` the
+    initial state), and the items of each turn. It is the initial state
+    alone, an opening of no turns, until ``open`` runs the first
+    L = min(horizon, ``_OPENING``) turns. Its fatigues, fast-forwarded ones
+    too, are exact (see ``_simulate``), so a shift started from it equals
+    one run from the initial state, and a shift without events of at most L
+    turns is read off it whole. An opened policy serves only runs that keep
+    no records.
     """
 
-    __slots__ = ("cfg", "game", "pairs", "edges", "threshold", "tables")
+    __slots__ = ("cfg", "pairs", "edges", "tables", "opening")
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
+        super().__init__(game)
         self.cfg = cfg
-        self.game = StageGame(game)
         self.pairs: dict[ActionPair, tuple] = {
             pair: (
                 cobot,
@@ -317,8 +315,31 @@ class _StagePolicy:
         increments = sorted((fatigue_increment(pair, game) for pair in self.pairs),
                             reverse=True)
         self.edges = (*increments, -math.inf)
-        self.threshold = game.fatigue_threshold
         self.tables = tuple({} for _ in range(_APOLOGY + 1))
+        start = cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf
+        self.opening: tuple[list[tuple[float, float, float]], list[float]] = [start], []
+
+    def serves(self, cfg: ModelConfig) -> bool:
+        """Whether ``cfg`` agrees with this policy's config on everything
+        it reads: the trust rule, ``game`` and ``trust``."""
+        own = self.cfg
+        if cfg.variant.trust_rule is not own.variant.trust_rule:
+            return False
+        if cfg.game is own.game and cfg.trust is own.trust:
+            return True
+        # repr, unlike ==, tells 0.0 from -0.0 and 1 from 1.0, so a shared memo
+        # serves identical values.
+        params, own_params = (cfg.game, cfg.trust), (own.game, own.trust)
+        return params == own_params and repr(params) == repr(own_params)
+
+    def open(self) -> None:
+        """Set ``opening`` to the event-free shift over the first
+        min(horizon, ``_OPENING``) turns."""
+        shift = replace(self.cfg, horizon=min(self.cfg.horizon, _OPENING))
+        records = _simulate(shift, [], self, keep_records=True)[0]
+        fatigues = [r.fatigue_post for r in records]
+        states = zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))
+        self.opening = self.opening[0] + [*states], [r.items_picked for r in records]
 
     def _decision(self, pair: ActionPair, trust: float, level: int) -> tuple:
         """``(cobot, human, items, increment, increment if the cobot fails,
@@ -357,9 +378,9 @@ class _StagePolicy:
         decision = table.get(trust)
         if decision is None:
             if level == _APOLOGY:
-                pair = self.game.best_response(CollabLevel.HIGH, trust)
+                pair = self.best_response(CollabLevel.HIGH, trust)
             else:
-                pair = self.game.solve(trust, fatigue)
+                pair = self.solve(trust, fatigue)
             decision = table[trust] = self._decision(pair, trust, level)
         return decision
 
@@ -369,37 +390,32 @@ def _simulate(
     events: list[tuple[int, bool]],
     policy: _StagePolicy,
     keep_records: bool,
-    opening: tuple[list[tuple[float, float, float]], list[float]] | None = None,
 ) -> tuple[list[StepRecord] | None, ShiftSummary]:
     """One shift of ``cfg`` under the disruption schedule ``events`` (see
-    ``disruption.schedule``): the turn sequence of ``run_step`` over plain
-    values. Returns the records (None unless ``keep_records``) and the
-    summary.
+    ``disruption.schedule``), taking its leader decisions from ``policy``:
+    the turn sequence of ``run_step`` over plain values. Returns the records
+    (None unless ``keep_records``) and the summary.
 
-    ``opening``, given only without ``keep_records``, is the event-free
-    shift of ``cfg``'s parameter set over its first L turns (see
-    ``_opening``): ``states[t]``, the trust, fatigue and peak fatigue after
-    turn t (``states[0]`` the initial state), and the items of each turn.
-    The shift then starts after turn ``min(first event - 1, L)``, the
-    horizon standing in for a first event when there is none. It would
-    reach that state the same way: before its first event a shift has no
-    severe failure, hence no apology and no recovery, and the opening's
-    fatigues, fast-forwarded ones too, are exact (see below).
+    The shift starts from ``policy.opening`` (see ``_StagePolicy``) after
+    turn ``min(first event - 1, L)`` of its L turns, the horizon standing in
+    for a first event when there is none; an unopened policy has L = 0.
 
-    ``recoveries`` gets one ``(turn, None)`` entry per severe failure, and
-    ``pending`` is a heap of the ``(pre-drop trust, index)`` of each failure
-    not yet regained, above an ``(inf, -1)`` sentinel. Each turn pops the
-    failures whose target its post-turn trust reaches and writes their
-    steps into their entries, which become ``recovery_times`` as they stand.
+    Exact fatigue: fatigue is quantized as ``update_fatigue`` does, except
+    that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS. Such a
+    value has at most STATE_DECIMALS decimals, so rounding returns it
+    unchanged. Trust needs no arithmetic here: each decision carries its
+    post-turn trusts (see ``_StagePolicy._decision``).
 
-    Each stage-game turn finds its level (see ``_StagePolicy``) once: by
-    one test on either side of the band, where the loop reads the memo
-    itself, or by ``policy.level`` inside it. After a turn whose decision
-    carries an ``edge`` (see ``_StagePolicy._decision``), the loop jumps, in
-    one step, to the turn before the next event or to the horizon: each
-    later turn up to the next event, while it keeps the level, meets the
-    same decision, outcome and trust, and adds the same ``inc`` to fatigue.
-    The k skipped turns are exact, so the jump is taken only when:
+    Fast-forward: each stage-game turn finds its level (see
+    ``_StagePolicy``) once: by one test on either side of the band, where
+    the loop reads the memo itself, or by ``policy.level`` inside it. After
+    a turn whose decision carries an ``edge``, the loop jumps, in one step,
+    to the turn before the next event or to the horizon: each later turn up
+    to the next event, while it keeps the level, meets the same decision,
+    outcome and trust, and adds the same ``inc`` to fatigue. While fatigue
+    and ``inc`` are non-negative multiples of 2**-STATE_DECIMALS below
+    ``_EXACT_FATIGUE`` each sum is exact, so ``fatigue + k * inc`` is what k
+    turns would reach. The jump is taken only when:
 
     - no event struck the turn, and its fatigue needed no ``round()``, so
       it is a multiple of 2**-STATE_DECIMALS;
@@ -409,9 +425,14 @@ def _simulate(
       up to the last skipped turn, ``not (end - inc) + edge > threshold``,
       which always holds at the top level, whose edge is -inf.
 
-    The jump needs no recovery check: trust is constant through it, and the
-    jumped-from turn already popped every target at or below it. Otherwise
-    the loop goes on one turn at a time."""
+    Recovery ledger: ``recoveries`` gets one ``(turn, None)`` entry per
+    severe failure, and ``pending`` is a heap of the ``(pre-drop trust,
+    index)`` of each failure not yet regained, above an ``(inf, -1)``
+    sentinel. Each turn pops the failures whose target its post-turn trust
+    reaches and writes their steps into their entries, which become
+    ``recovery_times`` as they stand. A jump needs no recovery check: trust
+    is constant through it, and the jumped-from turn already popped every
+    target at or below it."""
     pick_extra = cfg.disruption.difficult_pick_fatigue
     duration = cfg.apology_duration if cfg.variant.has_apology else 0
     horizon, leader, tables = cfg.horizon, policy.leader, policy.tables
@@ -422,9 +443,7 @@ def _simulate(
     event_turn, event_severe = next(upcoming, _NO_EVENT)
     none, pick, failure, severe, dyadic = _NONE, _PICK, _FAILURE, _SEVERE, _DYADIC
 
-    if opening is None:  # start from the initial state
-        opening = [(cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf)], []
-    states, items = opening
+    states, items = policy.opening
     step = min((event_turn or horizon + 1) - 1, len(states) - 1)
     trust, fatigue, peak = states[step]
     # Summed with sum() at the end, as summarize_shift does: newer Pythons
@@ -530,20 +549,6 @@ def run_shift(cfg: ModelConfig) -> tuple[list[StepRecord], ShiftSummary]:
     return _simulate(cfg, events, _StagePolicy(cfg), keep_records=True)
 
 
-def _opening(
-    cfg: ModelConfig, policy: _StagePolicy
-) -> tuple[list[tuple[float, float, float]], list[float]]:
-    """``cfg``'s shift without events over its first L = min(horizon,
-    ``_OPENING``) turns, as ``_simulate`` takes it: the trust, fatigue and
-    running peak fatigue after each turn t = 0..L, and each turn's items."""
-    horizon = min(cfg.horizon, _OPENING)
-    records = _simulate(replace(cfg, horizon=horizon), [], policy, keep_records=True)[0]
-    fatigues = [r.fatigue_post for r in records]
-    states = [(cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf)]
-    states += zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))
-    return states, [r.items_picked for r in records]
-
-
 def summarize_shift(records: list[StepRecord], horizon: int) -> ShiftSummary:
     severe_turns = [
         r.step for r in records if r.outcome is InteractionOutcome.SEVERE_FAILURE
@@ -639,13 +644,9 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     Each seed's disruption schedule is drawn once, by one
     ``ScheduleDrawer``, and shared by every stochastic config, so the configs
     must agree on the horizon and the disruption parameters. Configs with the
-    same stage-game parameters share one memo and, over more than one seed,
-    one event-free opening of at most ``_OPENING`` turns, run once per call,
-    from which every shift starts at the turn before its first event;
-    deterministic configs see no event, so a shift of at most ``_OPENING``
-    turns is read off it whole. Each shift equals ``run_shift`` of its
-    config at that seed, as a shared seed pins the same schedule in every
-    variant.
+    same stage-game parameters share one ``_StagePolicy``, opened when it
+    serves more than one seed. Each shift equals ``run_shift`` of its config
+    at that seed, as a shared seed pins the same schedule in every variant.
     """
     if not cfgs:
         raise ValueError("run_paired needs at least one config")
@@ -659,19 +660,18 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     horizon, disruption = cfgs[0].horizon, cfgs[0].disruption
     if any(c.horizon != horizon or c.disruption != disruption for c in cfgs):
         raise ValueError("paired configs must share horizon and disruption parameters")
-    shared: list[tuple[ModelConfig, _StagePolicy, tuple | None]] = []
+    policies: list[_StagePolicy] = []
     runs = []
     for cfg in cfgs:
-        for other, policy, opening in shared:
-            if _same_parameters(cfg, other):
-                break
-        else:
+        policy = next((p for p in policies if p.serves(cfg)), None)
+        if policy is None:
             policy = _StagePolicy(cfg)
             # Over one seed it would serve one shift per config, too few to
-            # pay for it, so those start from the initial state.
-            opening = _opening(cfg, policy) if n_seeds > 1 else None
-            shared.append((cfg, policy, opening))
-        runs.append((cfg, policy, opening, cfg.variant.has_disruptions))
+            # pay for the opening.
+            if n_seeds > 1:
+                policy.open()
+            policies.append(policy)
+        runs.append((cfg, policy, cfg.variant.has_disruptions))
     drawer = None
     if any(stochastic for *_, stochastic in runs):
         drawer = ScheduleDrawer(horizon, disruption)
@@ -679,22 +679,9 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     for seed in range(base_seed, last_seed + 1):
         events = drawer.draw(seed) if drawer else no_events
         yield tuple(
-            _simulate(cfg, events if stochastic else no_events, policy, False, opening)[1]
-            for cfg, policy, opening, stochastic in runs
+            _simulate(cfg, events if stochastic else no_events, policy, False)[1]
+            for cfg, policy, stochastic in runs
         )
-
-
-def _same_parameters(cfg: ModelConfig, other: ModelConfig) -> bool:
-    """Whether ``cfg`` and ``other`` agree on everything a ``_StagePolicy``
-    and an opening read: the trust rule, ``game`` and ``trust``."""
-    if cfg.variant.trust_rule is not other.variant.trust_rule:
-        return False
-    if cfg.game is other.game and cfg.trust is other.trust:
-        return True
-    # repr, unlike ==, tells 0.0 from -0.0 and 1 from 1.0, so a shared memo
-    # serves identical values.
-    params, other_params = (cfg.game, cfg.trust), (other.game, other.trust)
-    return params == other_params and repr(params) == repr(other_params)
 
 
 def run_ensemble(cfg: ModelConfig, n_seeds: int, base_seed: int = 1) -> EnsembleSummary:

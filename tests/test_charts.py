@@ -91,3 +91,14 @@ def test_right_axis_stays_finite_near_the_largest_double():
     svg = emit_svg_chart(records)
     assert not re.findall(r"\b(?:nan|inf)\b", svg, re.IGNORECASE)
     assert 'text-anchor="start">1.7e+308<' in svg
+
+
+def test_right_axis_keeps_a_unit_scale_for_small_values():
+    # One turn of half an item: fatigue and items both stay below 1, and the
+    # axis still runs to 1.
+    text = "horizon = 1\ngame.reward_normal = 0.5\ngame.reward_high = 0.9\n"
+    records, _ = run_shift(parse_config(text))
+    assert max(records[0].fatigue_post, records[0].items_picked) <= 1.0
+    svg = emit_svg_chart(records)
+    ticks = re.findall(r'text-anchor="start">([^<]+)<', svg)
+    assert ticks == ["0", "0.25", "0.5", "0.75", "1"]

@@ -223,10 +223,11 @@ def test_horizon_past_bound_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["ensemble", "table2", "compare"])
 def test_seeds_past_bound_exits_2(capsys, command):
-    assert main([command, "--seeds", "100001"]) == 2
-    captured = capsys.readouterr()
-    assert "config error: --seeds must be <= 100000 (got 100001)" in captured.err
-    assert captured.out == ""
+    for seeds, bound in (("100001", "<= 100000 (got 100001)"), ("0", ">= 1 (got 0)")):
+        assert main([command, "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: --seeds must be {bound}" in captured.err
+        assert captured.out == ""
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -321,6 +322,9 @@ def test_unknown_emit_format_exits_2(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path), "--emit", "pdf"])
     assert code == 2
     assert "unknown emit format" in capsys.readouterr().err
+    assert main(["run", "--out", str(tmp_path), "--emit", ","]) == 2
+    assert "config error: at least one emit format is required" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_ensemble_writes_json(tmp_path, capsys):
@@ -630,11 +634,11 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, unbuffered):
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_closed_stdout_keeps_help_quiet(unbuffered):
-    # argparse drops a failed unbuffered write (exit 0); a buffered one fails
-    # at main's flush (exit 1).
-    code, err = run_with_closed_stdout(["--help"], unbuffered)
-    assert code in (0, 1)
-    assert err == b""
+    # argparse dropped a failed unbuffered write and exited 0, while a
+    # buffered one failed at main's flush and exited 1. Sub-command parsers
+    # print their help the same way.
+    for argv in (["--help"], ["-h"], ["run", "--help"], ["compare", "-h"]):
+        assert run_with_closed_stdout(argv, unbuffered) == (1, b""), argv
 
 
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path):

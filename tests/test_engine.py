@@ -854,13 +854,13 @@ def test_no_shift_outlives_run_paired(monkeypatch):
 
 def test_run_paired_opens_only_for_more_than_one_seed(monkeypatch):
     openings = []
-    opening = engine._opening
+    open_policy = _StagePolicy.open
 
-    def counting(cfg, policy):
-        openings.append(cfg)
-        return opening(cfg, policy)
+    def counting(policy):
+        openings.append(policy.cfg)
+        return open_policy(policy)
 
-    monkeypatch.setattr(engine, "_opening", counting)
+    monkeypatch.setattr(_StagePolicy, "open", counting)
     for variant in ("v1.1", "v1.3"):
         run_ensemble(cfg_for(variant), n_seeds=1, base_seed=3)
     assert openings == []

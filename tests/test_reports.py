@@ -82,6 +82,9 @@ def test_csv_round_trip_recovers_numeric_fields_exactly():
 def test_parse_rejects_foreign_text():
     with pytest.raises(ValueError):
         parse_trajectory_csv("a,b,c\n1,2,3\n")
+    header, first = emit_trajectory_csv(run("v1.1")[0]).split("\n")[:2]
+    with pytest.raises(ValueError, match="malformed trajectory row"):
+        parse_trajectory_csv(f"{header}\n{first},0\n")
 
 
 @pytest.mark.parametrize(

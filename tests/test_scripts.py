@@ -57,3 +57,21 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     assert files == {
         f"{d}/{name}" for d in dirs for name in ["stdout.txt", *artifacts[d.split("_")[0]]]
     }
+
+
+def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
+    result = run_script("cost_report.py", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    sizes, counts = result.stdout.strip().split("\n\n")
+    header, *modules, total = [line.split() for line in sizes.splitlines()]
+    assert header == ["module", "lines", "code"]
+    assert {row[0] for row in modules} >= {"engine.py", "cli.py", "game.py"}
+    assert total[0] == "total"
+    for column in (1, 2):
+        assert sum(int(row[column]) for row in modules) == int(total[column])
+    assert all(0 < int(row[2]) <= int(row[1]) for row in modules)
+    header, *ops = counts.splitlines()
+    assert header.split() == ["op", "opcodes"]
+    assert len(ops) == 3
+    assert all(int(line.split()[-1]) > 0 for line in ops)
+    assert not any(tmp_path.iterdir())
