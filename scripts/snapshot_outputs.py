@@ -10,6 +10,10 @@ name, so two snapshots, say of two commits, compare with ``diff -r``:
     PYTHONPATH=src python3 scripts/snapshot_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
 
+Two commands read ``all_keys.conf``, which the script writes into OUT_DIR
+first: it sets every known config key to a valid non-default value, so the
+comparison covers the parsing of each key.
+
 Exits 1 if any command exits non-zero, after running the rest.
 """
 
@@ -22,6 +26,34 @@ from pathlib import Path
 from cobotsim.cli import main
 
 VARIANTS = ("v1.0", "v1.1", "v1.2", "v1.3")
+CONFIG = "all_keys.conf"
+# One line per key, in render_config's order. At trust.initial 0.55 some
+# seeds spiral and some synergise.
+CONFIG_TEXT = """\
+variant = v1.3
+horizon = 120
+seed = 7
+apology.duration = 4
+game.reward_normal = 1.25
+game.reward_high = 2.25
+game.cost_kappa_base = 2.4
+game.cost_kappa_trust_slope = 0.75
+game.fatigue_threshold = 60.0
+game.penalty_weight = 90.0
+game.cobot_tiebreak_trust = 0.45
+game.fatigue_normal_low = 0.75
+game.fatigue_normal_high = 0.375
+game.fatigue_high_low = 2.0
+game.fatigue_high_high = 0.875
+trust.gain = 0.0625
+trust.loss = 0.125
+trust.severe_loss = 0.4
+trust.initial = 0.55
+fatigue.initial = 3.5
+disruption.chance = 0.15
+disruption.severe_share = 0.4
+disruption.difficult_pick_fatigue = 4.0
+"""
 
 
 def commands():
@@ -52,11 +84,14 @@ def commands():
                     "run", "--variant", variant, "--seed", str(seed),
                     "--set", f"horizon={horizon}", "--emit", "csv,json,svg",
                 ]
+    yield "run_all_keys", ["run", "--config", CONFIG, "--emit", "csv,json,svg"]
+    yield "ensemble_all_keys_seeds50", ["ensemble", "--config", CONFIG, "--seeds", "50"]
 
 
 def snapshot(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
+    Path(CONFIG).write_text(CONFIG_TEXT, encoding="utf-8")
     status = 0
     for name, argv in commands():
         stdout = io.StringIO()

@@ -15,7 +15,6 @@ import re
 from dataclasses import replace
 
 from .engine import ModelConfig, ModelVariant
-from .game import _FATIGUE_ENTRIES, CollabLevel, EffortLevel
 
 
 class ConfigError(ValueError):
@@ -23,8 +22,7 @@ class ConfigError(ValueError):
 
 
 # key -> (group, field, converter). The group is the ModelConfig attribute
-# holding the field ("" for ModelConfig itself); an (effort, collaboration)
-# field is that entry of the game's fatigue table.
+# holding the field ("" for ModelConfig itself).
 _KEYS = {
     "variant": ("", "variant", ModelVariant),
     "horizon": ("", "horizon", int),
@@ -37,10 +35,10 @@ _KEYS = {
     "game.fatigue_threshold": ("game", "fatigue_threshold", float),
     "game.penalty_weight": ("game", "penalty_weight", float),
     "game.cobot_tiebreak_trust": ("game", "cobot_tiebreak_trust", float),
-    "game.fatigue_normal_low": ("game", (EffortLevel.NORMAL, CollabLevel.LOW), float),
-    "game.fatigue_normal_high": ("game", (EffortLevel.NORMAL, CollabLevel.HIGH), float),
-    "game.fatigue_high_low": ("game", (EffortLevel.HIGH, CollabLevel.LOW), float),
-    "game.fatigue_high_high": ("game", (EffortLevel.HIGH, CollabLevel.HIGH), float),
+    "game.fatigue_normal_low": ("game", "fatigue_normal_low", float),
+    "game.fatigue_normal_high": ("game", "fatigue_normal_high", float),
+    "game.fatigue_high_low": ("game", "fatigue_high_low", float),
+    "game.fatigue_high_high": ("game", "fatigue_high_high", float),
     "trust.gain": ("trust", "gain", float),
     "trust.loss": ("trust", "loss", float),
     "trust.severe_loss": ("trust", "severe_loss", float),
@@ -92,12 +90,8 @@ def parse_config(
             raise ConfigError(
                 f"{label} {lineno}: expected {kind} for '{key}', got '{raw}'"
             ) from None
-        if isinstance(field, tuple):
-            table = changes[group].setdefault("fatigue_table", dict(cfg.game.fatigue_table))
-            table[field] = value
-        else:
-            changes[group][field] = value
-        line_of_name[_FATIGUE_ENTRIES.get(field, field)] = lineno
+        changes[group][field] = value
+        line_of_name[field] = lineno
 
     # Sub-configs validate before the root, as when each is constructed.
     root = changes.pop("")
@@ -125,7 +119,7 @@ def render_config(cfg: ModelConfig) -> str:
     lines = []
     for key, (group, field, _) in _KEYS.items():
         holder = getattr(cfg, group) if group else cfg
-        value = holder.fatigue_table[field] if isinstance(field, tuple) else getattr(holder, field)
+        value = getattr(holder, field)
         # str() of a float is its shortest round-trip repr.
         lines.append(f"{key} = {value.value if isinstance(value, ModelVariant) else value}\n")
     return "".join(lines)

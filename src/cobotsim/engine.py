@@ -312,8 +312,7 @@ class _StagePolicy(StageGame):
             )
             for (cobot, human), pair in ACTION_PAIRS.items()
         }
-        increments = sorted((fatigue_increment(pair, game) for pair in self.pairs),
-                            reverse=True)
+        increments = sorted((c[3] for c in self.pairs.values()), reverse=True)
         self.edges = (*increments, -math.inf)
         self.tables = tuple({} for _ in range(_APOLOGY + 1))
         start = cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf

@@ -16,7 +16,7 @@ spell out the same arithmetic for readers and tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 # Utility differences within this tolerance count as exact ties, so the trust
@@ -69,37 +69,31 @@ ACTION_PAIRS = {
 }
 
 
-def _default_fatigue_table() -> dict[tuple[EffortLevel, CollabLevel], float]:
-    return {
-        (EffortLevel.NORMAL, CollabLevel.LOW): 1.0,
-        (EffortLevel.NORMAL, CollabLevel.HIGH): 0.5,
-        (EffortLevel.HIGH, CollabLevel.LOW): 2.5,
-        (EffortLevel.HIGH, CollabLevel.HIGH): 1.0,
-    }
-
-
 @dataclass
 class GameParams:
     """Stage-game constants.
 
-    The fatigue table gives the increment per (effort, collaboration) pair:
-    high effort costs more than normal, and low collaboration adds walking on
-    top of either effort. The perceived-cost multiplier shrinks linearly with
-    trust, so a trusted cobot makes the same physical work feel cheaper. The
-    leader is fined ``penalty_weight`` whenever its anticipated next fatigue
-    level would exceed ``fatigue_threshold``.
+    ``fatigue_<effort>_<collab>`` is the fatigue increment of one turn at
+    that (effort, collaboration) pair: ``fatigue_normal_low``,
+    ``fatigue_normal_high``, ``fatigue_high_low`` and ``fatigue_high_high``.
+    High effort costs more than normal, and low collaboration adds walking
+    on top of either effort. The perceived-cost multiplier shrinks linearly
+    with trust, so a trusted cobot makes the same physical work feel
+    cheaper. The leader is fined ``penalty_weight`` whenever its anticipated
+    next fatigue level would exceed ``fatigue_threshold``.
     """
 
     reward_normal: float = 1.0
     reward_high: float = 2.0
-    fatigue_table: dict[tuple[EffortLevel, CollabLevel], float] = field(
-        default_factory=_default_fatigue_table
-    )
     cost_kappa_base: float = 2.6
     cost_kappa_trust_slope: float = 1.0
     fatigue_threshold: float = 80.0
     penalty_weight: float = 100.0
     cobot_tiebreak_trust: float = 0.5
+    fatigue_normal_low: float = 1.0
+    fatigue_normal_high: float = 0.5
+    fatigue_high_low: float = 2.5
+    fatigue_high_high: float = 1.0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -109,13 +103,6 @@ class GameParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite (got {value})")
-        table = self.fatigue_table
-        missing = [name for key, name in _FATIGUE_ENTRIES.items() if key not in table]
-        if missing:
-            raise ValueError(f"fatigue_table lacks {', '.join(missing)}")
-        for key, name in _FATIGUE_ENTRIES.items():
-            if not math.isfinite(table[key]):
-                raise ValueError(f"{name} must be finite (got {table[key]})")
         # A turn's reward is the items it picks.
         if not self.reward_normal >= 0.0:
             raise ValueError(f"reward_normal must be >= 0 (got {self.reward_normal})")
@@ -145,9 +132,9 @@ class GameParams:
 
 
 # Fixed once: ``dataclasses.fields`` rebuilds its tuple on every call.
-_SCALAR_FIELDS = tuple(f.name for f in fields(GameParams) if f.name != "fatigue_table")
-# Every fatigue-table key, named as its config key, game.fatigue_<effort>_<collab>.
-_FATIGUE_ENTRIES = {
+_SCALAR_FIELDS = tuple(f.name for f in fields(GameParams))
+# (effort, collaboration) -> the GameParams field holding its fatigue increment.
+_FATIGUE_FIELDS = {
     (effort, collab): f"fatigue_{effort.value}_{collab.value}"
     for effort in EffortLevel
     for collab in CollabLevel
@@ -161,7 +148,7 @@ def human_reward(effort: EffortLevel, params: GameParams) -> float:
 
 def fatigue_increment(pair: ActionPair, params: GameParams) -> float:
     """Fatigue added by one turn of the given joint action."""
-    return params.fatigue_table[(pair.human, pair.cobot)]
+    return getattr(params, _FATIGUE_FIELDS[pair.human, pair.cobot])
 
 
 def perceived_cost(pair: ActionPair, trust: float, params: GameParams) -> float:

@@ -33,6 +33,7 @@ from cobotsim import (
 )
 from cobotsim.engine import median_recovery_capped, summarize_shift
 from cobotsim.game import TIE_EPS
+from conftest import fatigue_fields
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ENSEMBLE_SEEDS = 1000
@@ -178,11 +179,11 @@ def _random_config(rng):
     game = GameParams(
         reward_normal=reward_normal,
         reward_high=reward_normal + rng.uniform(0.1, 3.0),
-        fatigue_table={
+        **fatigue_fields({
             (effort, collab): rng.uniform(0.05, 4.0)
             for effort in EffortLevel
             for collab in CollabLevel
-        },
+        }),
         cost_kappa_base=base,
         cost_kappa_trust_slope=slope,
         fatigue_threshold=rng.uniform(1.0, 120.0),

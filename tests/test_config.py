@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cobotsim import ConfigError, ModelConfig, ModelVariant, parse_config, render_config
 from cobotsim import run_shift
+from cobotsim.cli import main
 from cobotsim.configio import KNOWN_KEYS, config_with_overrides
 
 
@@ -83,11 +84,23 @@ def test_apology_duration_violation_reports_line():
         parse_config("apology.duration = 0\n")
 
 
-def test_non_finite_table_entry_named_by_its_key():
-    with pytest.raises(
-        ConfigError, match=r"override 1: fatigue_normal_low must be finite \(got nan\)"
-    ):
-        config_with_overrides(ModelConfig(), ["game.fatigue_normal_low=nan"])
+def test_non_finite_table_entry_named_by_its_key(tmp_path, capsys):
+    # Each fatigue key is set on line n of a config file and in --set pair n,
+    # so a message must name both the key's field and its own line.
+    keys = ["game.fatigue_normal_low", "game.fatigue_normal_high",
+            "game.fatigue_high_low", "game.fatigue_high_high"]
+    config = tmp_path / "model.conf"
+    for n, key in enumerate(keys, start=1):
+        for value in ("nan", "inf"):
+            message = f"{key.removeprefix('game.')} must be finite (got {value})"
+            config.write_text("horizon = 50\n" * (n - 1) + f"{key} = {value}\n")
+            sets = [arg for pair in ["horizon=50"] * (n - 1) + [f"{key}={value}"]
+                    for arg in ("--set", pair)]
+            for argv, where in [(["--config", str(config)], f"line {n}"),
+                                (sets, f"override {n}")]:
+                assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+                assert capsys.readouterr() == ("", f"config error: {where}: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_line_rejected():

@@ -16,6 +16,7 @@ from cobotsim import (
     update_fatigue,
     update_trust,
 )
+from conftest import fatigue_fields
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -80,7 +81,7 @@ def test_refined_rule_follows_column_dominance(low_normal, low_high, gap):
         (HIGH_E, LOW_C): low_high,
         (HIGH_E, HIGH_C): low_high - min(gap, low_high / 2),
     }
-    params = GameParams(fatigue_table=table)
+    params = GameParams(**fatigue_fields(table))
     for effort in EffortLevel:
         assert (
             classify_interaction(TrustRule.REFINED, ActionPair(HIGH_C, effort), False, params)
@@ -137,9 +138,7 @@ def test_update_fatigue_values(params, fatigue, pair, extra, expected):
 
 
 def test_update_fatigue_floors_at_zero():
-    recovery_table = dict(GameParams().fatigue_table)
-    recovery_table[(NORMAL, HIGH_C)] = -3.0
-    params = GameParams(fatigue_table=recovery_table)
+    params = GameParams(fatigue_normal_high=-3.0)
     assert update_fatigue(1.0, ActionPair(HIGH_C, NORMAL), 0.0, params) == 0.0
 
 
@@ -149,9 +148,7 @@ def test_update_fatigue_floors_at_zero():
     increment=st.floats(min_value=-10.0, max_value=10.0),
 )
 def test_update_fatigue_never_negative(fatigue, extra, increment):
-    table = dict(GameParams().fatigue_table)
-    table[(NORMAL, LOW_C)] = increment
-    params = GameParams(fatigue_table=table)
+    params = GameParams(fatigue_normal_low=increment)
     assert update_fatigue(fatigue, ActionPair(LOW_C, NORMAL), extra, params) >= 0.0
 
 

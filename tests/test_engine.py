@@ -24,6 +24,7 @@ from cobotsim import (
     RandomStream,
     StepRecord,
     TrustParams,
+    fatigue_increment,
     recovery_time,
     run_ensemble,
     run_paired,
@@ -35,7 +36,8 @@ from cobotsim import engine
 from cobotsim.dynamics import STATE_DECIMALS
 from cobotsim.disruption import schedule
 from cobotsim.engine import _StagePolicy, summarize_shift
-from cobotsim.game import StageGame
+from cobotsim.game import ACTION_PAIRS, StageGame
+from conftest import fatigue_fields, fatigue_table
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -254,12 +256,10 @@ def _rounding_game():
     # threshold - increment would wrongly call that state penalty-free.
     return GameParams(
         fatigue_threshold=30.2,
-        fatigue_table={
-            (NORMAL, LOW_C): 2.9,
-            (NORMAL, HIGH_C): 0.3,
-            (HIGH_E, LOW_C): 3.24,
-            (HIGH_E, HIGH_C): 0.9,
-        },
+        fatigue_normal_low=2.9,
+        fatigue_normal_high=0.3,
+        fatigue_high_low=3.24,
+        fatigue_high_high=0.9,
     )
 
 
@@ -269,7 +269,7 @@ def _rounding_game():
         GameParams(),
         GameParams(fatigue_threshold=80.3),
         _rounding_game(),
-        GameParams(fatigue_threshold=30.2, fatigue_table=_NEGATIVE),
+        GameParams(fatigue_threshold=30.2, **fatigue_fields(_NEGATIVE)),
         _SATURATED_TIE,
     ],
     ids=["defaults", "threshold-80.3", "rounding-threshold", "negative-entry",
@@ -280,7 +280,7 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
     # one memo sees them in both orders, so a key that rounds differently
     # from cobot_utility serves a stale decision.
     fatigues = []
-    for inc in game.fatigue_table.values():
+    for inc in fatigue_table(game).values():
         edge = game.fatigue_threshold - inc
         below = math.nextafter(edge, -math.inf)
         above = math.nextafter(edge, math.inf)
@@ -289,7 +289,7 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
     # Level 0 holds up to the last fatigue whose sum with the largest
     # increment stays at or below the threshold in float terms; the top level
     # from the first whose sum with the smallest exceeds it.
-    threshold, table = game.fatigue_threshold, game.fatigue_table.values()
+    threshold, table = game.fatigue_threshold, fatigue_table(game).values()
     calm_end = _crossing(threshold, max(table))
     saturated_start = _crossing(threshold, min(table))
     fatigues += [0.0, math.nextafter(calm_end, -math.inf), calm_end,
@@ -315,7 +315,7 @@ def _fatigue_branch(record, game):
     """Which quantization branch the shift loop takes for this turn."""
     severe = record.disruption_event is DisruptionEvent.COBOT_FAILURE
     charged = LOW_C if severe else record.cobot_action
-    x = record.fatigue_pre + game.fatigue_table[(record.human_action, charged)]
+    x = record.fatigue_pre + fatigue_increment(ACTION_PAIRS[charged, record.human_action], game)
     x += record.extra_fatigue
     if not x > 0.0:
         return "clamp"
@@ -332,7 +332,7 @@ def _leader_turns(records):
 def _saturated_at_a_calm_trust(records, game):
     """A stage-game turn past the threshold at a trust also met on a calm
     stage-game turn: the case where sharing one trust key would go wrong."""
-    threshold, table = game.fatigue_threshold, game.fatigue_table.values()
+    threshold, table = game.fatigue_threshold, fatigue_table(game).values()
     turns = _leader_turns(records)
     calm = {r.trust_pre for r in turns if not r.fatigue_pre + max(table) > threshold}
     return any(
@@ -362,12 +362,12 @@ def _steady_forced_turn(records):
 def _edges(game):
     """The table increments from the largest down, then -inf: at level L,
     the test of the L-th is the next to turn true as fatigue rises."""
-    return sorted(game.fatigue_table.values(), reverse=True) + [-math.inf]
+    return sorted(fatigue_table(game).values(), reverse=True) + [-math.inf]
 
 
 def _level(fatigue, game):
     """How many of the stage game's threshold tests hold at ``fatigue``."""
-    return sum(fatigue + inc > game.fatigue_threshold for inc in game.fatigue_table.values())
+    return sum(fatigue + inc > game.fatigue_threshold for inc in fatigue_table(game).values())
 
 
 _TOP = 4  # the level where every test holds
@@ -390,7 +390,7 @@ def _steady_stretches(records, game):
                 break
             k += 1
         if k:
-            inc = game.fatigue_table[(r.human_action, r.cobot_action)]
+            inc = fatigue_increment(ACTION_PAIRS[r.cobot_action, r.human_action], game)
             stretches.append((_level(r.fatigue_pre, game), inc, r.fatigue_post, k))
     return stretches
 
@@ -443,7 +443,7 @@ def _to_the_edge(stretch, game):
 _ZERO_HIGH_HIGH = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): 0.5,
                    (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 0.0}
 _POINT_3_HIGH_HIGH = {**_ZERO_HIGH_HIGH, (HIGH_E, HIGH_C): 0.3}
-_FINE = {key: value + 2**-12 for key, value in GameParams().fatigue_table.items()}
+_FINE = {key: value + 2**-12 for key, value in fatigue_table(GameParams()).items()}
 # Four distinct increments, 10, 1, 0.5 and 0.25, under the default threshold 80.
 # At trust 1.0 the leader plays (high, high), +1 a turn, until fatigue + 1
 # exceeds 80 at level 2, where it turns to (low, normal). From fatigue 0.5
@@ -451,7 +451,7 @@ _FINE = {key: value + 2**-12 for key, value in GameParams().fatigue_table.items(
 # turn more starts at 79.5, past the edge.
 _BAND_STEPS = {(NORMAL, LOW_C): 0.25, (NORMAL, HIGH_C): 0.5,
                (HIGH_E, LOW_C): 10.0, (HIGH_E, HIGH_C): 1.0}
-_IN_THE_BAND = {"game": GameParams(fatigue_table=_BAND_STEPS),
+_IN_THE_BAND = {"game": GameParams(**fatigue_fields(_BAND_STEPS)),
                 "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.5)}
 
 
@@ -468,10 +468,10 @@ _IN_THE_BAND = {"game": GameParams(fatigue_table=_BAND_STEPS),
         # wrongly skip its round().
         ("v1.2", {"trust": TrustParams(initial_fatigue=2**-13)},
          lambda recs, game: _fatigue_branch(recs[0], game) == "round"),
-        ("v1.3", {"game": GameParams(fatigue_table=_NON_DYADIC),
+        ("v1.3", {"game": GameParams(**fatigue_fields(_NON_DYADIC)),
                   "disruption": DisruptionParams(chance=0.3, difficult_pick_fatigue=0.3)},
          lambda recs, game: {"exact", "round"} <= {_fatigue_branch(r, game) for r in recs}),
-        ("v1.2", {"game": GameParams(fatigue_table=_NEGATIVE)},
+        ("v1.2", {"game": GameParams(**fatigue_fields(_NEGATIVE))},
          lambda recs, game: "clamp" in {_fatigue_branch(r, game) for r in recs}),
         ("v1.3", {"trust": TrustParams(severe_loss=1.0),
                   "disruption": DisruptionParams(chance=0.3)},
@@ -492,14 +492,14 @@ _IN_THE_BAND = {"game": GameParams(fatigue_table=_BAND_STEPS),
         ("v1.1", {"horizon": 300,
                   "trust": TrustParams(initial_trust=0.0, initial_fatigue=0.25)},
          _stretch(0, _crosses_edge)),
-        ("v1.1", {"game": GameParams(fatigue_table=_ZERO_HIGH_HIGH)},
+        ("v1.1", {"game": GameParams(**fatigue_fields(_ZERO_HIGH_HIGH))},
          _stretch(0, lambda s, game: _jump_taken(s, game) and s[1] == 0.0)),
-        ("v1.1", {"game": GameParams(fatigue_table=_NEGATIVE)},
+        ("v1.1", {"game": GameParams(**fatigue_fields(_NEGATIVE))},
          _stretch(0, lambda s, game: s[1] < 0.0)),
         ("v1.2", {"trust": TrustParams(initial_fatigue=2**-13)},
          _stretch(0, lambda s, game: not _dyadic(s[2]))),
         # 0.2 + 0.3 == 0.5, a dyadic fatigue; the increment 0.3 is not.
-        ("v1.1", {"game": GameParams(fatigue_table=_POINT_3_HIGH_HIGH),
+        ("v1.1", {"game": GameParams(**fatigue_fields(_POINT_3_HIGH_HIGH)),
                   "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.2)},
          _stretch(0, lambda s, game: _dyadic(s[2]) and not _dyadic(s[1]))),
         ("v1.1", {**_IN_THE_BAND, "horizon": 79}, _stretch(1, _to_the_edge)),
@@ -508,7 +508,7 @@ _IN_THE_BAND = {"game": GameParams(fatigue_table=_BAND_STEPS),
          _stretch(_TOP, lambda s, game: s[2] + s[3] * s[1] >= 2.0**40)),
         # Past 2**41 a double is a multiple of 2**-11, so sums of these
         # increments round: a jump there would round once instead of k times.
-        ("v1.2", {"game": GameParams(fatigue_table=_FINE),
+        ("v1.2", {"game": GameParams(**fatigue_fields(_FINE)),
                   "trust": TrustParams(initial_fatigue=2.0**41 - 8)},
          _stretch(_TOP, lambda s, game: s[2] + s[3] * s[1] >= 2.0**41)),
     ],
@@ -550,7 +550,7 @@ def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
          "non-dyadic-increment"],
 )
 def test_decision_carries_its_fast_forward_edge(table, trust, level, trust_post, steady):
-    game = GameParams() if table is None else GameParams(fatigue_table=table)
+    game = GameParams() if table is None else GameParams(**fatigue_fields(table))
     policy = _StagePolicy(cfg_for("v1.1", game=game))
     decision = policy.leader(trust, 0.0, level)
     assert len(decision) == 9
@@ -775,12 +775,12 @@ def dyadic_lattice_params(draw):
     0.3, -0.5, 2**-13 and 2**40 - 8 make it decline them. Initial fatigues
     29.75 and 79.5 start inside the band of thresholds 30 and 80."""
     pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
-    table = {key: pick(*_LATTICE_INCREMENTS) for key in GameParams().fatigue_table}
+    table = {key: pick(*_LATTICE_INCREMENTS) for key in fatigue_table(GameParams())}
     return {
         "horizon": draw(st.integers(1, 300)),
         "seed": draw(st.integers(0, 2**64 - 2)),
         "game": GameParams(
-            fatigue_table=table,
+            **fatigue_fields(table),
             fatigue_threshold=pick(2.0, 10.0, 30.0, 80.0, 80.3, 300.0),
             cobot_tiebreak_trust=pick(0.0, 0.5, 0.75, 1.0),
         ),

@@ -20,6 +20,7 @@ from cobotsim import (
     solve_stage_game,
 )
 from cobotsim.game import ACTION_PAIRS, TIE_EPS, StageGame
+from conftest import fatigue_fields, fatigue_table
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -91,11 +92,13 @@ def test_human_utility_values(params, pair, trust, expected):
 
 
 def test_human_utility_zero_cost_degenerate():
-    params = GameParams(cost_kappa_base=0.5, cost_kappa_trust_slope=0.0)
     zeroed = GameParams(
         cost_kappa_base=0.5,
         cost_kappa_trust_slope=0.0,
-        fatigue_table={k: 0.0 for k in params.fatigue_table},
+        fatigue_normal_low=0.0,
+        fatigue_normal_high=0.0,
+        fatigue_high_low=0.0,
+        fatigue_high_high=0.0,
     )
     assert human_utility(ActionPair(LOW_C, NORMAL), 0.3, zeroed) == 1.0
 
@@ -232,11 +235,11 @@ def game_params(draw):
     return GameParams(
         reward_normal=reward_normal,
         reward_high=reward_high,
-        fatigue_table={
+        **fatigue_fields({
             (effort, collab): draw(real(0, 3))
             for effort in EffortLevel
             for collab in CollabLevel
-        },
+        }),
         cost_kappa_base=base,
         cost_kappa_trust_slope=draw(real(-2, 0) | st.floats(0, base - 0.5)),
         fatigue_threshold=draw(real(1, 100)),
@@ -297,7 +300,7 @@ def test_stage_game_matches_the_per_term_rules_exactly(params, trusts, fatigues)
     trusts = [0.0, 1.0, params.cobot_tiebreak_trust, *follower_tie_trusts(params), *trusts]
     fatigues = [0.0, *fatigues] + [
         params.fatigue_threshold - inc
-        for inc in params.fatigue_table.values()
+        for inc in fatigue_table(params).values()
         if params.fatigue_threshold >= inc
     ]
     game = StageGame(params)
@@ -353,18 +356,3 @@ def test_human_state_validation():
 def test_game_params_validation(kwargs):
     with pytest.raises(ValueError):
         GameParams(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kept, named",
-    [
-        (0, "fatigue_normal_low, fatigue_normal_high, fatigue_high_low, fatigue_high_high"),
-        (3, "fatigue_high_high"),
-    ],
-    ids=["empty", "one-missing"],
-)
-def test_fatigue_table_must_have_every_entry(kept, named):
-    # Without the check, run_shift of such a table ends in a KeyError.
-    partial = dict(list(GameParams().fatigue_table.items())[:kept])
-    with pytest.raises(ValueError, match=f"^fatigue_table lacks {named}$"):
-        GameParams(fatigue_table=partial)

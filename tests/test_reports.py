@@ -22,6 +22,7 @@ from cobotsim import (
     run_shift,
 )
 from cobotsim.reports import CSV_HEADER, format_real
+from conftest import fatigue_fields
 
 
 def run(variant, **kwargs):
@@ -146,9 +147,9 @@ def shift_configs(draw):
     game = GameParams(
         reward_normal=reward_normal,
         reward_high=reward_high,
-        fatigue_table={
+        **fatigue_fields({
             (effort, collab): draw(_AMOUNTS) for effort in EffortLevel for collab in CollabLevel
-        },
+        }),
         cost_kappa_base=kappa_base,
         cost_kappa_trust_slope=draw(st.floats(min_value=0.0, max_value=kappa_base - 0.5)),
         fatigue_threshold=draw(st.one_of(st.floats(min_value=0.1, max_value=200.0), _LARGE)),

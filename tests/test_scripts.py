@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cobotsim import ModelConfig, parse_config, render_config
+from cobotsim.configio import KNOWN_KEYS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
@@ -41,11 +44,11 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     result = run_script("snapshot_outputs.py", "snap", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     snap = tmp_path / "snap"
-    dirs = {p.name for p in snap.iterdir()}
-    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3
+    dirs = {p.name for p in snap.iterdir() if p.is_dir()}
+    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3 + 2
     assert {
         "compare_seeds300_top", "ensemble_v1.0_seeds1000", "ensemble_v1.1_seeds3_h300",
-        "run_v1.3_h2000_seed42",
+        "run_v1.3_h2000_seed42", "run_all_keys", "ensemble_all_keys_seeds50",
     } <= dirs
     artifacts = {
         "table2": ["table2.txt"],
@@ -54,9 +57,16 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
         "run": ["chart.svg", "summary.json", "trajectory.csv"],
     }
     files = {str(p.relative_to(snap)) for p in snap.rglob("*") if p.is_file()}
-    assert files == {
+    assert files == {"all_keys.conf"} | {
         f"{d}/{name}" for d in dirs for name in ["stdout.txt", *artifacts[d.split("_")[0]]]
     }
+    # The config sets every key, each to a valid value other than its default.
+    text = (snap / "all_keys.conf").read_text(encoding="utf-8")
+    assert render_config(parse_config(text)) == text
+    defaults = render_config(ModelConfig()).splitlines()
+    lines = text.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == list(KNOWN_KEYS)
+    assert not set(lines) & set(defaults)
 
 
 def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
