@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print what ``src/cobotsim`` costs in counts that do not vary between runs:
-the size of each module, and the opcodes that one fixed op of each
-benchmark workload executes.
+the size of each module, the opcodes that one fixed op of each benchmark
+workload executes, and the functions that execute most of them.
 
     PYTHONPATH=src python3 scripts/cost_report.py
 
@@ -16,6 +16,11 @@ so blank lines, comments and docstrings are left out.
 Opcodes: each op runs once to warm up (imports, memos, lazily built
 constants), then once more with ``sys.settrace`` and ``f_trace_opcodes``
 counting every opcode executed in Python frames; C functions count nothing.
+
+Functions: each op's five functions that executed the most of its opcodes,
+with their share of the op's opcodes, named ``file:qualified name``. A
+dataclass's generated ``__init__`` reads
+``<string>:__create_fn__.<locals>.__init__``.
 """
 
 import contextlib
@@ -23,6 +28,7 @@ import io
 import sys
 import tempfile
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 from cobotsim import cli, engine
@@ -53,19 +59,22 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
-def opcodes(op) -> int:
-    """Opcodes executed by ``op()`` after one warm-up call."""
+def opcodes(op) -> Counter:
+    """Opcodes executed by ``op()`` after one warm-up call, per function:
+    ``{(file, qualified name): count}``."""
     op()
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        return local
+    counts = Counter()
 
     def enter(frame, event, arg):
         frame.f_trace_opcodes = True
+        code = frame.f_code
+        function = code.co_filename, getattr(code, "co_qualname", code.co_name)
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                counts[function] += 1
+            return local
+
         return local
 
     sys.settrace(enter)
@@ -73,7 +82,7 @@ def opcodes(op) -> int:
         op()
     finally:
         sys.settrace(None)
-    return count
+    return counts
 
 
 def ops(tmp: Path):
@@ -105,9 +114,18 @@ def main() -> int:
     print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
     print()
     print(f"{'op':<40} {'opcodes':>9}")
+    counted = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, op in ops(Path(tmp)):
-            print(f"{name:<40} {opcodes(op):>9}")
+            counts = opcodes(op)
+            counted.append((name, counts))
+            print(f"{name:<40} {counts.total():>9}")
+    print()
+    print(f"{'share':>8}  op / function")
+    for name, counts in counted:
+        print(name)
+        for (file, function), count in counts.most_common(5):
+            print(f"{100 * count / counts.total():>6.1f} %  {Path(file).name}:{function}")
     return 0
 
 

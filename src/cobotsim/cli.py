@@ -223,8 +223,8 @@ def _paired_recovery(n_seeds: int, base_seed: int) -> tuple:
     capped median first recoveries, cap, ratio v1.3/v1.2)``. Censored
     recoveries count as the horizon; the ratio is nan without a v1.2 median."""
     base = ModelConfig(variant=ModelVariant.V1_2)
-    # One GameParams and TrustParams for both, so run_paired shares their
-    # memo without comparing them.
+    # Built by replace, so both hold one GameParams and TrustParams and
+    # run_paired gives them one stage policy (see its docstring).
     cfgs = [base, replace(base, variant=ModelVariant.V1_3)]
     ensembles = run_paired(cfgs, n_seeds, base_seed)
     cap = float(cfgs[0].horizon)

@@ -25,10 +25,10 @@ up front by ``disruption.schedule``; ``run_paired`` draws each seed's
 schedule once, with one ``ScheduleDrawer`` per call, and runs every config
 over it. Steps 2 and 3 come from a ``_StagePolicy``, the stage game of one
 parameter set made once per call; its docstring describes the decision
-memo, the event-free opening that shifts start from, and which configs
-share one. Ensembles build no per-turn records and keep no shifts: each
-seed's summaries are folded, as they are made, into per-seed KPIs and the
-seed's first severe failure.
+memo and the event-free opening that shifts start from, and ``run_paired``'s
+says which configs share one. Ensembles build no per-turn records and keep
+no shifts: each seed's summaries are folded, as they are made, into
+per-seed KPIs and the seed's first severe failure.
 ``run_step`` executes one turn with the public state types and is the
 single-turn reference that the tests compare the loop against.
 """
@@ -77,7 +77,6 @@ MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # A shift keeps one record per turn. At this bound, ``run`` writing every
 # artifact takes about 1.2 s and 79 MB (CPython 3.11, 2-vCPU Xeon).
 MAX_HORIZON = 100_000
-_NO_EVENT = (0, False)  # past the last event of a schedule; turns start at 1
 # Below this, sums of multiples of 2**-STATE_DECIMALS are exact doubles.
 _EXACT_FATIGUE = 2.0 ** (52 - STATE_DECIMALS)
 # x is a multiple of 2**-STATE_DECIMALS iff x * _DYADIC is an integer.
@@ -259,12 +258,8 @@ def run_step(
 class _StagePolicy(StageGame):
     """The stage game of one parameter set, with every leader decision
     memoised for one call of ``run_shift`` or ``run_paired``, and the
-    parameter set's event-free opening.
-
-    Sharing: a policy reads only ``cfg.game``, ``cfg.trust`` and
-    ``cfg.variant.trust_rule``, so it serves every config that agrees on
-    those (``serves``); ``run_paired`` shares one between v1.2 and v1.3 at
-    equal parameters.
+    parameter set's event-free opening. ``run_paired`` says which configs
+    share one.
 
     Levels and memo: ``solve`` reads fatigue only through the threshold tests
     ``fatigue + inc > threshold``, one per table increment. Rounded float
@@ -317,19 +312,6 @@ class _StagePolicy(StageGame):
         self.tables = tuple({} for _ in range(_APOLOGY + 1))
         start = cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf
         self.opening: tuple[list[tuple[float, float, float]], list[float]] = [start], []
-
-    def serves(self, cfg: ModelConfig) -> bool:
-        """Whether ``cfg`` agrees with this policy's config on everything
-        it reads: the trust rule, ``game`` and ``trust``."""
-        own = self.cfg
-        if cfg.variant.trust_rule is not own.variant.trust_rule:
-            return False
-        if cfg.game is own.game and cfg.trust is own.trust:
-            return True
-        # repr, unlike ==, tells 0.0 from -0.0 and 1 from 1.0, so a shared memo
-        # serves identical values.
-        params, own_params = (cfg.game, cfg.trust), (own.game, own.trust)
-        return params == own_params and repr(params) == repr(own_params)
 
     def open(self) -> None:
         """Set ``opening`` to the event-free shift over the first
@@ -396,8 +378,9 @@ def _simulate(
     (None unless ``keep_records``) and the summary.
 
     The shift starts from ``policy.opening`` (see ``_StagePolicy``) after
-    turn ``min(first event - 1, L)`` of its L turns, the horizon standing in
-    for a first event when there is none; an unopened policy has L = 0.
+    turn ``min(first event - 1, L)`` of its L turns, turn horizon + 1
+    standing in for a first event when there is none (``past_end``, also
+    the next event after the last); an unopened policy has L = 0.
 
     Exact fatigue: fatigue is quantized as ``update_fatigue`` does, except
     that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS. Such a
@@ -438,12 +421,12 @@ def _simulate(
     edges, threshold = policy.edges, policy.threshold
     largest, smallest = edges[0], edges[_TOP - 1]
     calm_get, top_get, apology_get = tables[0].get, tables[_TOP].get, tables[_APOLOGY].get
-    upcoming = iter(events)
-    event_turn, event_severe = next(upcoming, _NO_EVENT)
+    upcoming, past_end = iter(events), (horizon + 1, False)
+    event_turn, event_severe = next(upcoming, past_end)
     none, pick, failure, severe, dyadic = _NONE, _PICK, _FAILURE, _SEVERE, _DYADIC
 
     states, items = policy.opening
-    step = min((event_turn or horizon + 1) - 1, len(states) - 1)
+    step = min(event_turn - 1, len(states) - 1)
     trust, fatigue, peak = states[step]
     # Summed with sum() at the end, as summarize_shift does: newer Pythons
     # compensate float sums, so a running total could differ in the last bit.
@@ -473,7 +456,7 @@ def _simulate(
                 event, inc, outcome, trust_post = failure, failed_inc, severe, severe_trust
             else:
                 event, extra = pick, pick_extra
-            event_turn, event_severe = next(upcoming, _NO_EVENT)
+            event_turn, event_severe = next(upcoming, past_end)
         # update_fatigue, skipping round() where it is the identity: a
         # multiple of 1/dyadic is m * 5**STATE_DECIMALS / 10**STATE_DECIMALS,
         # so it has at most STATE_DECIMALS decimals already. An overflow to
@@ -509,7 +492,7 @@ def _simulate(
         # one, with fatigue rising by inc. Jump over them where that sum is
         # exact.
         if edge is not None:
-            k = (event_turn or horizon + 1) - 1 - step
+            k = event_turn - 1 - step
             end = fatigue_post + k * inc
             if k and end < _EXACT_FATIGUE and not (end - inc) + edge > threshold:
                 if keep_records:
@@ -625,6 +608,11 @@ def run_paired(
     The shifts come from ``_iter_paired``, one seed at a time, and none is
     kept: each config keeps only every seed's productivity, final trust,
     final fatigue and first severe failure.
+
+    Configs share one ``_StagePolicy`` (its memo and opening) when they hold
+    the same ``game`` and ``trust`` objects and one trust rule, as configs
+    built from one base by ``dataclasses.replace`` do. Configs built apart
+    get a policy each, even when equal in value; their results are the same.
     """
     columns = [([], [], [], []) for _ in cfgs]
     for shifts in _iter_paired(cfgs, n_seeds, base_seed):
@@ -642,13 +630,17 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
 
     Each seed's disruption schedule is drawn once, by one
     ``ScheduleDrawer``, and shared by every stochastic config, so the configs
-    must agree on the horizon and the disruption parameters. Configs with the
-    same stage-game parameters share one ``_StagePolicy``, opened when it
+    must agree on the horizon and the disruption parameters. Configs share
+    ``_StagePolicy`` objects as ``run_paired`` says, each opened when it
     serves more than one seed. Each shift equals ``run_shift`` of its config
     at that seed, as a shared seed pins the same schedule in every variant.
     """
     if not cfgs:
         raise ValueError("run_paired needs at least one config")
+    for name, value in (("n_seeds", n_seeds), ("base_seed", base_seed)):
+        # bool is an int subclass, but True is no seed.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer (got {value!r})")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1 (got {n_seeds})")
     last_seed = base_seed + n_seeds - 1
@@ -659,17 +651,17 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     horizon, disruption = cfgs[0].horizon, cfgs[0].disruption
     if any(c.horizon != horizon or c.disruption != disruption for c in cfgs):
         raise ValueError("paired configs must share horizon and disruption parameters")
-    policies: list[_StagePolicy] = []
+    policies: dict[tuple, _StagePolicy] = {}
     runs = []
     for cfg in cfgs:
-        policy = next((p for p in policies if p.serves(cfg)), None)
+        key = id(cfg.game), id(cfg.trust), cfg.variant.trust_rule
+        policy = policies.get(key)
         if policy is None:
-            policy = _StagePolicy(cfg)
+            policy = policies[key] = _StagePolicy(cfg)
             # Over one seed it would serve one shift per config, too few to
             # pay for the opening.
             if n_seeds > 1:
                 policy.open()
-            policies.append(policy)
         runs.append((cfg, policy, cfg.variant.has_disruptions))
     drawer = None
     if any(stochastic for *_, stochastic in runs):

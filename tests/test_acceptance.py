@@ -33,7 +33,6 @@ from cobotsim import (
 )
 from cobotsim.engine import median_recovery_capped, summarize_shift
 from cobotsim.game import TIE_EPS
-from conftest import fatigue_fields
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ENSEMBLE_SEEDS = 1000
@@ -179,11 +178,10 @@ def _random_config(rng):
     game = GameParams(
         reward_normal=reward_normal,
         reward_high=reward_normal + rng.uniform(0.1, 3.0),
-        **fatigue_fields({
-            (effort, collab): rng.uniform(0.05, 4.0)
-            for effort in EffortLevel
-            for collab in CollabLevel
-        }),
+        fatigue_normal_low=rng.uniform(0.05, 4.0),
+        fatigue_normal_high=rng.uniform(0.05, 4.0),
+        fatigue_high_low=rng.uniform(0.05, 4.0),
+        fatigue_high_high=rng.uniform(0.05, 4.0),
         cost_kappa_base=base,
         cost_kappa_trust_slope=slope,
         fatigue_threshold=rng.uniform(1.0, 120.0),

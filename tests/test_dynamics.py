@@ -16,7 +16,6 @@ from cobotsim import (
     update_fatigue,
     update_trust,
 )
-from conftest import fatigue_fields
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -75,13 +74,12 @@ def test_severe_event_overrides_everything(params, rule, pair):
 def test_refined_rule_follows_column_dominance(low_normal, low_high, gap):
     # whenever the high-collaboration column strictly dominates, the refined
     # rule credits any high-collaboration turn and no low-collaboration turn
-    table = {
-        (NORMAL, LOW_C): low_normal,
-        (NORMAL, HIGH_C): low_normal - min(gap, low_normal / 2),
-        (HIGH_E, LOW_C): low_high,
-        (HIGH_E, HIGH_C): low_high - min(gap, low_high / 2),
-    }
-    params = GameParams(**fatigue_fields(table))
+    params = GameParams(
+        fatigue_normal_low=low_normal,
+        fatigue_normal_high=low_normal - min(gap, low_normal / 2),
+        fatigue_high_low=low_high,
+        fatigue_high_high=low_high - min(gap, low_high / 2),
+    )
     for effort in EffortLevel:
         assert (
             classify_interaction(TrustRule.REFINED, ActionPair(HIGH_C, effort), False, params)

@@ -24,6 +24,7 @@ from cobotsim import (
     RandomStream,
     StepRecord,
     TrustParams,
+    emit_summary_json,
     fatigue_increment,
     recovery_time,
     run_ensemble,
@@ -32,12 +33,11 @@ from cobotsim import (
     run_step,
     solve_stage_game,
 )
-from cobotsim import engine
+from cobotsim import cli, engine
 from cobotsim.dynamics import STATE_DECIMALS
 from cobotsim.disruption import schedule
 from cobotsim.engine import _StagePolicy, summarize_shift
 from cobotsim.game import ACTION_PAIRS, StageGame
-from conftest import fatigue_fields, fatigue_table
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -46,6 +46,13 @@ SEVERE = InteractionOutcome.SEVERE_FAILURE
 
 def cfg_for(variant, **kwargs):
     return ModelConfig(variant=ModelVariant(variant), **kwargs)
+
+
+def paired_cfgs(variants, **kwargs):
+    """Configs of ``variants`` built from one base by ``replace``, so they hold
+    one ``game`` and ``trust`` and ``run_paired`` shares their policy."""
+    base = ModelConfig(**kwargs)
+    return [replace(base, variant=ModelVariant(v)) for v in variants]
 
 
 # ---------------------------------------------------------------- run_step
@@ -225,10 +232,16 @@ def test_disengagement_trap_without_apology():
 
 # ---------------------------------------------------------- stage policy
 
-_NON_DYADIC = {(NORMAL, LOW_C): 0.3, (NORMAL, HIGH_C): 0.1,
-               (HIGH_E, LOW_C): 0.7, (HIGH_E, HIGH_C): 0.2}
-_NEGATIVE = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): -1.0,
-             (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 1.0}
+_NON_DYADIC = {"fatigue_normal_low": 0.3, "fatigue_normal_high": 0.1,
+               "fatigue_high_low": 0.7, "fatigue_high_high": 0.2}
+_NEGATIVE = {"fatigue_normal_low": 1.0, "fatigue_normal_high": -1.0,
+             "fatigue_high_low": 2.5, "fatigue_high_high": 1.0}
+
+
+def _increments(game):
+    """``game``'s four fatigue increments, effort-major, each read through
+    ``fatigue_increment``."""
+    return [fatigue_increment(ACTION_PAIRS[c, e], game) for e in EffortLevel for c in CollabLevel]
 
 
 # items - 1e17 rounds to the same double for both rewards, so past the
@@ -269,7 +282,7 @@ def _rounding_game():
         GameParams(),
         GameParams(fatigue_threshold=80.3),
         _rounding_game(),
-        GameParams(fatigue_threshold=30.2, **fatigue_fields(_NEGATIVE)),
+        GameParams(fatigue_threshold=30.2, **_NEGATIVE),
         _SATURATED_TIE,
     ],
     ids=["defaults", "threshold-80.3", "rounding-threshold", "negative-entry",
@@ -280,7 +293,7 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
     # one memo sees them in both orders, so a key that rounds differently
     # from cobot_utility serves a stale decision.
     fatigues = []
-    for inc in fatigue_table(game).values():
+    for inc in _increments(game):
         edge = game.fatigue_threshold - inc
         below = math.nextafter(edge, -math.inf)
         above = math.nextafter(edge, math.inf)
@@ -289,7 +302,7 @@ def test_memoised_stage_game_is_exact_at_the_threshold(game):
     # Level 0 holds up to the last fatigue whose sum with the largest
     # increment stays at or below the threshold in float terms; the top level
     # from the first whose sum with the smallest exceeds it.
-    threshold, table = game.fatigue_threshold, fatigue_table(game).values()
+    threshold, table = game.fatigue_threshold, _increments(game)
     calm_end = _crossing(threshold, max(table))
     saturated_start = _crossing(threshold, min(table))
     fatigues += [0.0, math.nextafter(calm_end, -math.inf), calm_end,
@@ -332,7 +345,7 @@ def _leader_turns(records):
 def _saturated_at_a_calm_trust(records, game):
     """A stage-game turn past the threshold at a trust also met on a calm
     stage-game turn: the case where sharing one trust key would go wrong."""
-    threshold, table = game.fatigue_threshold, fatigue_table(game).values()
+    threshold, table = game.fatigue_threshold, _increments(game)
     turns = _leader_turns(records)
     calm = {r.trust_pre for r in turns if not r.fatigue_pre + max(table) > threshold}
     return any(
@@ -362,12 +375,12 @@ def _steady_forced_turn(records):
 def _edges(game):
     """The table increments from the largest down, then -inf: at level L,
     the test of the L-th is the next to turn true as fatigue rises."""
-    return sorted(fatigue_table(game).values(), reverse=True) + [-math.inf]
+    return sorted(_increments(game), reverse=True) + [-math.inf]
 
 
 def _level(fatigue, game):
     """How many of the stage game's threshold tests hold at ``fatigue``."""
-    return sum(fatigue + inc > game.fatigue_threshold for inc in fatigue_table(game).values())
+    return sum(fatigue + inc > game.fatigue_threshold for inc in _increments(game))
 
 
 _TOP = 4  # the level where every test holds
@@ -440,18 +453,20 @@ def _to_the_edge(stretch, game):
             and fatigue + k * inc + _edges(game)[level] > game.fatigue_threshold)
 
 
-_ZERO_HIGH_HIGH = {(NORMAL, LOW_C): 1.0, (NORMAL, HIGH_C): 0.5,
-                   (HIGH_E, LOW_C): 2.5, (HIGH_E, HIGH_C): 0.0}
-_POINT_3_HIGH_HIGH = {**_ZERO_HIGH_HIGH, (HIGH_E, HIGH_C): 0.3}
-_FINE = {key: value + 2**-12 for key, value in fatigue_table(GameParams()).items()}
+_ZERO_HIGH_HIGH = {"fatigue_normal_low": 1.0, "fatigue_normal_high": 0.5,
+                   "fatigue_high_low": 2.5, "fatigue_high_high": 0.0}
+_POINT_3_HIGH_HIGH = {**_ZERO_HIGH_HIGH, "fatigue_high_high": 0.3}
+# The default increments plus 2**-12.
+_FINE = {"fatigue_normal_low": 1.0 + 2**-12, "fatigue_normal_high": 0.5 + 2**-12,
+         "fatigue_high_low": 2.5 + 2**-12, "fatigue_high_high": 1.0 + 2**-12}
 # Four distinct increments, 10, 1, 0.5 and 0.25, under the default threshold 80.
 # At trust 1.0 the leader plays (high, high), +1 a turn, until fatigue + 1
 # exceeds 80 at level 2, where it turns to (low, normal). From fatigue 0.5
 # level 1 runs from 70.5 to 78.5: a shift of 79 turns ends there, and one
 # turn more starts at 79.5, past the edge.
-_BAND_STEPS = {(NORMAL, LOW_C): 0.25, (NORMAL, HIGH_C): 0.5,
-               (HIGH_E, LOW_C): 10.0, (HIGH_E, HIGH_C): 1.0}
-_IN_THE_BAND = {"game": GameParams(**fatigue_fields(_BAND_STEPS)),
+_BAND_STEPS = {"fatigue_normal_low": 0.25, "fatigue_normal_high": 0.5,
+               "fatigue_high_low": 10.0, "fatigue_high_high": 1.0}
+_IN_THE_BAND = {"game": GameParams(**_BAND_STEPS),
                 "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.5)}
 
 
@@ -468,10 +483,10 @@ _IN_THE_BAND = {"game": GameParams(**fatigue_fields(_BAND_STEPS)),
         # wrongly skip its round().
         ("v1.2", {"trust": TrustParams(initial_fatigue=2**-13)},
          lambda recs, game: _fatigue_branch(recs[0], game) == "round"),
-        ("v1.3", {"game": GameParams(**fatigue_fields(_NON_DYADIC)),
+        ("v1.3", {"game": GameParams(**_NON_DYADIC),
                   "disruption": DisruptionParams(chance=0.3, difficult_pick_fatigue=0.3)},
          lambda recs, game: {"exact", "round"} <= {_fatigue_branch(r, game) for r in recs}),
-        ("v1.2", {"game": GameParams(**fatigue_fields(_NEGATIVE))},
+        ("v1.2", {"game": GameParams(**_NEGATIVE)},
          lambda recs, game: "clamp" in {_fatigue_branch(r, game) for r in recs}),
         ("v1.3", {"trust": TrustParams(severe_loss=1.0),
                   "disruption": DisruptionParams(chance=0.3)},
@@ -492,14 +507,14 @@ _IN_THE_BAND = {"game": GameParams(**fatigue_fields(_BAND_STEPS)),
         ("v1.1", {"horizon": 300,
                   "trust": TrustParams(initial_trust=0.0, initial_fatigue=0.25)},
          _stretch(0, _crosses_edge)),
-        ("v1.1", {"game": GameParams(**fatigue_fields(_ZERO_HIGH_HIGH))},
+        ("v1.1", {"game": GameParams(**_ZERO_HIGH_HIGH)},
          _stretch(0, lambda s, game: _jump_taken(s, game) and s[1] == 0.0)),
-        ("v1.1", {"game": GameParams(**fatigue_fields(_NEGATIVE))},
+        ("v1.1", {"game": GameParams(**_NEGATIVE)},
          _stretch(0, lambda s, game: s[1] < 0.0)),
         ("v1.2", {"trust": TrustParams(initial_fatigue=2**-13)},
          _stretch(0, lambda s, game: not _dyadic(s[2]))),
         # 0.2 + 0.3 == 0.5, a dyadic fatigue; the increment 0.3 is not.
-        ("v1.1", {"game": GameParams(**fatigue_fields(_POINT_3_HIGH_HIGH)),
+        ("v1.1", {"game": GameParams(**_POINT_3_HIGH_HIGH),
                   "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.2)},
          _stretch(0, lambda s, game: _dyadic(s[2]) and not _dyadic(s[1]))),
         ("v1.1", {**_IN_THE_BAND, "horizon": 79}, _stretch(1, _to_the_edge)),
@@ -508,7 +523,7 @@ _IN_THE_BAND = {"game": GameParams(**fatigue_fields(_BAND_STEPS)),
          _stretch(_TOP, lambda s, game: s[2] + s[3] * s[1] >= 2.0**40)),
         # Past 2**41 a double is a multiple of 2**-11, so sums of these
         # increments round: a jump there would round once instead of k times.
-        ("v1.2", {"game": GameParams(**fatigue_fields(_FINE)),
+        ("v1.2", {"game": GameParams(**_FINE),
                   "trust": TrustParams(initial_fatigue=2.0**41 - 8)},
          _stretch(_TOP, lambda s, game: s[2] + s[3] * s[1] >= 2.0**41)),
     ],
@@ -538,11 +553,11 @@ def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
 @pytest.mark.parametrize(
     "table, trust, level, trust_post, steady",
     [
-        (None, 1.0, 0, 1.0, True),  # (high, high) keeps trust at its maximum
-        (None, 0.0, 0, 0.0, True),  # (low, normal): the spiral's fixed point
-        (None, 0.5, 0, 0.55, False),
+        ({}, 1.0, 0, 1.0, True),  # (high, high) keeps trust at its maximum
+        ({}, 0.0, 0, 0.0, True),  # (low, normal): the spiral's fixed point
+        ({}, 0.5, 0, 0.55, False),
         # The countdown, not the decision, fixes the next turn's leader.
-        (None, 1.0, engine._APOLOGY, 1.0, False),
+        ({}, 1.0, engine._APOLOGY, 1.0, False),
         (_NEGATIVE, 1.0, 0, 1.0, False),  # (high, normal) lowers fatigue by 1
         (_POINT_3_HIGH_HIGH, 1.0, 0, 1.0, False),
     ],
@@ -550,7 +565,7 @@ def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
          "non-dyadic-increment"],
 )
 def test_decision_carries_its_fast_forward_edge(table, trust, level, trust_post, steady):
-    game = GameParams() if table is None else GameParams(**fatigue_fields(table))
+    game = GameParams(**table)
     policy = _StagePolicy(cfg_for("v1.1", game=game))
     decision = policy.leader(trust, 0.0, level)
     assert len(decision) == 9
@@ -752,7 +767,7 @@ def _chained_summary(cfg):
 @pytest.mark.parametrize("base_seed", [7, 2**64 - 30])
 def test_run_paired_matches_chained_run_step_per_seed(base_seed):
     # v1.1 consumes no draws while v1.2 and v1.3 share each seed's schedule.
-    cfgs = [cfg_for(v) for v in ("v1.2", "v1.3", "v1.1")]
+    cfgs = paired_cfgs(("v1.2", "v1.3", "v1.1"))
     paired = run_paired(cfgs, n_seeds=30, base_seed=base_seed)
     shifts = _paired_shifts(cfgs, 30, base_seed)
     assert len(paired) == len(cfgs)
@@ -775,12 +790,17 @@ def dyadic_lattice_params(draw):
     0.3, -0.5, 2**-13 and 2**40 - 8 make it decline them. Initial fatigues
     29.75 and 79.5 start inside the band of thresholds 30 and 80."""
     pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
-    table = {key: pick(*_LATTICE_INCREMENTS) for key in fatigue_table(GameParams())}
+    fatigue = {  # drawn first, effort-major, as the fields are declared
+        "fatigue_normal_low": pick(*_LATTICE_INCREMENTS),
+        "fatigue_normal_high": pick(*_LATTICE_INCREMENTS),
+        "fatigue_high_low": pick(*_LATTICE_INCREMENTS),
+        "fatigue_high_high": pick(*_LATTICE_INCREMENTS),
+    }
     return {
         "horizon": draw(st.integers(1, 300)),
         "seed": draw(st.integers(0, 2**64 - 2)),
         "game": GameParams(
-            **fatigue_fields(table),
+            **fatigue,
             fatigue_threshold=pick(2.0, 10.0, 30.0, 80.0, 80.3, 300.0),
             cobot_tiebreak_trust=pick(0.0, 0.5, 0.75, 1.0),
         ),
@@ -815,6 +835,19 @@ def test_shift_loop_is_exact_on_a_dyadic_lattice(params):
         _assert_first_failures(ens, summaries)
 
 
+def _count_policies(monkeypatch):
+    """The config of each ``_StagePolicy`` made from now on."""
+    made = []
+    init = _StagePolicy.__init__
+
+    def counting(policy, cfg):
+        made.append(cfg)
+        init(policy, cfg)
+
+    monkeypatch.setattr(_StagePolicy, "__init__", counting)
+    return made
+
+
 def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
     solves = []
     solve = StageGame.solve
@@ -824,14 +857,47 @@ def test_run_paired_shares_one_memo_per_parameter_set(monkeypatch):
         return solve(game, trust, fatigue)
 
     monkeypatch.setattr(StageGame, "solve", counting)
-    faster_gain = TrustParams(gain=0.1)
-    cfgs = [cfg_for("v1.2"), cfg_for("v1.3"), cfg_for("v1.2", trust=faster_gain)]
+    v12, v13 = paired_cfgs(("v1.2", "v1.3"))
+    cfgs = [v12, v13, replace(v12, trust=TrustParams(gain=0.1))]
     alone = [run_ensemble(cfg, n_seeds=40, base_seed=5) for cfg in cfgs]
     lone_solves = len(solves)
     solves.clear()
+    made = _count_policies(monkeypatch)
     assert run_paired(cfgs, n_seeds=40, base_seed=5) == alone
     # v1.2 and v1.3 share one memo; the third config needs its own.
+    assert made == [v12, cfgs[2]]
     assert 0 < len(solves) < lone_solves
+
+
+def test_run_paired_shares_policies_by_parameter_objects(monkeypatch):
+    made = _count_policies(monkeypatch)
+    # Equal in value, but built apart: a policy each.
+    run_paired([cfg_for("v1.2"), cfg_for("v1.3")], n_seeds=2, base_seed=1)
+    assert len(made) == 2
+    made.clear()
+    # v1.0's naive trust rule needs its own policy.
+    run_paired(paired_cfgs(("v1.1", "v1.2", "v1.3", "v1.0")), n_seeds=2, base_seed=1)
+    assert [cfg.variant.value for cfg in made] == ["v1.1", "v1.0"]
+
+
+def test_compare_makes_one_stage_policy(monkeypatch):
+    # v1.2 and v1.3 of every compare, table2 and paired-ensemble op share one.
+    made = _count_policies(monkeypatch)
+    cli.format_comparison(25, 1)
+    assert len(made) == 1
+
+
+def test_equal_parameters_of_other_types_share_no_memo():
+    # Integer rewards sum to an integer productivity, so a memo shared with
+    # the default float rewards would print 98 for 98.0.
+    ints = cfg_for("v1.1", game=GameParams(reward_normal=1, reward_high=2))
+    cfgs = [ints, cfg_for("v1.1")]
+    assert ints.game == cfgs[1].game
+    paired = run_paired(cfgs, n_seeds=3, base_seed=1)
+    for cfg, ens in zip(cfgs, paired):
+        assert emit_summary_json(ens) == emit_summary_json(run_ensemble(cfg, 3, 1))
+    # The median of integers stays one, so the two reports differ.
+    assert emit_summary_json(paired[0]) != emit_summary_json(paired[1])
 
 
 def test_no_shift_outlives_run_paired(monkeypatch):
@@ -844,7 +910,7 @@ def test_no_shift_outlives_run_paired(monkeypatch):
         return records, summary
 
     monkeypatch.setattr(engine, "_simulate", tracking)
-    paired = run_paired([cfg_for("v1.2"), cfg_for("v1.3")], n_seeds=30, base_seed=1)
+    paired = run_paired(paired_cfgs(("v1.2", "v1.3")), n_seeds=30, base_seed=1)
     gc.collect()
     assert [ens.n_seeds for ens in paired] == [30, 30]
     # The opening's one shift, then 30 seeds of two configs.
@@ -865,7 +931,7 @@ def test_run_paired_opens_only_for_more_than_one_seed(monkeypatch):
         run_ensemble(cfg_for(variant), n_seeds=1, base_seed=3)
     assert openings == []
     # v1.2 and v1.3 share one opening.
-    run_paired([cfg_for("v1.2"), cfg_for("v1.3")], n_seeds=2, base_seed=3)
+    run_paired(paired_cfgs(("v1.2", "v1.3")), n_seeds=2, base_seed=3)
     assert len(openings) == 1
 
 
@@ -890,7 +956,7 @@ def _assert_paired_equals_run_shift(cfgs, n_seeds, base_seed):
 def test_opening_serves_a_first_event_at_turn_one(base_seed, n_seeds):
     # Seeds 120 and 122 open on a cobot failure, 18 and 21 on a difficult
     # pick; each of those shifts starts from the initial state.
-    cfgs = [cfg_for("v1.2"), cfg_for("v1.3"), cfg_for("v1.1")]
+    cfgs = paired_cfgs(("v1.2", "v1.3", "v1.1"))
     firsts = _first_event_turns(cfgs[0], n_seeds, base_seed)
     assert firsts.count(1) == 2
     _assert_paired_equals_run_shift(cfgs, n_seeds, base_seed)
@@ -901,7 +967,7 @@ def test_opening_serves_first_events_past_its_last_turn():
     # engine._OPENING turns, and some shifts see no event at all, so they
     # start at its last turn and run on one turn at a time.
     dp = DisruptionParams(chance=0.002)
-    cfgs = [cfg_for(v, horizon=1000, disruption=dp) for v in ("v1.2", "v1.3", "v1.1")]
+    cfgs = paired_cfgs(("v1.2", "v1.3", "v1.1"), horizon=1000, disruption=dp)
     firsts = _first_event_turns(cfgs[0], 20, 1)
     assert None in firsts
     assert any(t is not None and t > engine._OPENING for t in firsts)
@@ -913,8 +979,7 @@ def test_opening_serves_first_events_past_its_last_turn():
     "cfgs",
     [
         # Past the opening's last turn, these run on one turn at a time.
-        [cfg_for(v, horizon=300, disruption=DisruptionParams(chance=0.0))
-         for v in ("v1.2", "v1.3")],
+        paired_cfgs(("v1.2", "v1.3"), horizon=300, disruption=DisruptionParams(chance=0.0)),
         # Read off the opening whole.
         [cfg_for("v1.0")],
         [cfg_for("v1.1")],
@@ -934,9 +999,14 @@ def test_opening_serves_shifts_without_events(cfgs):
         ([cfg_for("v1.2"), cfg_for("v1.3")], 2, -1),
         ([cfg_for("v1.2"), cfg_for("v1.3")], 2, 2**64 - 1),
         ([], 2, 1),
+        ([cfg_for("v1.2")], True, 1),
+        ([cfg_for("v1.2")], 2.0, 1),
+        ([cfg_for("v1.2")], 2, True),
+        ([cfg_for("v1.2")], 2, 1.0),
     ],
     ids=["horizon", "disruption", "deterministic-horizon", "negative-seed",
-         "seed-past-64-bits", "no-configs"],
+         "seed-past-64-bits", "no-configs", "bool-n-seeds", "float-n-seeds",
+         "bool-base-seed", "float-base-seed"],
 )
 def test_run_paired_rejects_unpairable_input(cfgs, n_seeds, base_seed):
     with pytest.raises(ValueError):

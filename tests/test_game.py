@@ -20,7 +20,6 @@ from cobotsim import (
     solve_stage_game,
 )
 from cobotsim.game import ACTION_PAIRS, TIE_EPS, StageGame
-from conftest import fatigue_fields, fatigue_table
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH
@@ -235,11 +234,10 @@ def game_params(draw):
     return GameParams(
         reward_normal=reward_normal,
         reward_high=reward_high,
-        **fatigue_fields({
-            (effort, collab): draw(real(0, 3))
-            for effort in EffortLevel
-            for collab in CollabLevel
-        }),
+        fatigue_normal_low=draw(real(0, 3)),
+        fatigue_normal_high=draw(real(0, 3)),
+        fatigue_high_low=draw(real(0, 3)),
+        fatigue_high_high=draw(real(0, 3)),
         cost_kappa_base=base,
         cost_kappa_trust_slope=draw(real(-2, 0) | st.floats(0, base - 0.5)),
         fatigue_threshold=draw(real(1, 100)),
@@ -300,7 +298,7 @@ def test_stage_game_matches_the_per_term_rules_exactly(params, trusts, fatigues)
     trusts = [0.0, 1.0, params.cobot_tiebreak_trust, *follower_tie_trusts(params), *trusts]
     fatigues = [0.0, *fatigues] + [
         params.fatigue_threshold - inc
-        for inc in fatigue_table(params).values()
+        for inc in (fatigue_increment(pair, params) for pair in ACTION_PAIRS.values())
         if params.fatigue_threshold >= inc
     ]
     game = StageGame(params)

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobotsim import (
-    CollabLevel,
     DisruptionParams,
-    EffortLevel,
     GameParams,
     ModelConfig,
     ModelVariant,
@@ -22,7 +20,6 @@ from cobotsim import (
     run_shift,
 )
 from cobotsim.reports import CSV_HEADER, format_real
-from conftest import fatigue_fields
 
 
 def run(variant, **kwargs):
@@ -147,9 +144,10 @@ def shift_configs(draw):
     game = GameParams(
         reward_normal=reward_normal,
         reward_high=reward_high,
-        **fatigue_fields({
-            (effort, collab): draw(_AMOUNTS) for effort in EffortLevel for collab in CollabLevel
-        }),
+        fatigue_normal_low=draw(_AMOUNTS),
+        fatigue_normal_high=draw(_AMOUNTS),
+        fatigue_high_low=draw(_AMOUNTS),
+        fatigue_high_high=draw(_AMOUNTS),
         cost_kappa_base=kappa_base,
         cost_kappa_trust_slope=draw(st.floats(min_value=0.0, max_value=kappa_base - 0.5)),
         fatigue_threshold=draw(st.one_of(st.floats(min_value=0.1, max_value=200.0), _LARGE)),

@@ -72,7 +72,7 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
 def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     result = run_script("cost_report.py", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    sizes, counts = result.stdout.strip().split("\n\n")
+    sizes, counts, functions = result.stdout.strip().split("\n\n")
     header, *modules, total = [line.split() for line in sizes.splitlines()]
     assert header == ["module", "lines", "code"]
     assert {row[0] for row in modules} >= {"engine.py", "cli.py", "game.py"}
@@ -84,4 +84,15 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     assert header.split() == ["op", "opcodes"]
     assert len(ops) == 3
     assert all(int(line.split()[-1]) > 0 for line in ops)
+    # Each op's name, then its five largest functions by descending share.
+    header, *rows = functions.splitlines()
+    assert header.split() == ["share", "op", "/", "function"]
+    assert len(rows) == 3 * 6
+    for op, block in zip(ops, (rows[i:i + 6] for i in range(0, len(rows), 6))):
+        assert op.startswith(block[0] + " ")
+        shares = [float(row.split()[0]) for row in block[1:]]
+        assert shares == sorted(shares, reverse=True)
+        assert 0 < sum(shares) <= 100.05
+        assert all(row.split()[1] == "%" and ":" in row.split()[2] for row in block[1:])
+    assert "engine.py:_simulate" in functions
     assert not any(tmp_path.iterdir())
