@@ -21,10 +21,17 @@ Functions: each op's five functions that executed the most of its opcodes,
 with their share of the op's opcodes, named ``file:qualified name``. A
 dataclass's generated ``__init__`` reads
 ``<string>:__create_fn__.<locals>.__init__``.
+
+Files: each op's opcodes rolled up per file name, largest share first, so
+``engine.py``, ``argparse.py`` or ``<string>`` (generated dataclass code)
+read as one layer each.
+
+Output cut short by a closed pipe (``| head``) ends the script quietly.
 """
 
 import contextlib
 import io
+import os
 import sys
 import tempfile
 import tokenize
@@ -126,8 +133,24 @@ def main() -> int:
         print(name)
         for (file, function), count in counts.most_common(5):
             print(f"{100 * count / counts.total():>6.1f} %  {Path(file).name}:{function}")
+    print()
+    print(f"{'share':>8}  op / file")
+    for name, counts in counted:
+        print(name)
+        files = Counter()
+        for (file, _), count in counts.items():
+            files[Path(file).name] += count
+        for file, count in files.most_common():
+            print(f"{100 * count / counts.total():>6.2f} %  {file}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send that to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

@@ -38,7 +38,7 @@ from .game import (
     perceived_cost,
     solve_stage_game,
 )
-from .reports import emit_summary_json, emit_trajectory_csv, parse_trajectory_csv
+from .reports import emit_summary_json, emit_trajectory_csv
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "human_reward",
     "human_utility",
     "parse_config",
-    "parse_trajectory_csv",
     "perceived_cost",
     "recovery_time",
     "render_config",

@@ -19,7 +19,7 @@ from functools import partial
 from pathlib import Path
 
 from .charts import emit_svg_chart
-from .configio import ConfigError, config_with_overrides, parse_config
+from .configio import ConfigError, apply_settings, config_with_overrides, parse_config
 from .engine import (
     MAX_SEED,
     ModelConfig,
@@ -87,20 +87,11 @@ def _load_config(args: argparse.Namespace) -> ModelConfig:
         cfg = parse_config(text)
     else:
         cfg = ModelConfig()
-    # The shorthands are applied one at a time, so an error names its flag.
-    if args.variant is not None:
-        try:
-            cfg = replace(cfg, variant=ModelVariant(args.variant))
-        except ValueError:
-            valid = ", ".join(v.value for v in ModelVariant)
-            raise ConfigError(
-                f"--variant: variant must be one of {valid} (got '{args.variant}')"
-            ) from None
-    if args.seed is not None:
-        try:
-            cfg = replace(cfg, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"--seed: {exc}") from None
+    # The shorthands are values, not config lines; an error names its flag.
+    shorthands = [("--variant", "variant", args.variant), ("--seed", "seed", args.seed)]
+    settings = [(flag, key, str(raw)) for flag, key, raw in shorthands if raw is not None]
+    if settings:
+        cfg = apply_settings(cfg, settings)
     if args.overrides:
         cfg = config_with_overrides(cfg, args.overrides)
     return cfg

@@ -6,7 +6,10 @@ format, and flat lines diff and grep well.
 
 One key table, ``_KEYS``, is the whole schema: it drives ``KNOWN_KEYS``,
 value conversion, parsing, rendering (one line per key, in table order) and
-the attribution of a failed invariant to the line that set the field.
+the attribution of errors. Every source of settings goes through
+``apply_settings``: a config file's lines, ``--set`` overrides and the
+``--variant``/``--seed`` shorthands. A failed setting is attributed to the
+config line, the override or the shorthand flag that set it.
 """
 
 from __future__ import annotations
@@ -61,22 +64,42 @@ def parse_config(
     Raises ConfigError naming the offending line for unknown keys, malformed
     values, and invariant violations.
     """
-    cfg = base if base is not None else ModelConfig()
+
+    def settings():
+        # Lazily, so an error on one line is reported before a later line's.
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(
+                    f"{label} {lineno}: expected 'key = value', got '{stripped}'"
+                )
+            key, _, raw = stripped.partition("=")
+            yield f"{label} {lineno}", key.strip(), raw.strip()
+
+    return apply_settings(base if base is not None else ModelConfig(), settings())
+
+
+def apply_settings(cfg: ModelConfig, settings) -> ModelConfig:
+    """Set each ``(where, key, raw)`` of ``settings`` on ``cfg``, in order,
+    and revalidate once.
+
+    ``key`` is a config key and ``raw`` its value text, converted as is:
+    nothing is stripped or split off. ``where`` names the source of the
+    setting, such as ``line 3``, ``override 2`` or ``--seed``, and prefixes
+    the ConfigError it causes: an unknown key, a malformed value, or an
+    invariant that names a field it set (the last such setting wins).
+    """
     # group -> overridden fields, in table order: root, game, trust, disruption.
     changes: dict[str, dict[str, object]] = {group: {} for group in _GROUPS}
-    # field name, as validation messages give it -> last line setting it
-    line_of_name: dict[str, int] = {}
+    # field name, as validation messages give it -> (position, where) of the
+    # last setting of it
+    where_of_name: dict[str, tuple[int, str]] = {}
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{label} {lineno}: expected 'key = value', got '{stripped}'")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
+    for n, (where, key, raw) in enumerate(settings):
         if key not in _KEYS:
-            raise ConfigError(f"{label} {lineno}: unknown key '{key}'")
+            raise ConfigError(f"{where}: unknown key '{key}'")
         group, field, conv = _KEYS[key]
         try:
             value = conv(raw)
@@ -84,14 +107,14 @@ def parse_config(
             if conv is ModelVariant:
                 valid = ", ".join(v.value for v in ModelVariant)
                 raise ConfigError(
-                    f"{label} {lineno}: variant must be one of {valid} (got '{raw}')"
+                    f"{where}: variant must be one of {valid} (got '{raw}')"
                 ) from None
             kind = "an integer" if conv is int else "a number"
             raise ConfigError(
-                f"{label} {lineno}: expected {kind} for '{key}', got '{raw}'"
+                f"{where}: expected {kind} for '{key}', got '{raw}'"
             ) from None
         changes[group][field] = value
-        line_of_name[field] = lineno
+        where_of_name[field] = n, where
 
     # Sub-configs validate before the root, as when each is constructed.
     root = changes.pop("")
@@ -101,16 +124,16 @@ def parse_config(
                 root[group] = replace(getattr(cfg, group), **fields)
         return replace(cfg, **root)
     except ValueError as exc:
-        # Attribute the failed invariant to the last line touching a field
-        # that the message names as a whole word ("loss" is not named by
+        # Attribute the failed invariant to the last setting of a field that
+        # the message names as a whole word ("loss" is not named by
         # "severe_loss"); fall back to the bare message.
         message = str(exc)
         hits = [
-            n for name, n in line_of_name.items()
+            place for name, place in where_of_name.items()
             if re.search(rf"\b{re.escape(name)}\b", message)
         ]
         if hits:
-            raise ConfigError(f"{label} {max(hits)}: {message}") from None
+            raise ConfigError(f"{max(hits)[1]}: {message}") from None
         raise ConfigError(message) from None
 
 

@@ -120,11 +120,24 @@ class GameParams:
                 f"penalty_weight must exceed reward_high "
                 f"(got {self.penalty_weight} <= {self.reward_high})"
             )
-        # kappa is linear in trust, so positivity on [0, 1] reduces to the endpoints.
-        if min(self.cost_multiplier(0.0), self.cost_multiplier(1.0)) <= 0.0:
+        # kappa is linear in trust, so its range on [0, 1] is set by the endpoints.
+        kappas = self.cost_multiplier(0.0), self.cost_multiplier(1.0)
+        if min(kappas) <= 0.0:
             raise ValueError(
                 "cost multiplier cost_kappa_base - cost_kappa_trust_slope * trust "
                 "must stay positive for trust in [0, 1]"
+            )
+        # reward_high plus the largest increment times the largest multiplier
+        # bounds every human utility's magnitude, so no follower comparison
+        # meets inf - inf.
+        largest = max(abs(self.fatigue_normal_low), abs(self.fatigue_normal_high),
+                      abs(self.fatigue_high_low), abs(self.fatigue_high_high))
+        if not math.isfinite(self.reward_high + largest * max(kappas)):
+            raise ValueError(
+                "utility bound reward_high + max(|fatigue_normal_low|, "
+                "|fatigue_normal_high|, |fatigue_high_low|, |fatigue_high_high|) * "
+                "(cost_kappa_base - cost_kappa_trust_slope * trust) must stay finite "
+                "for trust in [0, 1]"
             )
 
     def cost_multiplier(self, trust: float) -> float:

@@ -54,37 +54,6 @@ def emit_trajectory_csv(records: list[StepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trajectory_csv(text: str) -> list[dict]:
-    """Parse an emitted trajectory back into typed row dicts (keys follow the
-    CSV header). Numeric fields round-trip exactly."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized trajectory header")
-    columns = CSV_HEADER.split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ValueError(f"malformed trajectory row: '{line}'")
-        row = dict(zip(columns, parts))
-        rows.append(
-            {
-                "step": int(row["step"]),
-                "trust_pre": float(row["trust_pre"]),
-                "fatigue_pre": float(row["fatigue_pre"]),
-                "cobot_action": CollabLevel(row["cobot_action"]),
-                "human_action": EffortLevel(row["human_action"]),
-                "disruption": DisruptionEvent(row["disruption"]),
-                "outcome": InteractionOutcome(row["outcome"]),
-                "items": float(row["items"]),
-                "trust_post": float(row["trust_post"]),
-                "fatigue_post": float(row["fatigue_post"]),
-                "apology_remaining": int(row["apology_remaining"]),
-            }
-        )
-    return rows
-
-
 def _recovery_entry(turn: int, steps: int | None) -> dict:
     return {"turn": turn, "steps": steps, "censored": steps is None}
 

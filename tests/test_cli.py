@@ -176,8 +176,24 @@ def test_base_seed_past_64_bits_exits_2(capsys, command):
         (["--variant", "v9", "--set", "horizon=5"],
          "config error: --variant: variant must be one of v1.0, v1.1, v1.2, v1.3 "
          "(got 'v9')"),
+        # A shorthand's value is read as a value, not as a config line.
+        (["--variant", "v1.1 # x"],
+         "config error: --variant: variant must be one of v1.0, v1.1, v1.2, v1.3 "
+         "(got 'v1.1 # x')"),
+        (["--variant", " v1.1"],
+         "config error: --variant: variant must be one of v1.0, v1.1, v1.2, v1.3 "
+         "(got ' v1.1')"),
+        (["--variant", "v1.1\nseed=3"],
+         "config error: --variant: variant must be one of v1.0, v1.1, v1.2, v1.3 "
+         "(got 'v1.1\nseed=3')"),
+        (["--variant", "v1.2", "--seed", "-1"],
+         "config error: --seed: seed must be an unsigned 64-bit integer (got -1)"),
+        # The --set stage comes after the shorthands, so it cannot mend them.
+        (["--seed", "-1", "--set", "seed=3"],
+         "config error: --seed: seed must be an unsigned 64-bit integer (got -1)"),
     ],
-    ids=["seed", "variant"],
+    ids=["seed", "variant", "variant-comment", "variant-space", "variant-line-break",
+         "seed-after-variant", "seed-before-set"],
 )
 def test_shorthand_error_names_its_flag(tmp_path, capsys, argv, message):
     assert main(["run", *argv, "--out", str(tmp_path)]) == 2
@@ -245,10 +261,10 @@ def test_directory_as_config_file_exits_2(tmp_path, capsys):
 
 _FATIGUE_OVERFLOW = [
     "--set", "fatigue.initial=1.7e308",
-    "--set", "game.fatigue_normal_low=1e308",
-    "--set", "game.fatigue_normal_high=1e308",
-    "--set", "game.fatigue_high_low=1e308",
-    "--set", "game.fatigue_high_high=1e308",
+    "--set", "game.fatigue_normal_low=1e307",
+    "--set", "game.fatigue_normal_high=1e307",
+    "--set", "game.fatigue_high_low=1e307",
+    "--set", "game.fatigue_high_high=1e307",
 ]
 
 
@@ -261,6 +277,19 @@ def test_fatigue_overflow_exits_2(tmp_path, capsys, argv):
     assert "fatigue.initial" in captured.err
     assert "game.fatigue_*" in captured.err
     assert "inf" not in captured.out
+    assert not any(tmp_path.iterdir())
+
+
+def test_overflowing_perceived_cost_exits_2(tmp_path, capsys):
+    # From trust 0.8 the cost multiplier was inf, both high-collaboration
+    # utilities -inf, and the follower's tie rule was skipped for a NaN.
+    argv = ["run", "--set", "game.fatigue_normal_high=1.0",
+            "--set", "game.cost_kappa_base=1e308",
+            "--set", "game.cost_kappa_trust_slope=-1e308", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error: override 3: utility bound reward_high" in captured.err
+    assert captured.out == ""
     assert not any(tmp_path.iterdir())
 
 

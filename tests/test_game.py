@@ -1,6 +1,8 @@
 """Stage-game tests: utility arithmetic, best responses, and the equilibrium
 against a brute-force enumeration oracle."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -354,3 +356,30 @@ def test_human_state_validation():
 def test_game_params_validation(kwargs):
     with pytest.raises(ValueError):
         GameParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # kappa(1) = 1e308 + 1e308 overflows.
+        {"cost_kappa_base": 1e308, "cost_kappa_trust_slope": -1e308},
+        # 1e308 times the default kappa(0) = 2.6 overflows.
+        {"fatigue_high_low": 1e308},
+    ],
+    ids=["multiplier", "increment"],
+)
+def test_game_params_rejects_an_overflowing_utility(kwargs):
+    with pytest.raises(ValueError, match="must stay finite") as info:
+        GameParams(**kwargs)
+    # Each field set is named, so a config error points at its line.
+    assert all(name in str(info.value) for name in kwargs)
+
+
+def test_game_params_accepts_a_finite_utility_bound():
+    # 1e307 * 2.6 is finite, so every utility is.
+    params = GameParams(**dict.fromkeys(
+        ["fatigue_normal_low", "fatigue_normal_high", "fatigue_high_low", "fatigue_high_high"],
+        1e307,
+    ))
+    for pair in ACTION_PAIRS.values():
+        assert all(math.isfinite(human_utility(pair, t, params)) for t in (0.0, 1.0))

@@ -15,7 +15,6 @@ from cobotsim import (
     TrustParams,
     emit_summary_json,
     emit_trajectory_csv,
-    parse_trajectory_csv,
     run_ensemble,
     run_shift,
 )
@@ -59,32 +58,6 @@ def test_emit_rejects_empty():
         emit_trajectory_csv([])
 
 
-def test_csv_round_trip_recovers_numeric_fields_exactly():
-    records, _ = run("v1.3", seed=42)
-    rows = parse_trajectory_csv(emit_trajectory_csv(records))
-    assert len(rows) == len(records)
-    for row, record in zip(rows, records):
-        assert row["step"] == record.step
-        assert row["trust_pre"] == record.trust_pre
-        assert row["fatigue_pre"] == record.fatigue_pre
-        assert row["cobot_action"] is record.cobot_action
-        assert row["human_action"] is record.human_action
-        assert row["disruption"] is record.disruption_event
-        assert row["outcome"] is record.outcome
-        assert row["items"] == record.items_picked
-        assert row["trust_post"] == record.trust_post
-        assert row["fatigue_post"] == record.fatigue_post
-        assert row["apology_remaining"] == record.apology_remaining_post
-
-
-def test_parse_rejects_foreign_text():
-    with pytest.raises(ValueError):
-        parse_trajectory_csv("a,b,c\n1,2,3\n")
-    header, first = emit_trajectory_csv(run("v1.1")[0]).split("\n")[:2]
-    with pytest.raises(ValueError, match="malformed trajectory row"):
-        parse_trajectory_csv(f"{header}\n{first},0\n")
-
-
 @pytest.mark.parametrize(
     "value, expected",
     [(0.0, "0"), (1.0, "1"), (2.0, "2"), (0.5, "0.5"), (0.55, "0.55"), (49.5, "49.5"),
@@ -94,7 +67,7 @@ def test_format_real(value, expected):
     assert format_real(value) == expected
 
 
-@given(st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
+@given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_real_round_trips(value):
     assert float(format_real(value)) == value
 

@@ -72,7 +72,7 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
 def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     result = run_script("cost_report.py", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    sizes, counts, functions = result.stdout.strip().split("\n\n")
+    sizes, counts, functions, files = result.stdout.strip().split("\n\n")
     header, *modules, total = [line.split() for line in sizes.splitlines()]
     assert header == ["module", "lines", "code"]
     assert {row[0] for row in modules} >= {"engine.py", "cli.py", "game.py"}
@@ -95,4 +95,36 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
         assert 0 < sum(shares) <= 100.05
         assert all(row.split()[1] == "%" and ":" in row.split()[2] for row in block[1:])
     assert "engine.py:_simulate" in functions
+    # Each op's name, then its opcodes per file by descending share.
+    header, *rows = files.splitlines()
+    assert header.split() == ["share", "op", "/", "file"]
+    blocks = []
+    for row in rows:
+        share, percent, *file = row.split(None, 2)
+        if percent == "%":
+            blocks[-1][1].append((float(share), file[0]))
+        else:
+            blocks.append((row, []))
+    assert len(blocks) == len(ops)
+    for op, (name, shares) in zip(ops, blocks):
+        assert op.startswith(name + " ")
+        assert [share for share, _ in shares] == sorted(
+            (share for share, _ in shares), reverse=True
+        )
+        assert abs(sum(share for share, _ in shares) - 100) <= 0.1
+    long_shift = next(shares for name, shares in blocks if "long-shift" in name)
+    assert "engine.py" in {file for _, file in long_shift}
     assert not any(tmp_path.iterdir())
+
+
+def test_cost_report_exits_quietly_into_a_closed_pipe(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    with subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "cost_report.py")], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        # Read the header, then close the pipe long before the opcode counts.
+        assert proc.stdout.readline().split() == ["module", "lines", "code"]
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == ""
