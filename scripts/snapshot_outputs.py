@@ -12,7 +12,8 @@ name, so two snapshots, say of two commits, compare with ``diff -r``:
 
 Two commands read ``all_keys.conf``, which the script writes into OUT_DIR
 first: it sets every known config key to a valid non-default value, so the
-comparison covers the parsing of each key.
+comparison covers the parsing of each key. A third passes the same lines as
+``--set`` pairs, so it covers the override reader too.
 
 Exits 1 if any command exits non-zero, after running the rest.
 """
@@ -85,6 +86,10 @@ def commands():
                     "--set", f"horizon={horizon}", "--emit", "csv,json,svg",
                 ]
     yield "run_all_keys", ["run", "--config", CONFIG, "--emit", "csv,json,svg"]
+    yield "run_all_keys_set", [
+        "run", *(arg for line in CONFIG_TEXT.splitlines() for arg in ("--set", line)),
+        "--emit", "csv,json,svg",
+    ]
     yield "ensemble_all_keys_seeds50", ["ensemble", "--config", CONFIG, "--seeds", "50"]
 
 

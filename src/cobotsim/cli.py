@@ -19,7 +19,9 @@ from functools import partial
 from pathlib import Path
 
 from .charts import emit_svg_chart
-from .configio import ConfigError, apply_settings, config_with_overrides, parse_config
+from .configio import (
+    ConfigError, apply_settings, config_with_overrides, parse_config, read_overrides,
+)
 from .engine import (
     MAX_SEED,
     ModelConfig,
@@ -177,9 +179,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     # A config file's seed line is accepted, since render_config writes one;
-    # a flag asking for a seed would be ignored.
+    # a flag asking for a seed would be ignored. The pairs are read in order,
+    # so a malformed pair before a seed pair is reported as such.
     if args.seed is not None or any(
-        pair.partition("=")[0].strip() == "seed" for pair in args.overrides
+        key == "seed" for _, key, _ in read_overrides(args.overrides)
     ):
         flag = "--seed" if args.seed is not None else "--set seed"
         raise ConfigError(

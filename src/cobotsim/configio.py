@@ -4,18 +4,26 @@ One pair per line, ``#`` starts a comment, keys are dotted paths. The format
 is deliberately primitive: a dozen scalars do not justify a structured
 format, and flat lines diff and grep well.
 
-One key table, ``_KEYS``, is the whole schema: it drives ``KNOWN_KEYS``,
-value conversion, parsing, rendering (one line per key, in table order) and
-the attribution of errors. Every source of settings goes through
-``apply_settings``: a config file's lines, ``--set`` overrides and the
-``--variant``/``--seed`` shorthands. A failed setting is attributed to the
-config line, the override or the shorthand flag that set it.
+The dataclasses are the schema. ``ModelConfig``'s own fields and those of
+its parameter groups (``game``, ``trust``, ``disruption``) make the key
+table, ``_KEYS``, built once at import: a group's field is keyed
+``<group>.<field>``, except ``apology.duration``, ``trust.initial`` and
+``fatigue.initial``, which name ``apology_duration``, ``trust.initial_trust``
+and ``trust.initial_fatigue``. The table drives ``KNOWN_KEYS``, value
+conversion, rendering (one line per key, in table order) and the
+attribution of errors.
+
+Config lines and ``--set`` pairs are read by one reader. Every source of
+settings goes through ``apply_settings``: a config file's lines, ``--set``
+overrides and the ``--variant``/``--seed`` shorthands. A failed setting is
+attributed to the config line, the override or the shorthand flag that set
+it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 from .engine import ModelConfig, ModelVariant
 
@@ -24,61 +32,60 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration text."""
 
 
-# key -> (group, field, converter). The group is the ModelConfig attribute
-# holding the field ("" for ModelConfig itself).
-_KEYS = {
-    "variant": ("", "variant", ModelVariant),
-    "horizon": ("", "horizon", int),
-    "seed": ("", "seed", int),
-    "apology.duration": ("", "apology_duration", int),
-    "game.reward_normal": ("game", "reward_normal", float),
-    "game.reward_high": ("game", "reward_high", float),
-    "game.cost_kappa_base": ("game", "cost_kappa_base", float),
-    "game.cost_kappa_trust_slope": ("game", "cost_kappa_trust_slope", float),
-    "game.fatigue_threshold": ("game", "fatigue_threshold", float),
-    "game.penalty_weight": ("game", "penalty_weight", float),
-    "game.cobot_tiebreak_trust": ("game", "cobot_tiebreak_trust", float),
-    "game.fatigue_normal_low": ("game", "fatigue_normal_low", float),
-    "game.fatigue_normal_high": ("game", "fatigue_normal_high", float),
-    "game.fatigue_high_low": ("game", "fatigue_high_low", float),
-    "game.fatigue_high_high": ("game", "fatigue_high_high", float),
-    "trust.gain": ("trust", "gain", float),
-    "trust.loss": ("trust", "loss", float),
-    "trust.severe_loss": ("trust", "severe_loss", float),
-    "trust.initial": ("trust", "initial_trust", float),
-    "fatigue.initial": ("trust", "initial_fatigue", float),
-    "disruption.chance": ("disruption", "chance", float),
-    "disruption.severe_share": ("disruption", "severe_share", float),
-    "disruption.difficult_pick_fatigue": ("disruption", "difficult_pick_fatigue", float),
+# Keys whose name is not their field's dotted path.
+_RENAMED = {
+    "apology_duration": "apology.duration",
+    "trust.initial_trust": "trust.initial",
+    "trust.initial_fatigue": "fatigue.initial",
 }
 
+
+def _key_table() -> dict[str, tuple[str, str, type]]:
+    """key -> (group, field, converter), from the dataclasses: ModelConfig's
+    own fields, then each parameter group's (a field built by a
+    ``default_factory``) as ``<group>.<field>``, in declaration order. The
+    group is the ModelConfig attribute holding the field ("" for ModelConfig
+    itself); the converter is the type of the field's default."""
+    groups = [(f.name, f.default_factory) for f in fields(ModelConfig)
+              if f.default_factory is not MISSING]
+    table = {}
+    for group, cls in [("", ModelConfig), *groups]:
+        for f in fields(cls):
+            if f.default_factory is MISSING:
+                path = f"{group}.{f.name}" if group else f.name
+                table[_RENAMED.get(path, path)] = group, f.name, type(f.default)
+    return table
+
+
+_KEYS = _key_table()
 KNOWN_KEYS = tuple(_KEYS)
 _GROUPS = tuple(dict.fromkeys(group for group, _, _ in _KEYS.values()))
 
 
-def parse_config(
-    text: str, base: ModelConfig | None = None, label: str = "line"
-) -> ModelConfig:
-    """Parse overrides on top of ``base`` (or the defaults) and revalidate.
+def _read_lines(lines):
+    """Yield ``(where, key, raw)`` for each ``key = value`` of the ``(where,
+    line)`` pairs of ``lines``, skipping blank lines and ``#`` comments.
+
+    Lazily, so an error on one line is reported before a later line's.
+    """
+    for where, line in lines:
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: expected 'key = value', got '{stripped}'")
+        key, _, raw = stripped.partition("=")
+        yield where, key.strip(), raw.strip()
+
+
+def parse_config(text: str) -> ModelConfig:
+    """Parse config text over the defaults and revalidate.
 
     Raises ConfigError naming the offending line for unknown keys, malformed
     values, and invariant violations.
     """
-
-    def settings():
-        # Lazily, so an error on one line is reported before a later line's.
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"{label} {lineno}: expected 'key = value', got '{stripped}'"
-                )
-            key, _, raw = stripped.partition("=")
-            yield f"{label} {lineno}", key.strip(), raw.strip()
-
-    return apply_settings(base if base is not None else ModelConfig(), settings())
+    lines = ((f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1))
+    return apply_settings(ModelConfig(), _read_lines(lines))
 
 
 def apply_settings(cfg: ModelConfig, settings) -> ModelConfig:
@@ -148,13 +155,9 @@ def render_config(cfg: ModelConfig) -> str:
     return "".join(lines)
 
 
-def config_with_overrides(cfg: ModelConfig, pairs: list[str]) -> ModelConfig:
-    """Apply ``key=value`` strings (e.g. from --set flags) on top of ``cfg``.
-
-    Each pair is one line, so an error names the pair by its position: a
-    pair holding a line break is rejected, not read as several overrides.
-    """
-    lines = []
+def _override_lines(pairs: list[str]):
+    """Yield ``(where, pair)`` for each pair, rejecting a pair that holds a
+    line break when it is reached."""
     for n, pair in enumerate(pairs, start=1):
         split = pair.splitlines()
         if len(split) > 1:
@@ -162,5 +165,22 @@ def config_with_overrides(cfg: ModelConfig, pairs: list[str]) -> ModelConfig:
                 f"override {n}: expected one 'key=value', got {len(split)} lines "
                 f"in {pair!r}"
             )
-        lines += split or [""]
-    return parse_config("\n".join(lines), base=cfg, label="override")
+        # A one-line pair ends in at most a line break, which is whitespace.
+        yield f"override {n}", pair
+
+
+def read_overrides(pairs: list[str]):
+    """Yield ``(where, key, raw)`` for each ``key=value`` string of ``pairs``
+    (e.g. from --set flags), in order, as ``apply_settings`` takes them.
+
+    Each pair is one line, so an error names the pair by its position: a
+    pair holding a line break is rejected, not read as several overrides.
+    """
+    return _read_lines(_override_lines(pairs))
+
+
+def config_with_overrides(cfg: ModelConfig, pairs: list[str]) -> ModelConfig:
+    """Apply ``key=value`` strings (e.g. from --set flags) on top of ``cfg``,
+    as ``read_overrides`` reads them; a pair holding a line break is
+    rejected before any pair is set."""
+    return apply_settings(cfg, _read_lines(list(_override_lines(pairs))))

@@ -486,8 +486,6 @@ def _simulate(
                 )
             )
         items_picked.append(items)
-        if fatigue_post > peak:
-            peak = fatigue_post
         # Every turn up to the next event that keeps the level repeats this
         # one, with fatigue rising by inc. Jump over them where that sum is
         # exact.
@@ -507,10 +505,11 @@ def _simulate(
                         )
                         f = g
                 items_picked += [items] * k
-                if end > peak:
-                    peak = end
                 fatigue_post = end
                 step += k
+        # After a jump too: inc >= 0, so its end is the stretch's largest.
+        if fatigue_post > peak:
+            peak = fatigue_post
         trust, fatigue = trust_post, fatigue_post
 
     summary = ShiftSummary(

@@ -212,13 +212,30 @@ def test_ensemble_rejects_seed_flag(capsys):
     assert captured.out == ""
 
 
-def test_ensemble_rejects_seed_override(capsys):
+_SEED_DOES_NOT_APPLY = "config error: --set seed does not apply to ensemble"
+
+
+@pytest.mark.parametrize("pairs, err", [
     # It once ran seeds 1..2 and ignored seed=3 without a word.
-    argv = ["ensemble", "--variant", "v1.2", "--set", "seed=3", "--seeds", "2"]
-    assert main(argv) == 2
+    (["seed=3"], _SEED_DOES_NOT_APPLY),
+    ([" seed = 3"], _SEED_DOES_NOT_APPLY),
+    (["x=1", "seed=3"], _SEED_DOES_NOT_APPLY),
+    # A malformed pair gets the config reader's message, not a seed's.
+    (["seed"], "config error: override 1: expected 'key = value', got 'seed'\n"),
+    (["#seed=3"], None),
+], ids=["seed=3", "spaced", "after-another-pair", "malformed", "comment"])
+def test_ensemble_rejects_seed_override(capsys, pairs, err):
+    argv = ["ensemble", "--variant", "v1.2", "--seeds", "2"]
+    for pair in pairs:
+        argv += ["--set", pair]
+    assert main(argv) == (0 if err is None else 2)
     captured = capsys.readouterr()
-    assert "config error: --set seed does not apply to ensemble" in captured.err
-    assert "--base-seed" in captured.err
+    if err is None:
+        assert "v1.2: 2 seeds from 1" in captured.out
+        return
+    assert err in captured.err
+    if err == _SEED_DOES_NOT_APPLY:
+        assert "--base-seed" in captured.err
     assert captured.out == ""
 
 

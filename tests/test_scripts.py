@@ -45,7 +45,7 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     assert result.returncode == 0, result.stderr
     snap = tmp_path / "snap"
     dirs = {p.name for p in snap.iterdir() if p.is_dir()}
-    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3 + 2
+    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3 + 3
     assert {
         "compare_seeds300_top", "ensemble_v1.0_seeds1000", "ensemble_v1.1_seeds3_h300",
         "run_v1.3_h2000_seed42", "run_all_keys", "ensemble_all_keys_seeds50",
@@ -67,6 +67,11 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     lines = text.splitlines()
     assert [line.split(" = ")[0] for line in lines] == list(KNOWN_KEYS)
     assert not set(lines) & set(defaults)
+    # The same lines as --set pairs give the same artifacts.
+    for name in artifacts["run"]:
+        assert (snap / "run_all_keys_set" / name).read_bytes() == (
+            snap / "run_all_keys" / name
+        ).read_bytes()
 
 
 def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
