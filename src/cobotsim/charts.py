@@ -12,6 +12,7 @@ import math
 
 from .dynamics import InteractionOutcome
 from .engine import StepRecord
+from .reports import FormattedValues
 
 _COLORS = {"trust": "#1f77b4", "fatigue": "#d62728", "productivity": "#2ca02c"}
 _LABELS = {"trust": "trust", "fatigue": "fatigue", "productivity": "items (cumulative)"}
@@ -137,11 +138,12 @@ def emit_svg_chart(records: list[StepRecord]) -> str:
     )
 
     # data polylines: the series share their x pixels, formatted once; the
-    # y expressions are those of y_left and y_right
+    # other y expressions are those of y_left and y_right
     xs = [f"{_MARGIN_LEFT + (s - steps[0]) / x_span * plot_w:.1f}," for s in steps]
     for name, series in values.items():
-        if name == "trust":
-            ys = [f"{_MARGIN_TOP + (1.0 - v) * plot_h:.1f}" for v in series]
+        if name == "trust":  # a few distinct values, each formatted once
+            trust_y = FormattedValues(lambda v: f"{y_left(v):.1f}")
+            ys = map(trust_y.__getitem__, series)
         else:
             ys = [f"{_MARGIN_TOP + (1.0 - v / right_max) * plot_h:.1f}" for v in series]
         points = " ".join(map(str.__add__, xs, ys))

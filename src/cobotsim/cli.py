@@ -13,7 +13,6 @@ import os
 import shlex
 import shutil
 import sys
-from collections.abc import Collection
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -344,8 +343,6 @@ _COMMANDS = {
         _cmd_report,
     ),
 }
-# argparse's own rendering of the full command list.
-_ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,50 +354,47 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def build_parser(commands: Collection[str] = _COMMANDS) -> argparse.ArgumentParser:
-    """The parser with a sub-parser for each of ``commands``, by default all.
-
-    A parser built for fewer commands prints the same usage line as the full
-    one, so its errors read the same; only the full parser can list the
-    commands in its help or report a missing or unknown one.
-    """
+def _formatter() -> partial:
     # argparse makes a formatter for every add_argument, and each one asks for
     # the terminal size; ask once instead, with argparse's own margin of 2.
-    formatter = partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
+    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with a sub-parser for each command: it alone can list
+    the commands in its help or report a missing or unknown one."""
+    formatter = _formatter()
     parser = _Parser(
         prog="cobotsim",
         description="Simulate human-cobot picking shifts with trust and fatigue "
         "co-regulation.",
         formatter_class=formatter,
     )
-    chosen = [name for name in _COMMANDS if name in commands]
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if len(chosen) == len(_COMMANDS) else _ALL_COMMANDS,
-    )
-    for name in chosen:
-        help_line, add_flags, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
         add_flags(sub.add_parser(name, help=help_line, formatter_class=formatter))
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run the command line ``argv`` (default ``sys.argv[1:]``); return the
-    exit status: 0 on success, 2 on a config error, 1 when stdout is closed.
-
-    When ``argv`` starts with a command name, only that command's sub-parser
-    is built. Anything else (no argument, ``--help``, an unknown command, an
-    option before the command) gets the full parser, whose help and errors
-    list every command. An option before a command named later is an error
-    that shows the line with the command moved to the front.
+def parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same output and exit
+    status, but when ``argv`` starts with a command name only that command's
+    parser is built: the one ``build_parser`` would hand the rest of the line.
+    The full parser is built for anything else (no argument, ``--help``, an
+    unknown command, an option before the command) and to report arguments
+    the command leaves unread. An option before a command named later is an
+    error that shows the line with the command moved to the front.
     """
-    if argv is None:
-        argv = sys.argv[1:]
     first = argv[0] if argv else None
-    parser = build_parser((first,) if first in _COMMANDS else _COMMANDS)
+    if first in _COMMANDS:
+        parser = _Parser(prog=f"cobotsim {first}", formatter_class=_formatter())
+        _COMMANDS[first][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            build_parser().error("unrecognized arguments: " + " ".join(extras))
+        args.command = first
+        return args
+    parser = build_parser()
     if first and first.startswith("-") and first not in ("-h", "--help"):
         command = next((arg for arg in argv[1:] if arg in _COMMANDS), None)
         if command is not None:
@@ -410,9 +404,20 @@ def main(argv: list[str] | None = None) -> int:
                 "options go after the command, as in: "
                 f"cobotsim {shlex.join([command, *rest])}"
             )
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); return the
+    exit status: 0 on success, 2 on a config error, 1 when stdout is closed.
+    ``parse_command_line`` reads it, building the full parser only when the
+    line does not start with a command or the command leaves arguments unread.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = parser.parse_args(argv)
+            args = parse_command_line(argv)
             _, _, handler = _COMMANDS[args.command]
             return handler(args)
         finally:

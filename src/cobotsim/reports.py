@@ -38,16 +38,30 @@ def format_real(value: float) -> str:
     return repr(value)
 
 
+class FormattedValues(dict):
+    """``table[value]`` is ``format(value)``, computed on the first lookup of
+    each distinct value. For series that repeat few values, such as trust."""
+
+    def __init__(self, format) -> None:
+        self.format = format
+
+    def __missing__(self, value):
+        text = self[value] = self.format(value)
+        return text
+
+
 def emit_trajectory_csv(records: list[StepRecord]) -> str:
     """Serialize a shift trajectory, one row per turn, LF line endings."""
     if not records:
         raise ValueError("cannot emit a trajectory for zero records")
-    text, real = _ENUM_TEXT, format_real
+    # Trust and items take a few values per shift; fatigue takes a new value
+    # nearly every turn, where a table would only add a miss per row.
+    text, real, repeated = _ENUM_TEXT, format_real, FormattedValues(format_real)
     lines = [CSV_HEADER]
     lines += [
-        f"{r.step},{real(r.trust_pre)},{real(r.fatigue_pre)},{text[r.cobot_action]},"
+        f"{r.step},{repeated[r.trust_pre]},{real(r.fatigue_pre)},{text[r.cobot_action]},"
         f"{text[r.human_action]},{text[r.disruption_event]},{text[r.outcome]},"
-        f"{real(r.items_picked)},{real(r.trust_post)},{real(r.fatigue_post)},"
+        f"{repeated[r.items_picked]},{repeated[r.trust_post]},{real(r.fatigue_post)},"
         f"{r.apology_remaining_post}"
         for r in records
     ]

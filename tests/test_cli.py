@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cobotsim import ModelConfig, ModelVariant, render_config, run_shift
 from cobotsim import cli
-from cobotsim.cli import build_parser, main
+from cobotsim.cli import build_parser, main, parse_command_line
 from cobotsim.configio import KNOWN_KEYS
 from cobotsim.reports import emit_trajectory_csv
 
@@ -591,14 +591,14 @@ def parser_builds(monkeypatch):
 
 
 def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys):
-    # One top-level parser and one sub-parser; no parser is kept between calls.
+    # The command's own parser alone; no parser is kept between calls.
     for _ in range(2):
         parser_builds.update(parsers=0, arguments=0)
         assert main(["run", "--emit", "csv", "--out", str(tmp_path)]) == 0
-        assert parser_builds == {"parsers": 2, "arguments": 8}
+        assert parser_builds == {"parsers": 1, "arguments": 7}
     parser_builds.update(parsers=0, arguments=0)
     assert main(["table2", "--seeds", "2"]) == 0
-    assert parser_builds["parsers"] == 2
+    assert parser_builds["parsers"] == 1
     for argv in (["--help"], ["-h", "run"]):
         parser_builds.update(parsers=0, arguments=0)
         with pytest.raises(SystemExit):
@@ -606,7 +606,12 @@ def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys
         assert parser_builds == {"parsers": 5, "arguments": 24}
     parser_builds.update(parsers=0, arguments=0)
     assert main(["compare", "--seeds", "1"]) == 2
-    assert parser_builds["parsers"] == 2
+    assert parser_builds["parsers"] == 1
+    # Arguments the command leaves unread are reported by the full parser.
+    parser_builds.update(parsers=0, arguments=0)
+    with pytest.raises(SystemExit):
+        main(["run", "--bogus"])
+    assert parser_builds == {"parsers": 6, "arguments": 31}
     capsys.readouterr()
 
 
@@ -643,13 +648,23 @@ _VALID_ARGVS = [
 
 @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=lambda argv: " ".join(argv)[:60])
 def test_one_command_parser_reads_the_full_parsers_namespace(argv):
-    assert build_parser([argv[0]]).parse_args(argv) == build_parser().parse_args(argv)
+    assert parse_command_line(argv) == build_parser().parse_args(argv)
 
 
-def test_one_command_parser_prints_the_full_usage_line():
-    full = build_parser()
-    for command in cli._COMMANDS:
-        assert build_parser([command]).format_usage() == full.format_usage()
+@pytest.mark.parametrize(
+    "argv", [["run", "--bogus"], ["table2", "run"], ["compare", "--seeds", "2", "--", "x"]],
+    ids=" ".join,
+)
+def test_one_command_parser_leaves_unread_arguments_to_the_full_parser(argv, capsys):
+    # Same exit status and message as the full parser's, whose usage line
+    # lists every command.
+    outcomes = []
+    for parse in (parse_command_line, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1].err.startswith("usage: cobotsim [-h] {run,ensemble,table2,compare}")
 
 
 def run_with_closed_stdout(argv, unbuffered):

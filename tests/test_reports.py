@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,18 @@ def shift_configs(draw):
 @given(shift_configs())
 def test_trajectory_csv_matches_field_by_field_reference(cfg):
     records, _ = run_shift(cfg)
+    assert emit_trajectory_csv(records) == reference_csv(records)
+
+
+def test_trajectory_csv_formats_equal_keys_alike():
+    # Trust and items are formatted once per distinct value, and equal values
+    # such as 0.0 and -0.0, or 1 and 1.0, share one dict entry.
+    records, _ = run("v1.3", seed=3)
+    values = [0.0, -0.0, 1, 1.0, 0.1 + 0.2, 0.3, 1e300]
+    records = [
+        replace(r, trust_pre=values[i % 7], trust_post=values[-i % 7], items_picked=values[i % 3])
+        for i, r in enumerate(records)
+    ]
     assert emit_trajectory_csv(records) == reference_csv(records)
 
 
