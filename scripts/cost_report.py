@@ -13,6 +13,12 @@ those holding a token found with ``tokenize`` other than a comment, a line
 break, an indent or a docstring (a string that is a statement of its own),
 so blank lines, comments and docstrings are left out.
 
+Environment: the ``run`` op's argparse reads the terminal size from
+``COLUMNS`` and ``LINES``, and its gettext calls read ``LANGUAGE``,
+``LC_ALL`` and ``LANG``, so its count would follow the shell. The script
+sets these five to fixed values (``ENVIRONMENT``; an empty ``LANGUAGE`` is
+skipped by gettext) before its ops and prints them.
+
 Opcodes: each op runs once to warm up (imports, memos, lazily built
 constants), then once more with ``sys.settrace`` and ``f_trace_opcodes``
 counting every opcode executed in Python frames; C functions count nothing.
@@ -47,6 +53,10 @@ LAYOUT = {
     tokenize.DEDENT, tokenize.ENDMARKER,
 }
 STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+# The variables the ops read, set before they run.
+ENVIRONMENT = {
+    "COLUMNS": "80", "LINES": "24", "LANGUAGE": "", "LC_ALL": "C", "LANG": "C",
+}
 
 
 def code_lines(text: str) -> int:
@@ -119,6 +129,11 @@ def main() -> int:
         total_code += code
         print(f"{path.name:<16} {lines:>6} {code:>6}")
     print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
+    print()
+    os.environ.update(ENVIRONMENT)
+    print("environment")
+    for name, value in ENVIRONMENT.items():
+        print(f"{name}={value}")
     print()
     print(f"{'op':<40} {'opcodes':>9}")
     counted = []

@@ -1,17 +1,25 @@
 """Random turn events and the deterministic generator that drives them.
 
-The generator is splitmix64: a 64-bit counter advanced by a fixed odd
-constant, with two xor-multiply finalization mixes per output. Unlike
-language-default generators it is trivially portable, so a seed pins the
-exact event schedule in any implementation and trajectory files can serve
-as golden artifacts.
+The generator is splitmix64. A seed is the 64-bit state; the n-th draw
+(n = 1, 2, ...) advances it to ``z = (seed + n * _GAMMA) mod 2**64``, then
+mixes it as ``z = (z ^ (z >> 30)) * _MIX1``, ``z = (z ^ (z >> 27)) * _MIX2``
+(each mod 2**64) and ``z ^= z >> 31``, and the uniform in [0, 1) is
+``z / 2**64``. Unlike language-default generators it is trivially portable,
+so a seed pins the exact event schedule in any implementation and
+trajectory files can serve as golden artifacts.
 
-``RandomStream`` and ``sample_disruption`` draw one turn at a time and are
-the reference. The shift loop reads a seed's whole schedule instead, drawn
-by ``ScheduleDrawer``: it computes splitmix64 for a block of stream
-positions at once, packed as 128-bit lanes of one Python int, and compares
-every lane against an exact integer cutoff (``uniform_cutoff``), so its
-events equal the reference's draw for draw. The compare reads one byte per
+Each turn of a stochastic variant takes one draw, and a second only when
+the first is below ``chance``: an event occurs iff ``u1 < chance``, and it
+is a cobot failure iff ``u2 < severe_share``, else a difficult pick. The
+draw count per turn (one or two) is part of the reproducibility contract:
+nothing else consumes the stream, so variants sharing a seed see the same
+events.
+
+The shift loop reads a seed's whole schedule, drawn by ``ScheduleDrawer``:
+it computes splitmix64 for a block of stream positions at once, packed as
+128-bit lanes of one Python int, and compares every lane against an exact
+integer cutoff (``uniform_cutoff``), so its events equal those of the
+turn-by-turn rule above, draw for draw. The compare reads one byte per
 lane, the output's top eight bits, and settles the rare lanes whose byte
 ties the cutoff's on the full output (``_below``).
 """
@@ -63,40 +71,6 @@ class DisruptionParams:
                 f"difficult_pick_fatigue must be finite and >= 0 "
                 f"(got {self.difficult_pick_fatigue})"
             )
-
-
-class RandomStream:
-    """splitmix64 stream; uniforms in [0, 1) are the 64-bit output / 2**64."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int) -> None:
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer (got {seed})")
-        self.state = seed
-
-    def next_uniform(self) -> float:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        z ^= z >> 31
-        return z / _TWO64
-
-
-def sample_disruption(stream: RandomStream, dp: DisruptionParams) -> DisruptionEvent:
-    """Draw this turn's event.
-
-    One uniform decides occurrence; only when a disruption occurs does a
-    second uniform pick its type. The draw count per branch (1 or 2) is part
-    of the reproducibility contract: variants sharing a seed see identical
-    event schedules because nothing else consumes the stream.
-    """
-    if stream.next_uniform() >= dp.chance:
-        return DisruptionEvent.NONE
-    if stream.next_uniform() < dp.severe_share:
-        return DisruptionEvent.COBOT_FAILURE
-    return DisruptionEvent.DIFFICULT_PICK
 
 
 def uniform_cutoff(c: float) -> int:
@@ -236,8 +210,8 @@ class ScheduleDrawer:
 
 
 def schedule(seed: int, horizon: int, dp: DisruptionParams) -> list[tuple[int, bool]]:
-    """The events ``sample_disruption`` draws for turns 1..horizon from
-    ``RandomStream(seed)``, as ``(turn, is_cobot_failure)`` pairs in turn
-    order; turns without an event are left out. To draw many seeds with one
+    """The events of turns 1..horizon that the module's draw rule gives
+    from ``seed``, as ``(turn, is_cobot_failure)`` pairs in turn order;
+    turns without an event are left out. To draw many seeds with one
     horizon and ``dp``, make one ``ScheduleDrawer`` and reuse it."""
     return ScheduleDrawer(horizon, dp).draw(seed)

@@ -1,4 +1,8 @@
-"""Interaction-outcome classification and the fatigue/trust update rules."""
+"""Interaction-outcome classification and the trust update rule.
+
+The shift loop updates fatigue itself (see ``engine._simulate``): it adds
+the turn's increment and any difficult-pick surcharge, floors the sum at
+zero and rounds it to ``STATE_DECIMALS`` decimals."""
 
 from __future__ import annotations
 
@@ -95,12 +99,3 @@ def update_trust(trust: float, outcome: InteractionOutcome, tp: TrustParams) -> 
         delta = -tp.severe_loss
     return round(min(1.0, max(0.0, trust + delta)), STATE_DECIMALS)
 
-
-def update_fatigue(
-    fatigue: float, pair: ActionPair, extra: float, params: GameParams
-) -> float:
-    """Accumulate the pair's fatigue increment plus any disruption surcharge;
-    fatigue never drops below zero."""
-    return round(
-        max(0.0, fatigue + fatigue_increment(pair, params) + extra), STATE_DECIMALS
-    )

@@ -7,14 +7,13 @@ external contract because reordering it changes trajectories:
 2. leader action = high collaboration while the countdown is non-zero, or
    the stage-game equilibrium;
 3. follower action = best response to the leader action;
-4. disruption sampled (stochastic variants only; deterministic variants
-   consume no random draws) — ``run_step`` draws it from its stream, the
-   shift loop reads it from the seed's schedule;
+4. disruption read from the seed's schedule (stochastic variants only;
+   deterministic variants consume no random draws);
 5. fatigue updated — a cobot failure charges the turn as if collaboration
    had been low, a difficult pick adds its surcharge;
 6. outcome classified under the variant's trust rule, trust updated;
-7. apology countdown advanced by ``repair.apology_after``: a forced turn is
-   consumed, then a severe failure re-arms ``cfg.apology_duration``.
+7. apology countdown advanced: a forced turn is consumed, then a severe
+   failure re-arms ``cfg.apology_duration``.
 
 ``run_shift`` and ``run_paired`` (``run_ensemble`` is its one-config case)
 share one flat loop, ``_simulate``, that runs this sequence over plain
@@ -29,8 +28,6 @@ memo and the event-free opening that shifts start from, and ``run_paired``'s
 says which configs share one. Ensembles build no per-turn records and keep
 no shifts: each seed's summaries are folded, as they are made, into
 per-seed KPIs and the seed's first severe failure.
-``run_step`` executes one turn with the public state types and is the
-single-turn reference that the tests compare the loop against.
 """
 
 from __future__ import annotations
@@ -41,21 +38,13 @@ from enum import Enum
 from heapq import heappop, heappush
 from itertools import accumulate
 
-from .disruption import (
-    DisruptionEvent,
-    DisruptionParams,
-    RandomStream,
-    ScheduleDrawer,
-    sample_disruption,
-    schedule,
-)
+from .disruption import DisruptionEvent, DisruptionParams, ScheduleDrawer, schedule
 from .dynamics import (
     STATE_DECIMALS,
     InteractionOutcome,
     TrustParams,
     TrustRule,
     classify_interaction,
-    update_fatigue,
     update_trust,
 )
 from .game import (
@@ -64,14 +53,10 @@ from .game import (
     CollabLevel,
     EffortLevel,
     GameParams,
-    HumanState,
     StageGame,
     fatigue_increment,
-    human_best_response,
     human_reward,
-    solve_stage_game,
 )
-from .repair import apology_after
 
 MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # A shift keeps one record per turn. At this bound, ``run`` writing every
@@ -192,69 +177,6 @@ class ShiftSummary:
         return [turn for turn, _ in self.recovery_times]
 
 
-def run_step(
-    state: HumanState,
-    remaining: int,
-    stream: RandomStream,
-    cfg: ModelConfig,
-    step: int = 1,
-) -> tuple[StepRecord, HumanState, int]:
-    """Execute one turn of the fixed sequence documented at module level.
-
-    ``remaining`` is the number of apology turns left before the turn, in
-    ``[0, cfg.apology_duration]``; the apology variant forces high
-    collaboration while it is non-zero. Returns the turn's record, the next
-    state and the count after the turn, which other variants leave as is.
-    """
-    if not 0 <= remaining <= cfg.apology_duration:
-        raise ValueError(
-            f"remaining must lie in [0, {cfg.apology_duration}] (got {remaining})"
-        )
-    variant = cfg.variant
-    if variant.has_apology and remaining:
-        high = CollabLevel.HIGH
-        pair = ACTION_PAIRS[high, human_best_response(high, state.trust, cfg.game)]
-    else:
-        pair = solve_stage_game(state, cfg.game)
-
-    if variant.has_disruptions:
-        event = sample_disruption(stream, cfg.disruption)
-    else:
-        event = DisruptionEvent.NONE
-    severe = event is DisruptionEvent.COBOT_FAILURE
-
-    # Failed assistance still tires the human as if the cobot had stayed low.
-    charged = ACTION_PAIRS[CollabLevel.LOW, pair.human] if severe else pair
-    extra = (
-        cfg.disruption.difficult_pick_fatigue
-        if event is DisruptionEvent.DIFFICULT_PICK
-        else 0.0
-    )
-    fatigue_post = update_fatigue(state.fatigue, charged, extra, cfg.game)
-
-    outcome = classify_interaction(variant.trust_rule, pair, severe, cfg.game)
-    trust_post = update_trust(state.trust, outcome, cfg.trust)
-
-    if variant.has_apology:
-        remaining = apology_after(remaining, outcome, cfg.apology_duration)
-
-    record = StepRecord(
-        step=step,
-        trust_pre=state.trust,
-        fatigue_pre=state.fatigue,
-        cobot_action=pair.cobot,
-        human_action=pair.human,
-        disruption_event=event,
-        outcome=outcome,
-        items_picked=human_reward(pair.human, cfg.game),
-        extra_fatigue=extra,
-        trust_post=trust_post,
-        fatigue_post=fatigue_post,
-        apology_remaining_post=remaining,
-    )
-    return record, HumanState(fatigue=fatigue_post, trust=trust_post), remaining
-
-
 class _StagePolicy(StageGame):
     """The stage game of one parameter set, with every leader decision
     memoised for one call of ``run_shift`` or ``run_paired``, and the
@@ -271,8 +193,8 @@ class _StagePolicy(StageGame):
     apology, which read no fatigue. ``edges`` lists the increments from the
     largest down, then -inf: ``edges[level]`` is the increment whose test
     turns true next as fatigue rises, and none does at the top level. Misses
-    call ``solve`` and ``best_response``, which the public game functions
-    call too, so their tie-break rules stay the only ones. A decision holds
+    call ``solve`` and ``best_response``, so ``StageGame``'s tie rules stay
+    the only ones. A decision holds
     the per-turn constants of one action pair at one trust and level, see
     ``_decision``.
 
@@ -374,7 +296,7 @@ def _simulate(
 ) -> tuple[list[StepRecord] | None, ShiftSummary]:
     """One shift of ``cfg`` under the disruption schedule ``events`` (see
     ``disruption.schedule``), taking its leader decisions from ``policy``:
-    the turn sequence of ``run_step`` over plain values. Returns the records
+    the module's turn sequence over plain values. Returns the records
     (None unless ``keep_records``) and the summary.
 
     The shift starts from ``policy.opening`` (see ``_StagePolicy``) after
@@ -382,8 +304,9 @@ def _simulate(
     standing in for a first event when there is none (``past_end``, also
     the next event after the last); an unopened policy has L = 0.
 
-    Exact fatigue: fatigue is quantized as ``update_fatigue`` does, except
-    that ``round()`` is skipped for multiples of 2**-STATE_DECIMALS. Such a
+    Exact fatigue: a turn's fatigue is ``round(max(0.0, fatigue + inc +
+    extra), STATE_DECIMALS)``, except that ``round()`` is skipped for
+    multiples of 2**-STATE_DECIMALS. Such a
     value has at most STATE_DECIMALS decimals, so rounding returns it
     unchanged. Trust needs no arithmetic here: each decision carries its
     post-turn trusts (see ``_StagePolicy._decision``).
@@ -428,8 +351,8 @@ def _simulate(
     states, items = policy.opening
     step = min(event_turn - 1, len(states) - 1)
     trust, fatigue, peak = states[step]
-    # Summed with sum() at the end, as summarize_shift does: newer Pythons
-    # compensate float sums, so a running total could differ in the last bit.
+    # Summed with sum() at the end, not as a running total: newer Pythons
+    # compensate float sums, so the two could differ in the last bit.
     # A copy: appends leave the shared opening as it is.
     items_picked = items[:step]
     remaining = 0  # apology turns left; only the apology variant arms it
@@ -457,7 +380,7 @@ def _simulate(
             else:
                 event, extra = pick, pick_extra
             event_turn, event_severe = next(upcoming, past_end)
-        # update_fatigue, skipping round() where it is the identity: a
+        # The fatigue update, skipping round() where it is the identity: a
         # multiple of 1/dyadic is m * 5**STATE_DECIMALS / 10**STATE_DECIMALS,
         # so it has at most STATE_DECIMALS decimals already. An overflow to
         # inf fails is_integer() and is rounded.
@@ -528,39 +451,6 @@ def run_shift(cfg: ModelConfig) -> tuple[list[StepRecord], ShiftSummary]:
     if cfg.variant.has_disruptions:
         events = schedule(cfg.seed, cfg.horizon, cfg.disruption)
     return _simulate(cfg, events, _StagePolicy(cfg), keep_records=True)
-
-
-def summarize_shift(records: list[StepRecord], horizon: int) -> ShiftSummary:
-    severe_turns = [
-        r.step for r in records if r.outcome is InteractionOutcome.SEVERE_FAILURE
-    ]
-    return ShiftSummary(
-        productivity=sum(r.items_picked for r in records),
-        final_fatigue=records[-1].fatigue_post,
-        final_trust=records[-1].trust_post,
-        peak_fatigue=max(r.fatigue_post for r in records),
-        recovery_times=[(t, recovery_time(records, t, horizon)) for t in severe_turns],
-    )
-
-
-def recovery_time(
-    records: list[StepRecord], severe_turn: int, horizon: int
-) -> int | None:
-    """Steps until trust first returns to its level just before the drop.
-
-    Returns None (censored) when no turn within the horizon gets there.
-    """
-    if not 1 <= severe_turn <= len(records):
-        raise ValueError(f"severe_turn {severe_turn} outside the recorded shift")
-    origin = records[severe_turn - 1]
-    if origin.outcome is not InteractionOutcome.SEVERE_FAILURE:
-        raise ValueError(f"turn {severe_turn} is not a severe failure")
-    target = origin.trust_pre
-    last = min(horizon, len(records))
-    for k in range(1, last - severe_turn + 1):
-        if records[severe_turn + k - 1].trust_post >= target:
-            return k
-    return None
 
 
 @dataclass

@@ -6,11 +6,23 @@ so the equilibrium of the stage is found by direct enumeration: compute the
 follower's best response to each leader action, then let the leader pick the
 collaboration level whose anticipated outcome it prefers.
 
+The two utilities of a joint action, at the observed trust and fatigue:
+
+- human: ``human_reward(effort)`` minus the perceived cost,
+  ``fatigue_increment(pair)`` times the cost multiplier
+  ``cost_kappa_base - cost_kappa_trust_slope * trust``;
+- cobot: the human's reward, less ``penalty_weight`` when the
+  disruption-free next fatigue, ``fatigue + fatigue_increment(pair)``,
+  exceeds ``fatigue_threshold``. The leader sees only the observed state
+  and the joint action, never the turn's random event.
+
+Utilities within ``TIE_EPS`` of each other tie. A follower tie goes to high
+effort under high collaboration and to normal effort under low (reciprocate,
+else conserve energy); a leader tie goes to high collaboration iff trust has
+reached ``cobot_tiebreak_trust``.
+
 ``StageGame`` is the one solver: it reads a parameter set's constants once
-and holds both tie rules. ``human_best_response`` and ``solve_stage_game``
-call it, and the shift loop keeps one per parameter set. The per-term
-functions (``human_utility``, ``cobot_utility`` and the terms they sum)
-spell out the same arithmetic for readers and tests.
+and holds both tie rules, and the shift loop keeps one per parameter set.
 """
 
 from __future__ import annotations
@@ -37,20 +49,6 @@ class CollabLevel(str, Enum):
 
     LOW = "low"
     HIGH = "high"
-
-
-@dataclass(frozen=True, slots=True)
-class HumanState:
-    """Follower state observed by the leader at the start of a turn."""
-
-    fatigue: float
-    trust: float
-
-    def __post_init__(self) -> None:
-        if not self.fatigue >= 0.0:
-            raise ValueError(f"fatigue must be >= 0 (got {self.fatigue})")
-        if not 0.0 <= self.trust <= 1.0:
-            raise ValueError(f"trust must lie in [0, 1] (got {self.trust})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,66 +162,15 @@ def fatigue_increment(pair: ActionPair, params: GameParams) -> float:
     return getattr(params, _FATIGUE_FIELDS[pair.human, pair.cobot])
 
 
-def perceived_cost(pair: ActionPair, trust: float, params: GameParams) -> float:
-    """Subjective cost of the turn: its fatigue increment scaled by the
-    trust-dependent multiplier."""
-    _check_trust(trust)
-    return fatigue_increment(pair, params) * params.cost_multiplier(trust)
-
-
-def _check_trust(trust: float) -> None:
-    if not 0.0 <= trust <= 1.0:
-        raise ValueError(f"trust must lie in [0, 1] (got {trust})")
-
-
-def human_utility(pair: ActionPair, trust: float, params: GameParams) -> float:
-    """Reward from items picked minus the perceived fatigue cost."""
-    return human_reward(pair.human, params) - perceived_cost(pair, trust, params)
-
-
-def human_best_response(
-    collab: CollabLevel, trust: float, params: GameParams
-) -> EffortLevel:
-    """Effort maximizing the human's utility given the cobot's commitment.
-
-    Ties reciprocate high collaboration with high effort and otherwise
-    conserve energy.
-    """
-    _check_trust(trust)
-    return StageGame(params).best_response(collab, trust).human
-
-
-def cobot_utility(pair: ActionPair, state: HumanState, params: GameParams) -> float:
-    """Leader payoff: the human's reward, minus the ergonomic penalty when the
-    disruption-free next fatigue level would cross the threshold.
-
-    The anticipated fatigue ignores random events; the leader only sees the
-    observed state and the joint action.
-    """
-    value = human_reward(pair.human, params)
-    if state.fatigue + fatigue_increment(pair, params) > params.fatigue_threshold:
-        value -= params.penalty_weight
-    return value
-
-
-def solve_stage_game(state: HumanState, params: GameParams) -> ActionPair:
-    """Equilibrium action pair for one turn.
-
-    For each collaboration level, anticipate the follower's best response,
-    then return the pair whose anticipated outcome the leader prefers. When
-    the leader is indifferent it collaborates iff trust has reached the
-    tie-break level.
-    """
-    return StageGame(params).solve(state.trust, state.fatigue)
-
-
 class StageGame:
     """The stage game of one parameter set, its constants read once.
 
-    ``best_response`` and ``solve`` evaluate ``human_utility`` and
-    ``cobot_utility`` with the same float operations in the same order, so
-    they return what the per-term functions imply, bit for bit. Trust and
-    fatigue are not validated here; the public functions do that.
+    ``best_response`` compares the human utilities of the two efforts under
+    one collaboration level, and ``solve`` the cobot utilities of the two
+    levels' best responses, each under the module's tie rules. Trust and
+    fatigue are not validated here: the shift loop passes only trusts in
+    [0, 1] and fatigues >= 0, which ``TrustParams`` and the update rules
+    keep.
     """
 
     __slots__ = ("low", "high", "base", "slope", "threshold", "penalty", "tiebreak")

@@ -18,21 +18,24 @@ from cobotsim import (
     DisruptionParams,
     EffortLevel,
     GameParams,
-    HumanState,
     ModelConfig,
     ModelVariant,
-    RandomStream,
     TrustParams,
-    cobot_utility,
     emit_trajectory_csv,
-    human_best_response,
     run_ensemble,
     run_shift,
+)
+from cobotsim.engine import median_recovery_capped
+from cobotsim.game import TIE_EPS
+from stepwise_reference import (
+    HumanState,
+    RandomStream,
+    cobot_utility,
+    human_best_response,
     run_step,
     solve_stage_game,
+    summarize_shift,
 )
-from cobotsim.engine import median_recovery_capped, summarize_shift
-from cobotsim.game import TIE_EPS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ENSEMBLE_SEEDS = 1000

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cobotsim import DisruptionEvent, DisruptionParams, RandomStream, sample_disruption
+from cobotsim import DisruptionEvent, DisruptionParams
 from cobotsim.disruption import _below, _cutoff_table, schedule, uniform_cutoff
+from stepwise_reference import RandomStream, sample_disruption
 
 
 def test_zero_chance_always_none_one_draw():

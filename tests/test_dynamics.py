@@ -13,9 +13,9 @@ from cobotsim import (
     TrustParams,
     TrustRule,
     classify_interaction,
-    update_fatigue,
     update_trust,
 )
+from stepwise_reference import update_fatigue
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH

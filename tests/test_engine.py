@@ -17,27 +17,30 @@ from cobotsim import (
     DisruptionParams,
     EffortLevel,
     GameParams,
-    HumanState,
     InteractionOutcome,
     ModelConfig,
     ModelVariant,
-    RandomStream,
     StepRecord,
     TrustParams,
     emit_summary_json,
     fatigue_increment,
-    recovery_time,
     run_ensemble,
     run_paired,
     run_shift,
-    run_step,
-    solve_stage_game,
 )
 from cobotsim import cli, engine
 from cobotsim.dynamics import STATE_DECIMALS
 from cobotsim.disruption import schedule
-from cobotsim.engine import _StagePolicy, summarize_shift
+from cobotsim.engine import _StagePolicy
 from cobotsim.game import ACTION_PAIRS, StageGame
+from stepwise_reference import (
+    HumanState,
+    RandomStream,
+    recovery_time,
+    run_step,
+    solve_stage_game,
+    summarize_shift,
+)
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH

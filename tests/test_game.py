@@ -12,16 +12,18 @@ from cobotsim import (
     CollabLevel,
     EffortLevel,
     GameParams,
+    fatigue_increment,
+    human_reward,
+)
+from cobotsim.game import ACTION_PAIRS, TIE_EPS, StageGame
+from stepwise_reference import (
     HumanState,
     cobot_utility,
-    fatigue_increment,
     human_best_response,
-    human_reward,
     human_utility,
     perceived_cost,
     solve_stage_game,
 )
-from cobotsim.game import ACTION_PAIRS, TIE_EPS, StageGame
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
 LOW_C, HIGH_C = CollabLevel.LOW, CollabLevel.HIGH

@@ -1,5 +1,6 @@
-"""Package surface: the public names resolve, every module the benchmark
-imports by name exists, and the CLI names its tracer wraps are bound."""
+"""Package surface: the public names are the pinned ones and resolve, every
+module the benchmark imports by name exists, and the CLI names its tracer
+wraps are bound."""
 
 import ast
 import importlib
@@ -16,6 +17,19 @@ def test_every_public_name_resolves_once():
     assert len(cobotsim.__all__) == len(set(cobotsim.__all__))
     missing = [name for name in cobotsim.__all__ if not hasattr(cobotsim, name)]
     assert missing == []
+
+
+def test_public_names_are_pinned():
+    # A public name is added or removed on purpose, here as well.
+    assert sorted(cobotsim.__all__) == [
+        "ActionPair", "CollabLevel", "ConfigError", "DisruptionEvent",
+        "DisruptionParams", "EffortLevel", "EnsembleSummary", "GameParams",
+        "InteractionOutcome", "ModelConfig", "ModelVariant", "ShiftSummary",
+        "StepRecord", "TrustParams", "TrustRule", "classify_interaction",
+        "emit_summary_json", "emit_svg_chart", "emit_trajectory_csv",
+        "fatigue_increment", "human_reward", "parse_config", "render_config",
+        "run_ensemble", "run_paired", "run_shift", "update_trust",
+    ]
 
 
 def benchmark_constant(path, name):

@@ -8,15 +8,13 @@ import pytest
 from cobotsim import (
     CollabLevel,
     DisruptionParams,
-    HumanState,
     InteractionOutcome,
     ModelConfig,
     ModelVariant,
-    RandomStream,
     run_shift,
-    run_step,
 )
 from cobotsim.repair import apology_after
+from stepwise_reference import HumanState, RandomStream, run_step
 
 SUCCESS = InteractionOutcome.SUCCESS
 MINOR = InteractionOutcome.MINOR_FAILURE

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cobotsim import RandomStream
+from stepwise_reference import RandomStream
 
 MASK = (1 << 64) - 1
 

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in ``scripts/``, run as a user would."""
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
 
-def run_script(name, *args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run_script(name, *args, cwd, environ=os.environ):
+    env = dict(environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
@@ -45,10 +46,11 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     assert result.returncode == 0, result.stderr
     snap = tmp_path / "snap"
     dirs = {p.name for p in snap.iterdir() if p.is_dir()}
-    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3 + 3
+    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3 + 3 + 2
     assert {
         "compare_seeds300_top", "ensemble_v1.0_seeds1000", "ensemble_v1.1_seeds3_h300",
         "run_v1.3_h2000_seed42", "run_all_keys", "ensemble_all_keys_seeds50",
+        "run_nondyadic_v1.3_h2000_seed5", "ensemble_nondyadic_v1.3_h2000_seeds200",
     } <= dirs
     artifacts = {
         "table2": ["table2.txt"],
@@ -74,10 +76,25 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
         ).read_bytes()
 
 
+def test_cross_version_finds_no_difference_under_one_interpreter(tmp_path):
+    result = run_script("cross_version.py", sys.executable, sys.executable, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    version = platform.python_version()
+    assert result.stdout == f"== {sys.executable} ({version}) against 0-{version}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_cross_version_fails_on_an_interpreter_that_does_not_run(tmp_path):
+    missing = str(tmp_path / "python-missing")
+    result = run_script("cross_version.py", sys.executable, missing, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"{missing}: cannot run: ")
+
+
 def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     result = run_script("cost_report.py", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    sizes, counts, functions, files = result.stdout.strip().split("\n\n")
+    sizes, environment, counts, functions, files = result.stdout.strip().split("\n\n")
     header, *modules, total = [line.split() for line in sizes.splitlines()]
     assert header == ["module", "lines", "code"]
     assert {row[0] for row in modules} >= {"engine.py", "cli.py", "game.py"}
@@ -85,6 +102,9 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     for column in (1, 2):
         assert sum(int(row[column]) for row in modules) == int(total[column])
     assert all(0 < int(row[2]) <= int(row[1]) for row in modules)
+    assert environment.splitlines() == [
+        "environment", "COLUMNS=80", "LINES=24", "LANGUAGE=", "LC_ALL=C", "LANG=C",
+    ]
     header, *ops = counts.splitlines()
     assert header.split() == ["op", "opcodes"]
     assert len(ops) == 3
@@ -120,6 +140,19 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     long_shift = next(shares for name, shares in blocks if "long-shift" in name)
     assert "engine.py" in {file for _, file in long_shift}
     assert not any(tmp_path.iterdir())
+
+
+def test_cost_report_counts_do_not_follow_the_shell(tmp_path):
+    # argparse reads the terminal size and gettext the locale variables.
+    shell = {"COLUMNS", "LINES", "LANGUAGE", "LC_ALL", "LANG"}
+    base = {k: v for k, v in os.environ.items() if k not in shell}
+    counts = []
+    for setting in ({"COLUMNS": "100", "LANG": "en_US.UTF-8"}, {"LANG": "C"}):
+        result = run_script("cost_report.py", cwd=tmp_path, environ={**base, **setting})
+        assert result.returncode == 0, result.stderr
+        blocks = result.stdout.split("\n\n")
+        counts.append(next(block for block in blocks if block.startswith("op ")))
+    assert counts[0] == counts[1]
 
 
 def test_cost_report_exits_quietly_into_a_closed_pipe(tmp_path):
