@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print what ``src/cobotsim`` costs in counts that do not vary between runs:
-the size of each module, the opcodes that one fixed op of each benchmark
-workload executes, and the functions that execute most of them.
+the size of each module, the opcodes and Python calls that one fixed op of
+each benchmark workload executes, and the functions that execute most of
+its opcodes.
 
     PYTHONPATH=src python3 scripts/cost_report.py
 
@@ -22,6 +23,12 @@ skipped by gettext) before its ops and prints them.
 Opcodes: each op runs once to warm up (imports, memos, lazily built
 constants), then once more with ``sys.settrace`` and ``f_trace_opcodes``
 counting every opcode executed in Python frames; C functions count nothing.
+
+Calls: the same traced run counts the ``call`` events its hook receives,
+one per Python frame entered (a resumed generator enters its frame again).
+The work a call does in C, such as ``type.__call__`` creating an instance,
+executes no opcode of its own, so a saving there shows in this column
+rather than in the opcodes.
 
 Functions: each op's five functions that executed the most of its opcodes,
 with their share of the op's opcodes, named ``file:qualified name``. A
@@ -76,13 +83,16 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
-def opcodes(op) -> Counter:
-    """Opcodes executed by ``op()`` after one warm-up call, per function:
-    ``{(file, qualified name): count}``."""
+def opcodes(op) -> tuple[Counter, int]:
+    """Opcodes executed by ``op()`` after one warm-up call, per function,
+    ``{(file, qualified name): count}``, and the Python calls it made."""
     op()
     counts = Counter()
+    calls = 0
 
     def enter(frame, event, arg):
+        nonlocal calls
+        calls += 1
         frame.f_trace_opcodes = True
         code = frame.f_code
         function = code.co_filename, getattr(code, "co_qualname", code.co_name)
@@ -99,7 +109,7 @@ def opcodes(op) -> Counter:
         op()
     finally:
         sys.settrace(None)
-    return counts
+    return counts, calls
 
 
 def ops(tmp: Path):
@@ -135,13 +145,13 @@ def main() -> int:
     for name, value in ENVIRONMENT.items():
         print(f"{name}={value}")
     print()
-    print(f"{'op':<40} {'opcodes':>9}")
+    print(f"{'op':<40} {'opcodes':>9} {'calls':>7}")
     counted = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, op in ops(Path(tmp)):
-            counts = opcodes(op)
+            counts, calls = opcodes(op)
             counted.append((name, counts))
-            print(f"{name:<40} {counts.total():>9}")
+            print(f"{name:<40} {counts.total():>9} {calls:>7}")
     print()
     print(f"{'share':>8}  op / function")
     for name, counts in counted:

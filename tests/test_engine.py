@@ -2,9 +2,10 @@
 paired schedules, the apology invariant, and ensemble aggregation."""
 
 import gc
+import inspect
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -542,6 +543,13 @@ _IN_THE_BAND = {"game": GameParams(**_BAND_STEPS),
 @pytest.mark.parametrize("seed", [3, 11])
 def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
     cfg = cfg_for(variant, seed=seed, **kwargs)
+    records = _matches_chained_run_step(cfg)
+    assert exercised(records, cfg.game)
+
+
+def _matches_chained_run_step(cfg):
+    """Assert that ``run_shift(cfg)`` equals the chained reference turn for
+    turn and in its summary; return its records."""
     state = HumanState(cfg.trust.initial_fatigue, cfg.trust.initial_trust)
     remaining = 0
     stream = RandomStream(cfg.seed)
@@ -550,7 +558,31 @@ def test_fast_paths_match_chained_run_step(variant, kwargs, exercised, seed):
         expected, state, remaining = run_step(state, remaining, stream, cfg, step=got.step)
         assert got == expected, got.step
     assert summary == summarize_shift(records, cfg.horizon)
-    assert exercised(records, cfg.game)
+    return records
+
+
+@pytest.mark.parametrize("variant", ["v1.2", "v1.3"])
+def test_long_shift_matches_chained_run_step(variant):
+    # The long-shift benchmark's shape: fatigue far past the threshold, about
+    # 100 severe failures, and jumps over steady stretches at the top level.
+    cfg = cfg_for(variant, horizon=2000, seed=11)
+    records = _matches_chained_run_step(cfg)
+    assert len(records) == 2000
+    assert records[-1].fatigue_post > 10 * cfg.game.fatigue_threshold
+    assert 50 <= sum(r.outcome is SEVERE for r in records) <= 200
+    assert _stretch(_TOP)(records, cfg.game)
+
+
+def test_step_record_adds_nothing_to_its_dataclass_init():
+    # _simulate fills each record's slots without calling the class, so code
+    # run by a __post_init__, a custom __init__ or __new__ would be skipped.
+    assert not hasattr(StepRecord, "__post_init__")
+    assert StepRecord.__new__ is object.__new__
+    init = StepRecord.__init__
+    assert init.__code__.co_filename == "<string>"  # generated by dataclass
+    assert init.__qualname__ == "StepRecord.__init__"
+    names = [f.name for f in fields(StepRecord)]
+    assert list(inspect.signature(init).parameters) == ["self", *names]
 
 
 @pytest.mark.parametrize(

@@ -106,9 +106,12 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
         "environment", "COLUMNS=80", "LINES=24", "LANGUAGE=", "LC_ALL=C", "LANG=C",
     ]
     header, *ops = counts.splitlines()
-    assert header.split() == ["op", "opcodes"]
+    assert header.split() == ["op", "opcodes", "calls"]
     assert len(ops) == 3
-    assert all(int(line.split()[-1]) > 0 for line in ops)
+    # Every Python call executes opcodes, so an op has more of them.
+    for line in ops:
+        opcode_count, calls = map(int, line.split()[-2:])
+        assert 0 < calls < opcode_count
     # Each op's name, then its five largest functions by descending share.
     header, *rows = functions.splitlines()
     assert header.split() == ["share", "op", "/", "function"]
