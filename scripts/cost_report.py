@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print what ``src/cobotsim`` costs in counts that do not vary between runs:
 the size of each module, the opcodes and Python calls that one fixed op of
-each benchmark workload executes, and the functions that execute most of
-its opcodes.
+each benchmark workload and a 1000-seed ensemble execute, and the functions
+that execute most of their opcodes.
 
     PYTHONPATH=src python3 scripts/cost_report.py
 
@@ -113,7 +113,9 @@ def opcodes(op) -> tuple[Counter, int]:
 
 
 def ops(tmp: Path):
-    """``(name, op)`` of one fixed op per benchmark workload."""
+    """``(name, op)`` of one fixed op per benchmark workload, then a
+    1000-seed ensemble, whose counts show the cost of each seed beyond its
+    shift."""
     yield "compare --seeds 25 (paired-ensemble)", lambda: cli.format_comparison(25, 1001)
     shift = engine.ModelConfig(variant=engine.ModelVariant.V1_3, horizon=2000, seed=11)
     yield "v1.3 2000-turn run_shift (long-shift)", lambda: engine.run_shift(shift)
@@ -127,6 +129,8 @@ def ops(tmp: Path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
     yield "run --emit csv,json,svg (cli-sweep)", run
+    ensemble = engine.ModelConfig(variant=engine.ModelVariant.V1_3)
+    yield "v1.3 1000-seed run_ensemble", lambda: engine.run_ensemble(ensemble, 1000)
 
 
 def main() -> int:

@@ -111,7 +111,9 @@ def _below(lanes: bytes, top: bytes, cutoff: int, table: bytes) -> bytes | bytea
     """Per lane, 1 where its splitmix64 output lies below ``cutoff``, else 0.
 
     ``lanes`` holds each lane's value before the final ``z ^= z >> 31``,
-    16 little-endian bytes per lane, and ``top`` its byte 7, bits 56-63.
+    16 little-endian bytes per lane: bytes 0-7 hold the value, the low half
+    of the last product, and bytes 8-15 its high half, which is never read.
+    ``top`` holds each lane's byte 7, bits 56-63.
     That xor-shift leaves them as they are, since ``z >> 31 < 2**33``, so
     they are the output's top byte, and ``table`` (see ``_cutoff_table``)
     decides every lane whose top byte differs from the cutoff's. Each tie,
@@ -138,8 +140,9 @@ class ScheduleDrawer:
     Position ``j`` of a block is the ``j``-th 128-bit lane of one Python int.
     The lane states ``state + j * gamma`` come from a ramp constant made once
     per drawer; each xor-shift-multiply step is then a few big-int operations
-    under a per-lane 64-bit mask, and no lane carries into the next, because
-    a product of two 64-bit values fits in 128 bits. The lanes are compared
+    under a per-lane 64-bit mask (the last product needs none, see
+    ``_block``), and no lane carries into the next, because a product of two
+    64-bit values fits in 128 bits. The lanes are compared
     with the two cutoffs (see ``uniform_cutoff``) one byte per lane, by
     ``_below``; the walk from those hits to turns shifts every turn after an
     event by one position, its severity draw. A block has at most
@@ -175,7 +178,9 @@ class ScheduleDrawer:
         z ^= (z >> 30) & mask
         z = (z * _MIX1) & mask
         z ^= (z >> 27) & mask
-        z = (z * _MIX2) & mask
+        # No mask: each lane is below 2**64, so its product is below 2**128
+        # and carries into no other lane, and only its low 8 bytes are read.
+        z *= _MIX2
         lanes = z.to_bytes(16 * self.lanes, "little")
         top = lanes[7::16]
         return _below(lanes, top, *self.occurs), _below(lanes, top, *self.severe)

@@ -17,17 +17,21 @@ external contract because reordering it changes trajectories:
 
 ``run_shift`` and ``run_paired`` (``run_ensemble`` is its one-config case)
 share one flat loop, ``_simulate``, that runs this sequence over plain
-floats, bools and an int apology countdown; its docstring describes the
-exact fatigue arithmetic, the fast-forward over steady turns and the
-recovery ledger. Step 4 reads the seed's sparse disruption schedule, drawn
-up front by ``disruption.schedule``; ``run_paired`` draws each seed's
-schedule once, with one ``ScheduleDrawer`` per call, and runs every config
-over it. Steps 2 and 3 come from a ``_StagePolicy``, the stage game of one
-parameter set made once per call; its docstring describes the decision
-memo and the event-free opening that shifts start from, and ``run_paired``'s
-says which configs share one. Ensembles build no per-turn records and keep
-no shifts: each seed's summaries are folded, as they are made, into
-per-seed KPIs and the seed's first severe failure.
+floats, bools and an int apology countdown, for one config over a list of
+schedules; its docstring describes the exact fatigue arithmetic, the
+fast-forward over steady turns and the recovery ledger. Step 4 reads the
+seed's sparse disruption schedule, drawn up front by
+``disruption.schedule``; ``run_paired`` draws each seed's schedule once,
+with one ``ScheduleDrawer`` per call, and runs every config over it. It
+works a block of seeds at a time, one ``_simulate`` call per config per
+block, and a block holds at most ``_BLOCK_TURNS`` turns of one config, so
+at ``MAX_HORIZON`` it is one seed. Steps 2 and 3 come from a
+``_StagePolicy``, the stage game of one parameter set made once per call;
+its docstring describes the decision memo and the event-free opening that
+shifts start from, and ``run_paired``'s says which configs share one.
+Ensembles build no per-turn records and keep no shifts: each block's
+results are folded into per-seed KPIs and each seed's first severe failure
+before the next block runs. Only ``run_shift`` builds a ``ShiftSummary``.
 """
 
 from __future__ import annotations
@@ -80,6 +84,10 @@ _APOLOGY = _TOP + 1
 # Most turns of the event-free opening ``run_paired`` shares between seeds:
 # enough for the opening ramp, and a fixed cost on any horizon.
 _OPENING = 256
+# Most turns of one config that ``run_paired`` runs in one ``_simulate``
+# call, a block of seeds at a time: the block's schedules and results are
+# all that it holds at once.
+_BLOCK_TURNS = 2**14
 
 
 class ModelVariant(str, Enum):
@@ -245,7 +253,7 @@ class _StagePolicy(StageGame):
         """Set ``opening`` to the event-free shift over the first
         min(horizon, ``_OPENING``) turns."""
         shift = replace(self.cfg, horizon=min(self.cfg.horizon, _OPENING))
-        records = _simulate(shift, [], self, keep_records=True)[0]
+        [(records, *_)] = _simulate(shift, [[]], self, keep_records=True)
         fatigues = [r.fatigue_post for r in records]
         states = zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))
         self.opening = self.opening[0] + [*states], [r.items_picked for r in records]
@@ -296,16 +304,22 @@ class _StagePolicy(StageGame):
 
 def _simulate(
     cfg: ModelConfig,
-    events: list[tuple[int, bool]],
+    schedules: list[list[tuple[int, bool]]],
     policy: _StagePolicy,
     keep_records: bool,
-) -> tuple[list[StepRecord] | None, ShiftSummary]:
-    """One shift of ``cfg`` under the disruption schedule ``events`` (see
-    ``disruption.schedule``), taking its leader decisions from ``policy``:
-    the module's turn sequence over plain values. Returns the records
-    (None unless ``keep_records``) and the summary.
+) -> list[tuple]:
+    """One shift of ``cfg`` under each disruption schedule of ``schedules``
+    (see ``disruption.schedule``), taking its leader decisions from
+    ``policy``: the module's turn sequence over plain values. The locals
+    derived from ``cfg`` and ``policy`` are bound once per call, and
+    ``run_paired`` passes a block of seeds' schedules, of at most
+    ``_BLOCK_TURNS`` turns in all unless one seed's horizon is longer;
+    ``run_shift`` and ``_StagePolicy.open`` pass one schedule. Returns, per
+    schedule, ``(records, productivity, final fatigue, final trust, peak
+    fatigue, recoveries)``, the fields of ``ShiftSummary`` after the
+    records, which are None unless ``keep_records``.
 
-    The shift starts from ``policy.opening`` (see ``_StagePolicy``) after
+    Each shift starts from ``policy.opening`` (see ``_StagePolicy``) after
     turn ``min(first event - 1, L)`` of its L turns, turn horizon + 1
     standing in for a first event when there is none (``past_end``, also
     the next event after the last); an unopened policy has L = 0.
@@ -358,121 +372,123 @@ def _simulate(
     edges, threshold = policy.edges, policy.threshold
     largest, smallest = edges[0], edges[_TOP - 1]
     calm_get, top_get, apology_get = tables[0].get, tables[_TOP].get, tables[_APOLOGY].get
-    upcoming, past_end = iter(events), (horizon + 1, False)
-    event_turn, event_severe = next(upcoming, past_end)
+    past_end = horizon + 1, False
     none, pick, failure, severe, dyadic = _NONE, _PICK, _FAILURE, _SEVERE, _DYADIC
+    new, record, inf = object.__new__, StepRecord, math.inf
+    states, opening_items = policy.opening
+    opened = len(states) - 1
+    records = append = None
+    shifts = []
 
-    states, items = policy.opening
-    step = min(event_turn - 1, len(states) - 1)
-    trust, fatigue, peak = states[step]
-    # Summed with sum() at the end, not as a running total: newer Pythons
-    # compensate float sums, so the two could differ in the last bit.
-    # A copy: appends leave the shared opening as it is.
-    items_picked = items[:step]
-    remaining = 0  # apology turns left; only the apology variant arms it
-    records: list[StepRecord] = []
-    append, new, record = records.append, object.__new__, StepRecord
-    recoveries: list[tuple[int, int | None]] = []
-    pending: list[tuple[float, int]] = [(math.inf, -1)]
-
-    while step < horizon:
-        step += 1
-        if remaining:
-            decision = apology_get(trust) or leader(trust, fatigue, _APOLOGY)
-        elif not fatigue + largest > threshold:
-            decision = calm_get(trust) or leader(trust, fatigue, 0)
-        elif fatigue + smallest > threshold:
-            decision = top_get(trust) or leader(trust, fatigue, _TOP)
-        else:
-            decision = leader(trust, fatigue, policy.level(fatigue))
-        (cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust,
-         edge) = decision
-        event, extra = none, 0.0
-        if step == event_turn:  # no jump from an event's turn
-            edge = None
-            if event_severe:
-                event, inc, outcome, trust_post = failure, failed_inc, severe, severe_trust
-            else:
-                event, extra = pick, pick_extra
-            event_turn, event_severe = next(upcoming, past_end)
-        # The fatigue update, skipping round() where it is the identity: a
-        # multiple of 1/dyadic is m * 5**STATE_DECIMALS / 10**STATE_DECIMALS,
-        # so it has at most STATE_DECIMALS decimals already. An overflow to
-        # inf fails is_integer() and is rounded.
-        fatigue_post = fatigue + inc + extra
-        if not fatigue_post > 0.0:  # max(0.0, x), also for -0.0 and NaN
-            fatigue_post = 0.0
-        elif not (fatigue_post * dyadic).is_integer():
-            fatigue_post, edge = round(fatigue_post, STATE_DECIMALS), None
-        # Tick before arming: a severe failure during an active apology must
-        # still leave a full window behind it.
-        if remaining:
-            remaining -= 1
-        while trust_post >= pending[0][0]:
-            index = heappop(pending)[1]
-            turn = recoveries[index][0]
-            recoveries[index] = (turn, step - turn)
-        if outcome is severe:
-            heappush(pending, (trust, len(recoveries)))
-            recoveries.append((step, None))
-            remaining = duration
+    for events in schedules:
+        upcoming = iter(events)
+        event_turn, event_severe = next(upcoming, past_end)
+        step = min(event_turn - 1, opened)
+        trust, fatigue, peak = states[step]
+        # Summed with sum() at the end, not as a running total: newer Pythons
+        # compensate float sums, so the two could differ in the last bit.
+        # A copy: appends leave the shared opening as it is.
+        items_picked = opening_items[:step]
+        remaining = 0  # apology turns left; only the apology variant arms it
         if keep_records:
-            r = new(record)
-            r.step = step
-            r.trust_pre = trust
-            r.fatigue_pre = fatigue
-            r.cobot_action = cobot
-            r.human_action = human
-            r.disruption_event = event
-            r.outcome = outcome
-            r.items_picked = items
-            r.extra_fatigue = extra
-            r.trust_post = trust_post
-            r.fatigue_post = fatigue_post
-            r.apology_remaining_post = remaining
-            append(r)
-        items_picked.append(items)
-        # Every turn up to the next event that keeps the level repeats this
-        # one, with fatigue rising by inc. Jump over them where that sum is
-        # exact.
-        if edge is not None:
-            k = event_turn - 1 - step
-            end = fatigue_post + k * inc
-            if k and end < _EXACT_FATIGUE and not (end - inc) + edge > threshold:
-                if keep_records:
-                    f = fatigue_post
-                    for t in range(step + 1, step + k + 1):
-                        r = new(record)
-                        r.step = t
-                        r.trust_pre = trust
-                        r.fatigue_pre = f
-                        r.cobot_action = cobot
-                        r.human_action = human
-                        r.disruption_event = none
-                        r.outcome = outcome
-                        r.items_picked = items
-                        r.extra_fatigue = 0.0
-                        r.trust_post = trust
-                        f += inc
-                        r.fatigue_post = f
-                        r.apology_remaining_post = 0
-                        append(r)
-                items_picked += [items] * k
-                fatigue_post = end
-                step += k
-        # After a jump too: inc >= 0, so its end is the stretch's largest.
-        if fatigue_post > peak:
-            peak = fatigue_post
-        trust, fatigue = trust_post, fatigue_post
+            records = []
+            append = records.append
+        recoveries: list[tuple[int, int | None]] = []
+        pending: list[tuple[float, int]] = [(inf, -1)]
 
-    summary = ShiftSummary(
-        productivity=sum(items_picked),
-        final_fatigue=fatigue,
-        final_trust=trust,
-        peak_fatigue=peak,
-        recovery_times=recoveries,
-    )
-    return (records if keep_records else None), summary
+        while step < horizon:
+            step += 1
+            if remaining:
+                decision = apology_get(trust) or leader(trust, fatigue, _APOLOGY)
+            elif not fatigue + largest > threshold:
+                decision = calm_get(trust) or leader(trust, fatigue, 0)
+            elif fatigue + smallest > threshold:
+                decision = top_get(trust) or leader(trust, fatigue, _TOP)
+            else:
+                decision = leader(trust, fatigue, policy.level(fatigue))
+            (cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust,
+             edge) = decision
+            event, extra = none, 0.0
+            if step == event_turn:  # no jump from an event's turn
+                edge = None
+                if event_severe:
+                    event, inc, outcome = failure, failed_inc, severe
+                    trust_post = severe_trust
+                else:
+                    event, extra = pick, pick_extra
+                event_turn, event_severe = next(upcoming, past_end)
+            # The fatigue update, skipping round() where it is the identity: a
+            # multiple of 1/dyadic is m * 5**STATE_DECIMALS / 10**STATE_DECIMALS,
+            # so it has at most STATE_DECIMALS decimals already. An overflow to
+            # inf fails is_integer() and is rounded.
+            fatigue_post = fatigue + inc + extra
+            if not fatigue_post > 0.0:  # max(0.0, x), also for -0.0 and NaN
+                fatigue_post = 0.0
+            elif not (fatigue_post * dyadic).is_integer():
+                fatigue_post, edge = round(fatigue_post, STATE_DECIMALS), None
+            # Tick before arming: a severe failure during an active apology must
+            # still leave a full window behind it.
+            if remaining:
+                remaining -= 1
+            while trust_post >= pending[0][0]:
+                index = heappop(pending)[1]
+                turn = recoveries[index][0]
+                recoveries[index] = (turn, step - turn)
+            if outcome is severe:
+                heappush(pending, (trust, len(recoveries)))
+                recoveries.append((step, None))
+                remaining = duration
+            if keep_records:
+                r = new(record)
+                r.step = step
+                r.trust_pre = trust
+                r.fatigue_pre = fatigue
+                r.cobot_action = cobot
+                r.human_action = human
+                r.disruption_event = event
+                r.outcome = outcome
+                r.items_picked = items
+                r.extra_fatigue = extra
+                r.trust_post = trust_post
+                r.fatigue_post = fatigue_post
+                r.apology_remaining_post = remaining
+                append(r)
+            items_picked.append(items)
+            # Every turn up to the next event that keeps the level repeats this
+            # one, with fatigue rising by inc. Jump over them where that sum is
+            # exact.
+            if edge is not None:
+                k = event_turn - 1 - step
+                end = fatigue_post + k * inc
+                if k and end < _EXACT_FATIGUE and not (end - inc) + edge > threshold:
+                    if keep_records:
+                        f = fatigue_post
+                        for t in range(step + 1, step + k + 1):
+                            r = new(record)
+                            r.step = t
+                            r.trust_pre = trust
+                            r.fatigue_pre = f
+                            r.cobot_action = cobot
+                            r.human_action = human
+                            r.disruption_event = none
+                            r.outcome = outcome
+                            r.items_picked = items
+                            r.extra_fatigue = 0.0
+                            r.trust_post = trust
+                            f += inc
+                            r.fatigue_post = f
+                            r.apology_remaining_post = 0
+                            append(r)
+                    items_picked += [items] * k
+                    fatigue_post = end
+                    step += k
+            # After a jump too: inc >= 0, so its end is the stretch's largest.
+            if fatigue_post > peak:
+                peak = fatigue_post
+            trust, fatigue = trust_post, fatigue_post
+
+        shifts.append((records, sum(items_picked), fatigue, trust, peak, recoveries))
+    return shifts
 
 
 def run_shift(cfg: ModelConfig) -> tuple[list[StepRecord], ShiftSummary]:
@@ -480,7 +496,8 @@ def run_shift(cfg: ModelConfig) -> tuple[list[StepRecord], ShiftSummary]:
     events = []  # the deterministic variants consume no draws
     if cfg.variant.has_disruptions:
         events = schedule(cfg.seed, cfg.horizon, cfg.disruption)
-    return _simulate(cfg, events, _StagePolicy(cfg), keep_records=True)
+    [(records, *kpis)] = _simulate(cfg, [events], _StagePolicy(cfg), keep_records=True)
+    return records, ShiftSummary(*kpis)
 
 
 @dataclass
@@ -524,7 +541,9 @@ def run_paired(
     """Run every config of ``cfgs`` over seeds base_seed, base_seed + 1, ...
     and aggregate each config's KPIs, in the order of ``cfgs``.
 
-    The shifts come from ``_iter_paired``, one seed at a time, and none is
+    The shifts come from ``_iter_paired``, a block of seeds at a time: each
+    config runs a block in one ``_simulate`` call, and a block holds at most
+    ``_BLOCK_TURNS`` turns of one config and at least one seed. No shift is
     kept: each config keeps only every seed's productivity, final trust,
     final fatigue and first severe failure.
 
@@ -534,25 +553,30 @@ def run_paired(
     get a policy each, even when equal in value; their results are the same.
     """
     columns = [([], [], [], []) for _ in cfgs]
-    for shifts in _iter_paired(cfgs, n_seeds, base_seed):
-        for s, (productivity, trust, fatigue, first) in zip(shifts, columns):
-            productivity.append(s.productivity)
-            trust.append(s.final_trust)
-            fatigue.append(s.final_fatigue)
-            first.append(s.recovery_times[0] if s.recovery_times else None)
+    for block in _iter_paired(cfgs, n_seeds, base_seed):
+        for shifts, (productivity, trust, fatigue, first) in zip(block, columns):
+            for _, items, final_fatigue, final_trust, _, recoveries in shifts:
+                productivity.append(items)
+                trust.append(final_trust)
+                fatigue.append(final_fatigue)
+                first.append(recoveries[0] if recoveries else None)
     return [_aggregate(column, base_seed) for column in columns]
 
 
 def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
-    """Yield, for each seed base_seed, base_seed + 1, ..., a tuple of one
-    ``ShiftSummary`` per config of ``cfgs``, in their order.
+    """Yield, for each block of consecutive seeds from base_seed on, a tuple
+    of one list per config of ``cfgs``, in their order, of the block's
+    shifts as ``_simulate`` returns them, in seed order.
 
-    Each seed's disruption schedule is drawn once, by one
-    ``ScheduleDrawer``, and shared by every stochastic config, so the configs
-    must agree on the horizon and the disruption parameters. Configs share
-    ``_StagePolicy`` objects as ``run_paired`` says, each opened when it
-    serves more than one seed. Each shift equals ``run_shift`` of its config
-    at that seed, as a shared seed pins the same schedule in every variant.
+    A block holds at most ``_BLOCK_TURNS`` turns of one config, and at
+    least one seed, so at ``MAX_HORIZON`` a block is one seed. Each config
+    runs a block in one ``_simulate`` call. Each seed's disruption schedule
+    is drawn once, by one ``ScheduleDrawer``, and shared by every stochastic
+    config, so the configs must agree on the horizon and the disruption
+    parameters. Configs share ``_StagePolicy`` objects as ``run_paired``
+    says, each opened when it serves more than one seed. Each shift equals
+    ``run_shift`` of its config at that seed, as a shared seed pins the same
+    schedule in every variant.
     """
     if not cfgs:
         raise ValueError("run_paired needs at least one config")
@@ -585,11 +609,13 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     drawer = None
     if any(stochastic for *_, stochastic in runs):
         drawer = ScheduleDrawer(horizon, disruption)
-    no_events: list[tuple[int, bool]] = []
-    for seed in range(base_seed, last_seed + 1):
-        events = drawer.draw(seed) if drawer else no_events
+    size = max(1, _BLOCK_TURNS // horizon)
+    for start in range(base_seed, last_seed + 1, size):
+        seeds = range(start, min(start + size, last_seed + 1))
+        no_events = [[]] * len(seeds)  # the deterministic variants draw nothing
+        schedules = list(map(drawer.draw, seeds)) if drawer else no_events
         yield tuple(
-            _simulate(cfg, events if stochastic else no_events, policy, False)[1]
+            _simulate(cfg, schedules if stochastic else no_events, policy, False)
             for cfg, policy, stochastic in runs
         )
 

@@ -21,6 +21,7 @@ from cobotsim import (
     InteractionOutcome,
     ModelConfig,
     ModelVariant,
+    ShiftSummary,
     StepRecord,
     TrustParams,
     emit_summary_json,
@@ -31,7 +32,7 @@ from cobotsim import (
 )
 from cobotsim import cli, engine
 from cobotsim.dynamics import STATE_DECIMALS
-from cobotsim.disruption import schedule
+from cobotsim.disruption import ScheduleDrawer, schedule
 from cobotsim.engine import _StagePolicy
 from cobotsim.game import ACTION_PAIRS, StageGame
 from stepwise_reference import (
@@ -681,7 +682,13 @@ def test_summary_collects_recoveries():
 
 def _paired_shifts(cfgs, n_seeds, base_seed):
     """Each config's shift summaries, in seed order, as run_paired sees them."""
-    return [list(shifts) for shifts in zip(*engine._iter_paired(cfgs, n_seeds, base_seed))]
+    summaries = [[] for _ in cfgs]
+    for block in engine._iter_paired(cfgs, n_seeds, base_seed):
+        for column, shifts in zip(summaries, block):
+            for records, *kpis in shifts:
+                assert records is None
+                column.append(ShiftSummary(*kpis))
+    return summaries
 
 
 def _assert_first_failures(ens, shifts):
@@ -935,22 +942,69 @@ def test_equal_parameters_of_other_types_share_no_memo():
     assert emit_summary_json(paired[0]) != emit_summary_json(paired[1])
 
 
+class _Tracked(list):
+    """A list that takes weak references, which a plain one does not."""
+
+
 def test_no_shift_outlives_run_paired(monkeypatch):
-    shifts = []
+    calls, results = 0, []
     simulate = engine._simulate
 
     def tracking(*args, **kwargs):
-        records, summary = simulate(*args, **kwargs)
-        shifts.append(weakref.ref(summary))
-        return records, summary
+        # Each shift's recovery ledger, and the list of the call's shifts,
+        # become copies that weak references can watch.
+        nonlocal calls
+        calls += 1
+        shifts = _Tracked(
+            (*kpis, _Tracked(ledger)) for *kpis, ledger in simulate(*args, **kwargs)
+        )
+        results.append(weakref.ref(shifts))
+        results.extend(weakref.ref(ledger) for *_, ledger in shifts)
+        return shifts
 
     monkeypatch.setattr(engine, "_simulate", tracking)
-    paired = run_paired(paired_cfgs(("v1.2", "v1.3")), n_seeds=30, base_seed=1)
+    # 2000 turns make blocks of 8 seeds: 30 seeds take 4 blocks.
+    cfgs = paired_cfgs(("v1.2", "v1.3"), horizon=2000)
+    paired = run_paired(cfgs, n_seeds=30, base_seed=1)
     gc.collect()
     assert [ens.n_seeds for ens in paired] == [30, 30]
-    # The opening's one shift, then 30 seeds of two configs.
-    assert len(shifts) == 1 + 2 * 30
-    assert [ref for ref in shifts if ref() is not None] == []
+    # The opening's one shift, then 4 blocks of two configs.
+    assert engine._BLOCK_TURNS // 2000 == 8
+    assert calls == 1 + 2 * 4
+    assert len(results) == calls + 1 + 2 * 30
+    assert [ref for ref in results if ref() is not None] == []
+
+
+@pytest.mark.parametrize("base_seed", [1, 2**64 - 19])
+def test_run_paired_block_edges(base_seed):
+    # 2000 turns make blocks of 8 seeds: 19 seeds fill two and part of a
+    # third, and the second range's last block ends at seed 2**64 - 1.
+    cfgs = paired_cfgs(("v1.2", "v1.3"), horizon=2000)
+    assert engine._BLOCK_TURNS // 2000 == 8
+    _assert_paired_equals_run_shift(cfgs, 19, base_seed)
+
+
+def test_run_paired_draws_one_schedule_per_block_at_max_horizon(monkeypatch):
+    # A block holds at least one seed, so at MAX_HORIZON it holds exactly
+    # one: one schedule is drawn before each _simulate call of a block.
+    calls = []
+    draw, simulate = ScheduleDrawer.draw, engine._simulate
+
+    def drawing(drawer, seed):
+        calls.append("draw")
+        return draw(drawer, seed)
+
+    def simulating(cfg, schedules, policy, keep_records):
+        calls.append(len(schedules))
+        return simulate(cfg, schedules, policy, keep_records)
+
+    monkeypatch.setattr(ScheduleDrawer, "draw", drawing)
+    monkeypatch.setattr(engine, "_simulate", simulating)
+    dp = DisruptionParams(chance=0.0)
+    cfg = cfg_for("v1.2", horizon=engine.MAX_HORIZON, disruption=dp)
+    assert run_ensemble(cfg, n_seeds=3, base_seed=5).n_seeds == 3
+    # The opening's one event-free schedule, then one per seed.
+    assert calls == [1] + ["draw", 1] * 3
 
 
 def test_run_paired_opens_only_for_more_than_one_seed(monkeypatch):

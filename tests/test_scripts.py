@@ -107,7 +107,8 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     ]
     header, *ops = counts.splitlines()
     assert header.split() == ["op", "opcodes", "calls"]
-    assert len(ops) == 3
+    # One op per benchmark workload, then the 1000-seed ensemble.
+    assert len(ops) == 4
     # Every Python call executes opcodes, so an op has more of them.
     for line in ops:
         opcode_count, calls = map(int, line.split()[-2:])
@@ -115,7 +116,7 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     # Each op's name, then its five largest functions by descending share.
     header, *rows = functions.splitlines()
     assert header.split() == ["share", "op", "/", "function"]
-    assert len(rows) == 3 * 6
+    assert len(rows) == 4 * 6
     for op, block in zip(ops, (rows[i:i + 6] for i in range(0, len(rows), 6))):
         assert op.startswith(block[0] + " ")
         shares = [float(row.split()[0]) for row in block[1:]]
