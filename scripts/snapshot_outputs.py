@@ -89,6 +89,13 @@ def commands():
                     "run", "--variant", variant, "--seed", str(seed),
                     "--set", f"horizon={horizon}", "--emit", "csv,json,svg",
                 ]
+    # Horizon 1 charts one point; horizons 19, 20 and 21 (x spans 18, 19
+    # and 20) fall on both sides of the chart's tick rule at a span of 20.
+    for horizon in (1, 19, 20, 21):
+        yield f"run_v1.3_h{horizon}_seed7", [
+            "run", "--variant", "v1.3", "--seed", "7",
+            "--set", f"horizon={horizon}", "--emit", "csv,json,svg",
+        ]
     yield "run_all_keys", ["run", "--config", CONFIG, "--emit", "csv,json,svg"]
     yield "run_all_keys_set", [
         "run", *(arg for line in CONFIG_TEXT.splitlines() for arg in ("--set", line)),

@@ -37,6 +37,8 @@ EMIT_FORMATS = ("csv", "json", "svg")
 # s) and 32 MB peak RSS (CPython 3.11, 2-vCPU Xeon): it keeps each seed's
 # KPIs and first severe failure, not its shift.
 MAX_SEEDS = 100_000
+# Artifacts are rewritten in place; O_BINARY (Windows only) keeps LF as LF.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 def add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -131,14 +133,24 @@ def _check_finite(fatigue: list[float], productivity: list[float], where: str) -
 def _write_out(out: str, files: dict[str, str]) -> None:
     """Write each ``name: text`` of ``files`` into directory ``out``, creating
     it, and report every file written. A directory that cannot be used is a
-    config error naming --out."""
+    config error naming --out.
+
+    Each file is truncated and then written as the UTF-8 bytes of its text,
+    with LF line endings on every platform: the bytes go straight to
+    ``os.write``, with no text layer to translate newlines."""
     out_dir = Path(out)
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             path = out_dir / name
-            path.write_text(text, encoding="utf-8")
+            data = text.encode("utf-8")
+            fd = os.open(path, _WRITE_FLAGS, 0o666)
+            try:
+                while data:  # a write may take fewer bytes than it is given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             written.append(path)
     except OSError as exc:
         raise ConfigError(f"--out {out}: {exc}") from None

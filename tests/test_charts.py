@@ -1,9 +1,12 @@
 """SVG chart emission: structure, scaling, and trajectory shape."""
 
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cobotsim import ModelConfig, ModelVariant, emit_svg_chart, parse_config, run_shift
 from cobotsim.dynamics import InteractionOutcome
@@ -21,6 +24,21 @@ def polyline_points(svg, name):
     match = re.search(rf'class="series-{name}" points="([^"]+)"', svg)
     assert match, f"series {name} missing"
     return [tuple(map(float, p.split(","))) for p in match.group(1).split()]
+
+
+@given(st.floats())
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)  # the smallest subnormal
+@example(2.225073858507201e-308)  # the largest subnormal
+@example(0.25)  # a tie at one decimal, which rounds to even
+@example(0.05)  # just above a tie
+def test_percent_formatting_matches_format_spec(x):
+    # The chart formats its polylines with "%", its other coordinates with
+    # format specs; both must write the same text.
+    assert "%.1f" % x == f"{x:.1f}"
 
 
 def test_is_self_contained_svg():

@@ -1007,6 +1007,34 @@ def test_run_paired_draws_one_schedule_per_block_at_max_horizon(monkeypatch):
     assert calls == [1] + ["draw", 1] * 3
 
 
+@pytest.mark.parametrize("base_seed", [1, 2**64 - 19])
+def test_deterministic_configs_match_run_shift_across_blocks(base_seed):
+    # 2000 turns make blocks of 8 seeds. v1.0 and v1.1 run one shift per
+    # block, which stands for each of its seeds; v1.2 runs each seed's own.
+    cfgs = paired_cfgs(("v1.0", "v1.2", "v1.1"), horizon=2000)
+    assert engine._BLOCK_TURNS // 2000 == 8
+    _assert_paired_equals_run_shift(cfgs, 19, base_seed)
+
+
+def test_deterministic_config_runs_once_per_block(monkeypatch):
+    calls = []
+    simulate = engine._simulate
+
+    def simulating(cfg, schedules, policy, keep_records):
+        calls.append((cfg.variant.value, len(schedules)))
+        return simulate(cfg, schedules, policy, keep_records)
+
+    monkeypatch.setattr(engine, "_simulate", simulating)
+    cfgs = paired_cfgs(("v1.1", "v1.3"), horizon=2000)
+    paired = run_paired(cfgs, n_seeds=19, base_seed=1)
+    assert [ens.n_seeds for ens in paired] == [19, 19]
+    # The shared opening's one shift, then blocks of 8, 8 and 3 seeds: one
+    # v1.1 shift per block, and one v1.3 shift per seed.
+    assert calls == [("v1.1", 1)] + [("v1.1", 1), ("v1.3", 8)] * 2 + [
+        ("v1.1", 1), ("v1.3", 3)
+    ]
+
+
 def test_run_paired_opens_only_for_more_than_one_seed(monkeypatch):
     openings = []
     open_policy = _StagePolicy.open

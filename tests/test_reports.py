@@ -1,4 +1,5 @@
-"""CSV and JSON emission: exact rows, round-trips, and key order."""
+"""CSV and JSON emission: exact rows, round-trips, and key order; the CSV and
+SVG writers against the per-value reference writers."""
 
 import json
 import math
@@ -15,11 +16,13 @@ from cobotsim import (
     ModelVariant,
     TrustParams,
     emit_summary_json,
+    emit_svg_chart,
     emit_trajectory_csv,
     run_ensemble,
     run_shift,
 )
 from cobotsim.reports import CSV_HEADER, format_real
+import stepwise_reference
 
 
 def run(variant, **kwargs):
@@ -111,7 +114,7 @@ _STEPS = st.floats(min_value=0.001, max_value=1.0)
 
 
 @st.composite
-def shift_configs(draw):
+def shift_configs(draw, max_horizon=60):
     reward_normal = draw(_AMOUNTS)
     reward_high = reward_normal * 2 + draw(st.floats(min_value=0.01, max_value=10.0))
     kappa_base = draw(st.floats(min_value=1.0, max_value=4.0))
@@ -142,7 +145,7 @@ def shift_configs(draw):
     )
     return ModelConfig(
         variant=draw(st.sampled_from(ModelVariant)),
-        horizon=draw(st.integers(min_value=1, max_value=60)),
+        horizon=draw(st.integers(min_value=1, max_value=max_horizon)),
         seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
         game=game,
         trust=trust,
@@ -156,6 +159,29 @@ def shift_configs(draw):
 def test_trajectory_csv_matches_field_by_field_reference(cfg):
     records, _ = run_shift(cfg)
     assert emit_trajectory_csv(records) == reference_csv(records)
+
+
+# Parts of a shift in which a row's fatigue_pre need not be the previous
+# row's fatigue_post, the steps need not be consecutive or rising, and
+# which can be empty.
+_PARTS = [slice(None), slice(None, None, 3), slice(5, None), slice(None, None, -1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift_configs(max_horizon=300), st.sampled_from(_PARTS))
+def test_writers_match_the_per_value_reference_writers(cfg, part):
+    records = run_shift(cfg)[0][part]
+    for emit, reference in (
+        (emit_trajectory_csv, stepwise_reference.emit_trajectory_csv),
+        (emit_svg_chart, stepwise_reference.emit_svg_chart),
+    ):
+        try:
+            expected = reference(records)
+        except ValueError:
+            with pytest.raises(ValueError):
+                emit(records)
+        else:
+            assert emit(records) == expected
 
 
 def test_trajectory_csv_formats_equal_keys_alike():

@@ -46,10 +46,11 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     assert result.returncode == 0, result.stderr
     snap = tmp_path / "snap"
     dirs = {p.name for p in snap.iterdir() if p.is_dir()}
-    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3 + 3 + 2
+    assert len(dirs) == 3 + 4 * 3 + 2 + 2 * 2 * 3 + 4 + 3 + 2
     assert {
         "compare_seeds300_top", "ensemble_v1.0_seeds1000", "ensemble_v1.1_seeds3_h300",
-        "run_v1.3_h2000_seed42", "run_all_keys", "ensemble_all_keys_seeds50",
+        "run_v1.3_h2000_seed42", "run_v1.3_h1_seed7", "run_v1.3_h21_seed7",
+        "run_all_keys", "ensemble_all_keys_seeds50",
         "run_nondyadic_v1.3_h2000_seed5", "ensemble_nondyadic_v1.3_h2000_seeds200",
     } <= dirs
     artifacts = {
