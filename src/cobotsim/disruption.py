@@ -153,9 +153,12 @@ class ScheduleDrawer:
     __slots__ = ("horizon", "lanes", "ones", "mask", "ramp", "occurs", "severe")
 
     def __init__(self, horizon: int, dp: DisruptionParams) -> None:
-        # Enough lanes for the expected draws (one per turn, one more per
-        # event) with some slack, so that a second block is rare.
-        lanes = min(_LANES, horizon + math.ceil(horizon * dp.chance) + 16)
+        # One lane per turn, one per event, and one for a severity draw past
+        # the last turn. Events are binomial with mean e = horizon * chance;
+        # the lanes cover e plus three standard deviations, so a second block
+        # is rare, and each lane fewer shortens every big-int step.
+        e = horizon * dp.chance
+        lanes = min(_LANES, horizon + math.ceil(e + 3 * math.sqrt(e * (1 - dp.chance))) + 1)
         self.horizon, self.lanes = horizon, lanes
         layout = bytearray(16 * lanes)  # little-endian, 16 bytes per lane
         layout[::16] = b"\x01" * lanes

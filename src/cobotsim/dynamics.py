@@ -90,12 +90,17 @@ def classify_interaction(
 
 
 def update_trust(trust: float, outcome: InteractionOutcome, tp: TrustParams) -> float:
-    """Apply the outcome's trust delta and clamp to [0, 1]."""
+    """Apply the outcome's trust delta and clamp to [0, 1].
+
+    The clamp is ``min(1.0, max(0.0, trust + delta))`` written as
+    conditional expressions, which give the same result for every input,
+    -0.0, NaN and infinities too, without two builtin calls."""
     if outcome is InteractionOutcome.SUCCESS:
         delta = tp.gain
     elif outcome is InteractionOutcome.MINOR_FAILURE:
         delta = -tp.loss
     else:
         delta = -tp.severe_loss
-    return round(min(1.0, max(0.0, trust + delta)), STATE_DECIMALS)
+    value = trust + delta
+    return round((value if value < 1.0 else 1.0) if value > 0.0 else 0.0, STATE_DECIMALS)
 

@@ -19,7 +19,8 @@ external contract because reordering it changes trajectories:
 share one flat loop, ``_simulate``, that runs this sequence over plain
 floats, bools and an int apology countdown, for one config over a list of
 schedules; its docstring describes the exact fatigue arithmetic, the
-fast-forward over steady turns and the recovery ledger. Step 4 reads the
+fast-forward over steady turns, the productivity total and the recovery
+ledger. Step 4 reads the
 seed's sparse disruption schedule, drawn up front by
 ``disruption.schedule``; ``run_paired`` draws each seed's schedule once,
 with one ``ScheduleDrawer`` per call, and runs every config over it. It
@@ -69,7 +70,7 @@ MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # 2-vCPU Xeon).
 MAX_HORIZON = 100_000
 # Below this, sums of multiples of 2**-STATE_DECIMALS are exact doubles.
-_EXACT_FATIGUE = 2.0 ** (52 - STATE_DECIMALS)
+_EXACT = 2.0 ** (52 - STATE_DECIMALS)
 # x is a multiple of 2**-STATE_DECIMALS iff x * _DYADIC is an integer.
 _DYADIC = 2.0**STATE_DECIMALS
 # Enum members, read once: each read of one through its class costs a
@@ -214,28 +215,42 @@ class _StagePolicy(StageGame):
     the per-turn constants of one action pair at one trust and level, see
     ``_decision``.
 
+    ``pairs`` holds each action pair's per-turn constants keyed by the
+    pair's ``id``: ``solve`` and ``best_response`` return ``ACTION_PAIRS``
+    members, and an ``id`` key skips ``ActionPair``'s ``__hash__``, which
+    hashes its two enum members in Python.
+
+    Exact productivity: ``exact`` holds when both rewards are multiples of
+    2**-STATE_DECIMALS and ``horizon * reward_high`` lies below ``_EXACT``.
+    Rewards are >= 0, so then every partial sum of a shift's items is such
+    a multiple below ``_EXACT``, an exact double, and ``_simulate`` keeps a
+    running total: ``sum()`` of the items, compensated or not, gives the
+    same value, so the total matches it on every supported Python.
+    Otherwise ``_simulate`` keeps the items and sums them with ``sum()``.
+
     Opening: before its first event a shift has no severe failure, hence no
     apology and no recovery, so every shift of the parameter set follows one
     event-free trajectory up to the turn before its first event.
     ``opening`` holds it as ``_simulate`` reads it: ``states[t]``, the
     trust, fatigue and running peak fatigue after turn t (``states[0]`` the
-    initial state), and the items of each turn. It is the initial state
-    alone, an opening of no turns, until ``open`` runs the first
-    L = min(horizon, ``_OPENING``) turns. Its fatigues, fast-forwarded ones
-    too, are exact (see ``_simulate``), so a shift started from it equals
-    one run from the initial state, and a shift without events of at most L
-    turns is read off it whole. An opened policy serves only runs that keep
-    no records.
+    initial state), the items of each turn, and ``totals[t]``, the running
+    total of the items of turns 1..t, from ``sum()``'s start, the int 0. It
+    is the initial state alone, an opening of no turns, until ``open`` runs
+    the first L = min(horizon, ``_OPENING``) turns. Its fatigues,
+    fast-forwarded ones too, are exact (see ``_simulate``), so a shift
+    started from it equals one run from the initial state, and a shift
+    without events of at most L turns is read off it whole. An opened policy
+    serves only runs that keep no records.
     """
 
-    __slots__ = ("cfg", "pairs", "edges", "tables", "opening")
+    __slots__ = ("cfg", "pairs", "edges", "tables", "exact", "opening")
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
         super().__init__(game)
         self.cfg = cfg
-        self.pairs: dict[ActionPair, tuple] = {
-            pair: (
+        self.pairs: dict[int, tuple] = {
+            id(pair): (
                 cobot,
                 human,
                 human_reward(human, game),
@@ -248,8 +263,13 @@ class _StagePolicy(StageGame):
         increments = sorted((c[3] for c in self.pairs.values()), reverse=True)
         self.edges = (*increments, -math.inf)
         self.tables = tuple({} for _ in range(_APOLOGY + 1))
+        rewards = game.reward_normal, game.reward_high
+        self.exact = (all((r * _DYADIC).is_integer() for r in rewards)
+                      and cfg.horizon * game.reward_high < _EXACT)
         start = cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf
-        self.opening: tuple[list[tuple[float, float, float]], list[float]] = [start], []
+        self.opening: tuple[list[tuple[float, float, float]], list[float], list[float]] = (
+            [start], [], [0]
+        )
 
     def open(self) -> None:
         """Set ``opening`` to the event-free shift over the first
@@ -258,7 +278,8 @@ class _StagePolicy(StageGame):
         [(records, *_)] = _simulate(shift, [[]], self, keep_records=True)
         fatigues = [r.fatigue_post for r in records]
         states = zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))
-        self.opening = self.opening[0] + [*states], [r.items_picked for r in records]
+        items = [r.items_picked for r in records]
+        self.opening = self.opening[0] + [*states], items, [*accumulate(items, initial=0)]
 
     def _decision(self, pair: ActionPair, trust: float, level: int) -> tuple:
         """``(cobot, human, items, increment, increment if the cobot fails,
@@ -274,7 +295,7 @@ class _StagePolicy(StageGame):
         be a non-negative multiple of 2**-STATE_DECIMALS, so fatigue never
         falls and its sums stay exact.
         """
-        constants = self.pairs[pair]
+        constants = self.pairs[id(pair)]
         inc, outcome, tp = constants[3], constants[-1], self.cfg.trust
         trust_post = update_trust(trust, outcome, tp)
         steady = (trust_post == trust and level != _APOLOGY and inc >= 0.0
@@ -341,25 +362,32 @@ def _simulate(
     to the next event, while it keeps the level, meets the same decision,
     outcome and trust, and adds the same ``inc`` to fatigue. While fatigue
     and ``inc`` are non-negative multiples of 2**-STATE_DECIMALS below
-    ``_EXACT_FATIGUE`` each sum is exact, so ``fatigue + k * inc`` is what k
+    ``_EXACT`` each sum is exact, so ``fatigue + k * inc`` is what k
     turns would reach. The jump is taken only when:
 
     - no event struck the turn, and its fatigue needed no ``round()``, so
       it is a multiple of 2**-STATE_DECIMALS;
-    - k > 0, and ``end = fatigue + k * inc`` lies below ``_EXACT_FATIGUE``,
+    - k > 0, and ``end = fatigue + k * inc`` lies below ``_EXACT``,
       so every partial sum is an exact double and needs no ``round()``;
     - the test of the level's ``edge``, the next to turn true, stays false
       up to the last skipped turn, ``not (end - inc) + edge > threshold``,
       which always holds at the top level, whose edge is -inf.
 
+    Productivity: under ``policy.exact`` (see ``_StagePolicy``) a running
+    total, ``total += items`` per turn and ``total += k * items`` per jump,
+    both exact; otherwise the list of the shift's items, summed by ``sum()``
+    at the end, since newer Pythons compensate float sums and a running
+    total could differ from it in the last bit.
+
     Recovery ledger: ``recoveries`` gets one ``(turn, None)`` entry per
     severe failure, and ``pending`` is a heap of the ``(pre-drop trust,
     index)`` of each failure not yet regained, above an ``(inf, -1)``
-    sentinel. Each turn pops the failures whose target its post-turn trust
-    reaches and writes their steps into their entries, which become
-    ``recovery_times`` as they stand. A jump needs no recovery check: trust
-    is constant through it, and the jumped-from turn already popped every
-    target at or below it.
+    sentinel; ``target`` is the smallest pre-drop trust, ``pending[0][0]``,
+    refreshed after each pop and push. Each turn pops the failures whose
+    target its post-turn trust reaches and writes their steps into their
+    entries, which become ``recovery_times`` as they stand. A jump needs no
+    recovery check: trust is constant through it, and the jumped-from turn
+    already popped every target at or below it.
 
     Records: with ``keep_records`` each turn, a jumped one too, gets a
     ``StepRecord`` made by ``object.__new__`` and one store per slot, not
@@ -377,9 +405,9 @@ def _simulate(
     past_end = horizon + 1, False
     none, pick, failure, severe, dyadic = _NONE, _PICK, _FAILURE, _SEVERE, _DYADIC
     new, record, inf = object.__new__, StepRecord, math.inf
-    states, opening_items = policy.opening
-    opened = len(states) - 1
-    records = append = None
+    states, opening_items, totals = policy.opening
+    opened, exact = len(states) - 1, policy.exact
+    records = append = items_picked = None
     shifts = []
 
     for events in schedules:
@@ -387,16 +415,17 @@ def _simulate(
         event_turn, event_severe = next(upcoming, past_end)
         step = min(event_turn - 1, opened)
         trust, fatigue, peak = states[step]
-        # Summed with sum() at the end, not as a running total: newer Pythons
-        # compensate float sums, so the two could differ in the last bit.
-        # A copy: appends leave the shared opening as it is.
-        items_picked = opening_items[:step]
+        total = totals[step]
+        if not exact:
+            # A copy: appends leave the shared opening as it is.
+            items_picked = opening_items[:step]
         remaining = 0  # apology turns left; only the apology variant arms it
         if keep_records:
             records = []
             append = records.append
         recoveries: list[tuple[int, int | None]] = []
         pending: list[tuple[float, int]] = [(inf, -1)]
+        target = inf
 
         while step < horizon:
             step += 1
@@ -432,13 +461,15 @@ def _simulate(
             # still leave a full window behind it.
             if remaining:
                 remaining -= 1
-            while trust_post >= pending[0][0]:
+            while trust_post >= target:
                 index = heappop(pending)[1]
                 turn = recoveries[index][0]
                 recoveries[index] = (turn, step - turn)
+                target = pending[0][0]
             if outcome is severe:
                 heappush(pending, (trust, len(recoveries)))
                 recoveries.append((step, None))
+                target = pending[0][0]
                 remaining = duration
             if keep_records:
                 r = new(record)
@@ -455,14 +486,17 @@ def _simulate(
                 r.fatigue_post = fatigue_post
                 r.apology_remaining_post = remaining
                 append(r)
-            items_picked.append(items)
+            if exact:
+                total += items
+            else:
+                items_picked.append(items)
             # Every turn up to the next event that keeps the level repeats this
             # one, with fatigue rising by inc. Jump over them where that sum is
             # exact.
             if edge is not None:
                 k = event_turn - 1 - step
                 end = fatigue_post + k * inc
-                if k and end < _EXACT_FATIGUE and not (end - inc) + edge > threshold:
+                if k and end < _EXACT and not (end - inc) + edge > threshold:
                     if keep_records:
                         f = fatigue_post
                         for t in range(step + 1, step + k + 1):
@@ -481,7 +515,10 @@ def _simulate(
                             r.fatigue_post = f
                             r.apology_remaining_post = 0
                             append(r)
-                    items_picked += [items] * k
+                    if exact:
+                        total += k * items
+                    else:
+                        items_picked += [items] * k
                     fatigue_post = end
                     step += k
             # After a jump too: inc >= 0, so its end is the stretch's largest.
@@ -489,7 +526,9 @@ def _simulate(
                 peak = fatigue_post
             trust, fatigue = trust_post, fatigue_post
 
-        shifts.append((records, sum(items_picked), fatigue, trust, peak, recoveries))
+        if not exact:
+            total = sum(items_picked)
+        shifts.append((records, total, fatigue, trust, peak, recoveries))
     return shifts
 
 
@@ -577,8 +616,10 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     draws nothing and every seed's shift is the same. Each seed's
     disruption schedule is drawn once, by one ``ScheduleDrawer``, and
     shared by every stochastic config, so the configs must agree on the
-    horizon and the disruption parameters. Configs share ``_StagePolicy`` objects as ``run_paired``
-    says, each opened when it serves more than one seed. Each shift equals
+    horizon and the disruption parameters. Configs share ``_StagePolicy``
+    objects as ``run_paired`` says, each opened when it serves more than
+    one shift: one of its configs is stochastic and runs more than one
+    seed, or deterministic and runs more than one block. Each shift equals
     ``run_shift`` of its config at that seed, as a shared seed pins the same
     schedule in every variant.
     """
@@ -598,22 +639,26 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     horizon, disruption = cfgs[0].horizon, cfgs[0].disruption
     if any(c.horizon != horizon or c.disruption != disruption for c in cfgs):
         raise ValueError("paired configs must share horizon and disruption parameters")
+    size = max(1, _BLOCK_TURNS // horizon)
     policies: dict[tuple, _StagePolicy] = {}
+    opening = set()
     runs = []
     for cfg in cfgs:
         key = id(cfg.game), id(cfg.trust), cfg.variant.trust_rule
         policy = policies.get(key)
         if policy is None:
             policy = policies[key] = _StagePolicy(cfg)
-            # Over one seed it would serve one shift per config, too few to
-            # pay for the opening.
-            if n_seeds > 1:
-                policy.open()
-        runs.append((cfg, policy, cfg.variant.has_disruptions))
+        stochastic = cfg.variant.has_disruptions
+        # A config runs one shift per seed, or per block if deterministic;
+        # an opening that serves one shift does not pay for itself.
+        if n_seeds > (1 if stochastic else size):
+            opening.add(key)
+        runs.append((cfg, policy, stochastic))
+    for key in opening:
+        policies[key].open()
     drawer = None
     if any(stochastic for *_, stochastic in runs):
         drawer = ScheduleDrawer(horizon, disruption)
-    size = max(1, _BLOCK_TURNS // horizon)
     for start in range(base_seed, last_seed + 1, size):
         seeds = range(start, min(start + size, last_seed + 1))
         schedules = list(map(drawer.draw, seeds)) if drawer else None

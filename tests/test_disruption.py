@@ -115,6 +115,12 @@ _probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, ma
 @example(seed=2**64 - 3, horizon=300, chance=0.5, severe_share=0.5)
 # About 2,200 lanes, so both cutoffs meet lanes whose top byte ties theirs.
 @example(seed=3, horizon=2000, chance=0.1, severe_share=0.5)
+# A 50-turn schedule at chance 0.1 gets 63 lanes, the expected 55 draws and
+# three standard deviations of events. Seed 17409 has 17 events, so its walk
+# runs on in a second block; seed 8804 has 14, the last at turn 50, whose
+# severity draw is the second block's first lane.
+@example(seed=17409, horizon=50, chance=0.1, severe_share=0.5)
+@example(seed=8804, horizon=50, chance=0.1, severe_share=0.5)
 def test_schedule_equals_turn_by_turn_draws(seed, horizon, chance, severe_share):
     dp = DisruptionParams(chance=chance, severe_share=severe_share)
     assert schedule(seed, horizon, dp) == _drawn_events(seed, horizon, dp)

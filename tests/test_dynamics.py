@@ -1,7 +1,7 @@
 """Classification rules and the trust/fatigue update equations."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cobotsim import (
@@ -15,6 +15,7 @@ from cobotsim import (
     classify_interaction,
     update_trust,
 )
+from cobotsim.dynamics import STATE_DECIMALS
 from stepwise_reference import update_fatigue
 
 NORMAL, HIGH_E = EffortLevel.NORMAL, EffortLevel.HIGH
@@ -121,6 +122,28 @@ def test_update_trust_exact_zero_after_five_losses(tp):
 def test_update_trust_stays_clamped(trust, outcome, gain, loss, severe_loss):
     tp = TrustParams(gain=gain, loss=loss, severe_loss=severe_loss)
     assert 0.0 <= update_trust(trust, outcome, tp) <= 1.0
+
+
+_magnitude = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@given(trust=st.floats(), outcome=st.sampled_from(list(InteractionOutcome)),
+       gain=_magnitude, loss=_magnitude, severe_loss=_magnitude)
+@example(trust=0.97, outcome=SUCCESS, gain=0.05, loss=0.1, severe_loss=0.5)  # to 1
+@example(trust=0.3, outcome=SEVERE, gain=0.05, loss=0.1, severe_loss=0.5)  # to 0
+@example(trust=1.0, outcome=SUCCESS, gain=1.0, loss=1.0, severe_loss=1.0)
+@example(trust=0.0, outcome=SEVERE, gain=1.0, loss=1.0, severe_loss=1.0)
+@example(trust=0.1, outcome=MINOR, gain=0.05, loss=0.1, severe_loss=0.5)  # to +0.0
+@example(trust=-0.0, outcome=SUCCESS, gain=0.05, loss=0.1, severe_loss=0.5)
+@example(trust=-0.0, outcome=MINOR, gain=0.05, loss=0.1, severe_loss=0.5)
+def test_update_trust_equals_the_builtin_clamp(trust, outcome, gain, loss, severe_loss):
+    # The clamp is written without min() and max(); it must return what they
+    # would, bit for bit, for any float trust, NaN and infinities too.
+    tp = TrustParams(gain=gain, loss=loss, severe_loss=severe_loss)
+    delta = {SUCCESS: gain, MINOR: -loss, SEVERE: -severe_loss}[outcome]
+    expected = round(min(1.0, max(0.0, trust + delta)), STATE_DECIMALS)
+    got = update_trust(trust, outcome, tp)
+    assert (repr(got), type(got)) == (repr(expected), type(expected))
 
 
 @pytest.mark.parametrize(

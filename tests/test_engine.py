@@ -1035,21 +1035,32 @@ def test_deterministic_config_runs_once_per_block(monkeypatch):
     ]
 
 
-def test_run_paired_opens_only_for_more_than_one_seed(monkeypatch):
+def test_run_paired_opens_only_for_more_than_one_shift(monkeypatch):
     openings = []
     open_policy = _StagePolicy.open
 
     def counting(policy):
-        openings.append(policy.cfg)
+        openings.append(policy.cfg.variant.value)
         return open_policy(policy)
 
     monkeypatch.setattr(_StagePolicy, "open", counting)
     for variant in ("v1.1", "v1.3"):
         run_ensemble(cfg_for(variant), n_seeds=1, base_seed=3)
+    # A deterministic config runs one shift per block, and 50-turn blocks
+    # hold 327 seeds.
+    size = engine._BLOCK_TURNS // 50
+    assert size == 327
+    run_ensemble(cfg_for("v1.1"), n_seeds=size, base_seed=3)
     assert openings == []
+    run_ensemble(cfg_for("v1.1"), n_seeds=size + 1, base_seed=3)
+    assert openings == ["v1.1"]
     # v1.2 and v1.3 share one opening.
     run_paired(paired_cfgs(("v1.2", "v1.3")), n_seeds=2, base_seed=3)
-    assert len(openings) == 1
+    assert openings == ["v1.1", "v1.2"]
+    # v1.1 alone would open nothing over two seeds, but v1.2 opens the
+    # policy they share.
+    run_paired(paired_cfgs(("v1.1", "v1.2")), n_seeds=2, base_seed=3)
+    assert openings == ["v1.1", "v1.2", "v1.1"]
 
 
 def _first_event_turns(cfg, n_seeds, base_seed):
@@ -1093,18 +1104,59 @@ def test_opening_serves_first_events_past_its_last_turn():
 
 
 @pytest.mark.parametrize(
-    "cfgs",
+    "cfgs, n_seeds",
     [
         # Past the opening's last turn, these run on one turn at a time.
-        paired_cfgs(("v1.2", "v1.3"), horizon=300, disruption=DisruptionParams(chance=0.0)),
-        # Read off the opening whole.
-        [cfg_for("v1.0")],
-        [cfg_for("v1.1")],
+        (paired_cfgs(("v1.2", "v1.3"), horizon=300, disruption=DisruptionParams(chance=0.0)),
+         3),
+        # Read off the opening whole. A deterministic config's policy opens
+        # only over more than one block: 200-turn blocks hold 81 seeds.
+        ([cfg_for("v1.0", horizon=200)], 82),
+        ([cfg_for("v1.1", horizon=200)], 82),
     ],
     ids=["chance-0-horizon-300", "v1.0", "v1.1"],
 )
-def test_opening_serves_shifts_without_events(cfgs):
-    _assert_paired_equals_run_shift(cfgs, 3, 1)
+def test_opening_serves_shifts_without_events(cfgs, n_seeds, monkeypatch):
+    openings = []
+    open_policy = _StagePolicy.open
+    monkeypatch.setattr(_StagePolicy, "open", lambda policy: openings.append(open_policy(policy)))
+    _assert_paired_equals_run_shift(cfgs, n_seeds, 1)
+    assert openings
+
+
+@pytest.mark.parametrize("variant", ["v1.1", "v1.3"])
+@pytest.mark.parametrize("blocks", [1, 2], ids=["one-seed", "two-blocks"])
+@pytest.mark.parametrize(
+    "rewards, horizon, exact",
+    [
+        ((1.0, 2.0), 50, True),
+        # Integer rewards: sum() of ints is an int, and so is the total.
+        ((1, 2), 50, True),
+        ((0.1, 0.3), 50, False),
+        # horizon * reward_high just below 2**40, and at it.
+        ((1.0, 2.0**28), 4095, True),
+        ((1.0, 2.0**28), 4096, False),
+    ],
+    ids=["dyadic", "int", "non-dyadic", "below-bound", "at-bound"],
+)
+def test_productivity_equals_sum_of_items(variant, blocks, rewards, horizon, exact):
+    # Under the policy's exact rule the shift loop keeps a running total of
+    # the items, otherwise it sums them with sum(); either way it must give
+    # sum() over the records. More than one block opens the policy, so its
+    # shifts start from the opening's totals.
+    reward_normal, reward_high = rewards
+    game = GameParams(reward_normal=reward_normal, reward_high=reward_high,
+                      penalty_weight=max(100.0, 2 * reward_high))
+    cfg = cfg_for(variant, horizon=horizon, game=game)
+    assert _StagePolicy(cfg).exact is exact
+    n_seeds = 1 if blocks == 1 else engine._BLOCK_TURNS // horizon + 1
+    expected = []
+    for seed in range(5, 5 + n_seeds):
+        records, summary = run_shift(replace(cfg, seed=seed))
+        expected.append(repr(sum(r.items_picked for r in records)))
+        assert repr(summary.productivity) == expected[-1]
+    [shifts] = _paired_shifts([cfg], n_seeds, 5)
+    assert [repr(s.productivity) for s in shifts] == expected
 
 
 @pytest.mark.parametrize(
