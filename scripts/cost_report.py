@@ -133,29 +133,40 @@ def ops(tmp: Path):
     yield "v1.3 1000-seed run_ensemble", lambda: engine.run_ensemble(ensemble, 1000)
 
 
+def sizes():
+    """``(file name, physical lines, code lines)`` of each module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        yield path.name, len(text.splitlines()), code_lines(text)
+
+
+def counted_ops():
+    """``(name, opcodes per function, calls)`` of each op of ``ops``, run
+    under ``ENVIRONMENT`` in a temporary directory."""
+    os.environ.update(ENVIRONMENT)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, op in ops(Path(tmp)):
+            yield name, *opcodes(op)
+
+
 def main() -> int:
     print(f"{'module':<16} {'lines':>6} {'code':>6}")
     total_lines = total_code = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        lines, code = len(text.splitlines()), code_lines(text)
+    for name, lines, code in sizes():
         total_lines += lines
         total_code += code
-        print(f"{path.name:<16} {lines:>6} {code:>6}")
+        print(f"{name:<16} {lines:>6} {code:>6}")
     print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
     print()
-    os.environ.update(ENVIRONMENT)
     print("environment")
     for name, value in ENVIRONMENT.items():
         print(f"{name}={value}")
     print()
     print(f"{'op':<40} {'opcodes':>9} {'calls':>7}")
     counted = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, op in ops(Path(tmp)):
-            counts, calls = opcodes(op)
-            counted.append((name, counts))
-            print(f"{name:<40} {counts.total():>9} {calls:>7}")
+    for name, counts, calls in counted_ops():
+        counted.append((name, counts))
+        print(f"{name:<40} {counts.total():>9} {calls:>7}")
     print()
     print(f"{'share':>8}  op / function")
     for name, counts in counted:

@@ -23,13 +23,19 @@ SNAPSHOT = Path(__file__).resolve().parent / "snapshot_outputs.py"
 VERSION = "import platform; print(platform.python_version())"
 
 
+def python_version(python: str) -> str:
+    """The version ``python`` reports; raises ``OSError`` or
+    ``subprocess.CalledProcessError`` if it does not run."""
+    return subprocess.run(
+        [python, "-c", VERSION], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def snapshot(python: str, index: int, tmp: Path) -> str | None:
     """Snapshot under ``python`` into ``tmp``; the directory's name, or
     None after printing why it failed."""
     try:
-        version = subprocess.run(
-            [python, "-c", VERSION], capture_output=True, text=True, check=True
-        ).stdout.strip()
+        version = python_version(python)
     except (OSError, subprocess.CalledProcessError) as error:
         print(f"{python}: cannot run: {error}", file=sys.stderr)
         return None

@@ -16,8 +16,8 @@ comparison covers the parsing of each key. A third passes the same lines as
 ``--set`` pairs, so it covers the override reader too.
 
 Two more, a ``run`` and an ``ensemble``, use rewards 0.1 and 0.3, whose
-productivity sums are not exact doubles, so they show where ``sum()``
-differs between Python versions (``scripts/cross_version.py``).
+productivity sums are not exact doubles, so they pin one order of addition,
+left to right, across Python versions (``scripts/cross_version.py``).
 
 Exits 1 if any command exits non-zero, after running the rest.
 """
@@ -102,8 +102,9 @@ def commands():
         "--emit", "csv,json,svg",
     ]
     yield "ensemble_all_keys_seeds50", ["ensemble", "--config", CONFIG, "--seeds", "50"]
-    # Rewards 0.1 and 0.3: their sums are not exact doubles, and sum()
-    # compensates float sums from Python 3.12 on.
+    # Rewards 0.1 and 0.3: their sums are not exact doubles, so these pin the
+    # left-to-right sum order on every version, where sum() compensates
+    # float sums from Python 3.12 on.
     nondyadic = [
         "--variant", "v1.3", "--set", "horizon=2000",
         "--set", "game.reward_normal=0.1", "--set", "game.reward_high=0.3",

@@ -20,7 +20,9 @@ share one flat loop, ``_simulate``, that runs this sequence over plain
 floats, bools and an int apology countdown, for one config over a list of
 schedules; its docstring describes the exact fatigue arithmetic, the
 fast-forward over steady turns, the productivity total and the recovery
-ledger. Step 4 reads the
+ledger. Productivity is the left-to-right running total of the turns'
+items on every Python version, so a shift fast-forwards only where its
+rewards make that total exact (``_StagePolicy``). Step 4 reads the
 seed's sparse disruption schedule, drawn up front by
 ``disruption.schedule``; ``run_paired`` draws each seed's schedule once,
 with one ``ScheduleDrawer`` per call, and runs every config over it. It
@@ -220,27 +222,23 @@ class _StagePolicy(StageGame):
     members, and an ``id`` key skips ``ActionPair``'s ``__hash__``, which
     hashes its two enum members in Python.
 
-    Exact productivity: ``exact`` holds when both rewards are multiples of
-    2**-STATE_DECIMALS and ``horizon * reward_high`` lies below ``_EXACT``.
-    Rewards are >= 0, so then every partial sum of a shift's items is such
-    a multiple below ``_EXACT``, an exact double, and ``_simulate`` keeps a
-    running total: ``sum()`` of the items, compensated or not, gives the
-    same value, so the total matches it on every supported Python.
-    Otherwise ``_simulate`` keeps the items and sums them with ``sum()``.
+    Jump gate: ``exact`` holds when both rewards are multiples of
+    2**-STATE_DECIMALS and ``horizon * reward_high`` lies below ``_EXACT``,
+    so every partial sum of a shift's items is exact and a jump's ``k *
+    items`` equals k additions; a decision carries an ``edge`` only then.
 
     Opening: before its first event a shift has no severe failure, hence no
     apology and no recovery, so every shift of the parameter set follows one
     event-free trajectory up to the turn before its first event.
     ``opening`` holds it as ``_simulate`` reads it: ``states[t]``, the
     trust, fatigue and running peak fatigue after turn t (``states[0]`` the
-    initial state), the items of each turn, and ``totals[t]``, the running
-    total of the items of turns 1..t, from ``sum()``'s start, the int 0. It
-    is the initial state alone, an opening of no turns, until ``open`` runs
-    the first L = min(horizon, ``_OPENING``) turns. Its fatigues,
-    fast-forwarded ones too, are exact (see ``_simulate``), so a shift
-    started from it equals one run from the initial state, and a shift
-    without events of at most L turns is read off it whole. An opened policy
-    serves only runs that keep no records.
+    initial state), and ``totals[t]``, the running total of the items of
+    turns 1..t from the int 0. It is the initial state alone, an opening of
+    no turns, until ``open`` runs the first L = min(horizon, ``_OPENING``)
+    turns. Its fatigues, fast-forwarded ones too, are exact (see
+    ``_simulate``), so a shift started from it equals one run from the
+    initial state, and a shift without events of at most L turns is read
+    off it whole. An opened policy serves only runs that keep no records.
     """
 
     __slots__ = ("cfg", "pairs", "edges", "tables", "exact", "opening")
@@ -267,9 +265,7 @@ class _StagePolicy(StageGame):
         self.exact = (all((r * _DYADIC).is_integer() for r in rewards)
                       and cfg.horizon * game.reward_high < _EXACT)
         start = cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf
-        self.opening: tuple[list[tuple[float, float, float]], list[float], list[float]] = (
-            [start], [], [0]
-        )
+        self.opening: tuple[list[tuple[float, float, float]], list[float]] = [start], [0]
 
     def open(self) -> None:
         """Set ``opening`` to the event-free shift over the first
@@ -279,7 +275,7 @@ class _StagePolicy(StageGame):
         fatigues = [r.fatigue_post for r in records]
         states = zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))
         items = [r.items_picked for r in records]
-        self.opening = self.opening[0] + [*states], items, [*accumulate(items, initial=0)]
+        self.opening = self.opening[0] + [*states], [*accumulate(items, initial=0)]
 
     def _decision(self, pair: ActionPair, trust: float, level: int) -> tuple:
         """``(cobot, human, items, increment, increment if the cobot fails,
@@ -289,7 +285,8 @@ class _StagePolicy(StageGame):
 
         ``edge`` is ``edges[level]`` when an undisrupted turn of this
         decision may start a fast-forward (see ``_simulate``), else None.
-        That needs the stage game to decide the turn (not an apology, whose
+        That needs the policy's rewards to keep the productivity total exact
+        (``exact``), the stage game to decide the turn (not an apology, whose
         countdown changes the next turn), trust to stay put, so every later
         turn at this level meets this decision again, and the increment to
         be a non-negative multiple of 2**-STATE_DECIMALS, so fatigue never
@@ -298,8 +295,8 @@ class _StagePolicy(StageGame):
         constants = self.pairs[id(pair)]
         inc, outcome, tp = constants[3], constants[-1], self.cfg.trust
         trust_post = update_trust(trust, outcome, tp)
-        steady = (trust_post == trust and level != _APOLOGY and inc >= 0.0
-                  and (inc * _DYADIC).is_integer())
+        steady = (self.exact and trust_post == trust and level != _APOLOGY
+                  and inc >= 0.0 and (inc * _DYADIC).is_integer())
         return constants + (
             trust_post,
             update_trust(trust, _SEVERE, tp),
@@ -365,6 +362,8 @@ def _simulate(
     ``_EXACT`` each sum is exact, so ``fatigue + k * inc`` is what k
     turns would reach. The jump is taken only when:
 
+    - the decision carries an ``edge``, which needs ``policy.exact``, so
+      ``total + k * items`` is what k turns would add;
     - no event struck the turn, and its fatigue needed no ``round()``, so
       it is a multiple of 2**-STATE_DECIMALS;
     - k > 0, and ``end = fatigue + k * inc`` lies below ``_EXACT``,
@@ -373,11 +372,8 @@ def _simulate(
       up to the last skipped turn, ``not (end - inc) + edge > threshold``,
       which always holds at the top level, whose edge is -inf.
 
-    Productivity: under ``policy.exact`` (see ``_StagePolicy``) a running
-    total, ``total += items`` per turn and ``total += k * items`` per jump,
-    both exact; otherwise the list of the shift's items, summed by ``sum()``
-    at the end, since newer Pythons compensate float sums and a running
-    total could differ from it in the last bit.
+    Productivity: the running total, ``total += items`` per turn and
+    ``total += k * items`` per jump, the left-to-right sum of the items.
 
     Recovery ledger: ``recoveries`` gets one ``(turn, None)`` entry per
     severe failure, and ``pending`` is a heap of the ``(pre-drop trust,
@@ -405,9 +401,9 @@ def _simulate(
     past_end = horizon + 1, False
     none, pick, failure, severe, dyadic = _NONE, _PICK, _FAILURE, _SEVERE, _DYADIC
     new, record, inf = object.__new__, StepRecord, math.inf
-    states, opening_items, totals = policy.opening
-    opened, exact = len(states) - 1, policy.exact
-    records = append = items_picked = None
+    states, totals = policy.opening
+    opened = len(states) - 1
+    records = append = None
     shifts = []
 
     for events in schedules:
@@ -416,9 +412,6 @@ def _simulate(
         step = min(event_turn - 1, opened)
         trust, fatigue, peak = states[step]
         total = totals[step]
-        if not exact:
-            # A copy: appends leave the shared opening as it is.
-            items_picked = opening_items[:step]
         remaining = 0  # apology turns left; only the apology variant arms it
         if keep_records:
             records = []
@@ -486,10 +479,7 @@ def _simulate(
                 r.fatigue_post = fatigue_post
                 r.apology_remaining_post = remaining
                 append(r)
-            if exact:
-                total += items
-            else:
-                items_picked.append(items)
+            total += items
             # Every turn up to the next event that keeps the level repeats this
             # one, with fatigue rising by inc. Jump over them where that sum is
             # exact.
@@ -515,19 +505,13 @@ def _simulate(
                             r.fatigue_post = f
                             r.apology_remaining_post = 0
                             append(r)
-                    if exact:
-                        total += k * items
-                    else:
-                        items_picked += [items] * k
+                    total += k * items
                     fatigue_post = end
                     step += k
             # After a jump too: inc >= 0, so its end is the stretch's largest.
             if fatigue_post > peak:
                 peak = fatigue_post
             trust, fatigue = trust_post, fatigue_post
-
-        if not exact:
-            total = sum(items_picked)
         shifts.append((records, total, fatigue, trust, peak, recoveries))
     return shifts
 

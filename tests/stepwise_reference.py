@@ -22,6 +22,8 @@ its commands execute, and this is the reference those are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from cobotsim.charts import (
     _COLORS,
@@ -254,7 +256,8 @@ def summarize_shift(records: list[StepRecord], horizon: int) -> ShiftSummary:
         r.step for r in records if r.outcome is InteractionOutcome.SEVERE_FAILURE
     ]
     return ShiftSummary(
-        productivity=sum(r.items_picked for r in records),
+        # The left-to-right fold: sum() compensates float sums from Python 3.12 on.
+        productivity=reduce(add, (r.items_picked for r in records), 0),
         final_fatigue=records[-1].fatigue_post,
         final_trust=records[-1].trust_post,
         peak_fatigue=max(r.fatigue_post for r in records),

@@ -6,6 +6,8 @@ import inspect
 import math
 import weakref
 from dataclasses import fields, replace
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -461,6 +463,7 @@ def _to_the_edge(stretch, game):
 _ZERO_HIGH_HIGH = {"fatigue_normal_low": 1.0, "fatigue_normal_high": 0.5,
                    "fatigue_high_low": 2.5, "fatigue_high_high": 0.0}
 _POINT_3_HIGH_HIGH = {**_ZERO_HIGH_HIGH, "fatigue_high_high": 0.3}
+_NON_DYADIC_REWARDS = {"reward_normal": 0.1, "reward_high": 0.3}
 # The default increments plus 2**-12.
 _FINE = {"fatigue_normal_low": 1.0 + 2**-12, "fatigue_normal_high": 0.5 + 2**-12,
          "fatigue_high_low": 2.5 + 2**-12, "fatigue_high_high": 1.0 + 2**-12}
@@ -522,6 +525,8 @@ _IN_THE_BAND = {"game": GameParams(**_BAND_STEPS),
         ("v1.1", {"game": GameParams(**_POINT_3_HIGH_HIGH),
                   "trust": TrustParams(initial_trust=1.0, initial_fatigue=0.2)},
          _stretch(0, lambda s, game: _dyadic(s[2]) and not _dyadic(s[1]))),
+        # The default increments would admit the jump; the rewards decline it.
+        ("v1.2", {"game": GameParams(**_NON_DYADIC_REWARDS)}, _stretch(0)),
         ("v1.1", {**_IN_THE_BAND, "horizon": 79}, _stretch(1, _to_the_edge)),
         ("v1.1", {**_IN_THE_BAND, "horizon": 80}, _stretch(1, _crosses_edge)),
         ("v1.2", {"trust": TrustParams(initial_fatigue=2.0**40 - 8)},
@@ -537,7 +542,8 @@ _IN_THE_BAND = {"game": GameParams(**_BAND_STEPS),
          "forced-steady-trust",
          "saturated-tie", "jump-calm", "jump-saturated", "jump-declined-band",
          "jump-zero-increment", "jump-declined-negative", "jump-declined-2^-13",
-         "jump-declined-non-dyadic-increment", "jump-band-to-edge",
+         "jump-declined-non-dyadic-increment", "jump-declined-non-dyadic-reward",
+         "jump-band-to-edge",
          "jump-declined-band-edge", "jump-declined-2^40",
          "jump-declined-2^41"],
 )
@@ -596,9 +602,11 @@ def test_step_record_adds_nothing_to_its_dataclass_init():
         ({}, 1.0, engine._APOLOGY, 1.0, False),
         (_NEGATIVE, 1.0, 0, 1.0, False),  # (high, normal) lowers fatigue by 1
         (_POINT_3_HIGH_HIGH, 1.0, 0, 1.0, False),
+        # (high, normal) keeps trust, but k * 0.1 is not k additions of 0.1.
+        (_NON_DYADIC_REWARDS, 1.0, 0, 1.0, False),
     ],
     ids=["trust-1", "trust-0", "trust-moves", "apology", "negative-increment",
-         "non-dyadic-increment"],
+         "non-dyadic-increment", "non-dyadic-reward"],
 )
 def test_decision_carries_its_fast_forward_edge(table, trust, level, trust_post, steady):
     game = GameParams(**table)
@@ -1130,7 +1138,7 @@ def test_opening_serves_shifts_without_events(cfgs, n_seeds, monkeypatch):
     "rewards, horizon, exact",
     [
         ((1.0, 2.0), 50, True),
-        # Integer rewards: sum() of ints is an int, and so is the total.
+        # Integer rewards: the fold of ints is an int, and so is the total.
         ((1, 2), 50, True),
         ((0.1, 0.3), 50, False),
         # horizon * reward_high just below 2**40, and at it.
@@ -1140,10 +1148,11 @@ def test_opening_serves_shifts_without_events(cfgs, n_seeds, monkeypatch):
     ids=["dyadic", "int", "non-dyadic", "below-bound", "at-bound"],
 )
 def test_productivity_equals_sum_of_items(variant, blocks, rewards, horizon, exact):
-    # Under the policy's exact rule the shift loop keeps a running total of
-    # the items, otherwise it sums them with sum(); either way it must give
-    # sum() over the records. More than one block opens the policy, so its
-    # shifts start from the opening's totals.
+    # The shift loop keeps a running total of the items, so it must give
+    # their left-to-right fold over the records on every Python version.
+    # The policy's exact rule gates the jump, whose k * items must equal k
+    # additions. More than one block opens the policy, so its shifts start
+    # from the opening's totals.
     reward_normal, reward_high = rewards
     game = GameParams(reward_normal=reward_normal, reward_high=reward_high,
                       penalty_weight=max(100.0, 2 * reward_high))
@@ -1153,7 +1162,7 @@ def test_productivity_equals_sum_of_items(variant, blocks, rewards, horizon, exa
     expected = []
     for seed in range(5, 5 + n_seeds):
         records, summary = run_shift(replace(cfg, seed=seed))
-        expected.append(repr(sum(r.items_picked for r in records)))
+        expected.append(repr(reduce(add, (r.items_picked for r in records), 0)))
         assert repr(summary.productivity) == expected[-1]
     [shifts] = _paired_shifts([cfg], n_seeds, 5)
     assert [repr(s.productivity) for s in shifts] == expected

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts in ``scripts/``, run as a user would."""
 
+import json
 import os
 import platform
 import subprocess
@@ -171,3 +172,33 @@ def test_cost_report_exits_quietly_into_a_closed_pipe(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=120) == 1
         assert proc.stderr.read() == ""
+
+
+def test_bench_records_sizes_counts_times_and_versions(tmp_path):
+    result = run_script(
+        "bench.py", "--record", "bench.json", "--repeats", "2", "--python", sys.executable,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
+    assert list(record) == [
+        "python", "cpu_count", "environment", "size", "ops", "wall_ms", "cross_version"
+    ]
+    assert record["python"].endswith(platform.python_version())
+    assert record["cpu_count"] >= 1
+    assert record["environment"]["LC_ALL"] == "C"
+    *modules, total = record["size"].items()
+    assert total[0] == "total"
+    assert {name for name, _ in modules} >= {"engine.py", "cli.py", "game.py"}
+    for key in ("lines", "code"):
+        assert sum(module[key] for _, module in modules) == total[1][key]
+    assert len(record["ops"]) == 4
+    assert all(0 < op["calls"] < op["opcodes"] for op in record["ops"].values())
+    assert len(record["wall_ms"]) == 8
+    for timing in record["wall_ms"].values():
+        assert timing["argv"][0] == "python"
+        assert len(timing["runs"]) == 2
+        assert 0 < timing["best"] <= timing["median"] <= timing["worst"]
+        assert timing["best"] == min(timing["runs"])
+    assert record["cross_version"] == {"pythons": [platform.python_version()], "exit": 0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
