@@ -2,7 +2,7 @@
 """Record what one tree of ``cobotsim`` costs, as one JSON file:
 
     PYTHONPATH=src python3 scripts/bench.py --record BENCH_<n>.json \\
-        [--repeats N] [--python PY ...]
+        [--repeats N] [--python PY ...] [--perfbench-seconds S]
 
 The record holds:
 
@@ -26,7 +26,12 @@ The record holds:
   (null for one that does not run) and the exit status of
   ``scripts/cross_version.py`` over them (0 when every snapshot matches
   the first), or null without ``--python``. Its report goes to this
-  script's stdout.
+  script's stdout;
+- ``perfbench``: the seed, the seconds per workload, and per workload of
+  ``BENCHMARK.json`` the ``correct`` flag and the ``metrics`` of the last
+  line of ``perfbench/run.py --trace 0``, run for ``--perfbench-seconds``
+  each (default 10), or null when that is 0. Nothing under
+  ``perfbench/`` is imported or changed; it only runs as a subprocess.
 
 Every subprocess imports the same ``cobotsim`` as the counted ops. Commit
 one record per change, so the next reads a trajectory.
@@ -34,6 +39,7 @@ one record per change, so the next reads a trajectory.
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -46,6 +52,10 @@ from pathlib import Path
 import cost_report
 import cross_version
 
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench" / "run.py"
+# The workload seed of every perfbench run, so that records compare.
+PERFBENCH_SEED = 1
 CLI = ["-m", "cobotsim"]
 # (label, arguments after the interpreter) of each timed command.
 COMMANDS = (
@@ -108,7 +118,25 @@ def cross_versions(pythons: list[str], env: dict) -> dict | None:
     return {"pythons": [*map(version, pythons)], "exit": result.returncode}
 
 
-def record(repeats: int, pythons: list[str]) -> dict:
+def perfbench(seconds: float, env: dict) -> dict | None:
+    """The last-line ``correct`` and ``metrics`` of a ``perfbench/run.py
+    --trace 0`` run of ``seconds`` per workload of ``BENCHMARK.json``."""
+    if not seconds:
+        return None
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {}
+    for workload in benchmark["workloads"]:
+        name = workload["name"]
+        argv = [sys.executable, str(PERFBENCH), "--workload", name, "--seed",
+                str(PERFBENCH_SEED), "--seconds", str(seconds), "--trace", "0"]
+        result = subprocess.run(argv, cwd=ROOT, env=env, check=True,
+                                stdout=subprocess.PIPE, text=True)
+        last = json.loads(result.stdout.splitlines()[-1])
+        workloads[name] = {"correct": last["correct"], "metrics": last["metrics"]}
+    return {"seed": PERFBENCH_SEED, "seconds": seconds, "workloads": workloads}
+
+
+def record(repeats: int, pythons: list[str], seconds: float) -> dict:
     ops = {name: {"opcodes": counts.total(), "calls": calls}
            for name, counts, calls in cost_report.counted_ops()}
     env = dict(os.environ, **cost_report.ENVIRONMENT, PYTHONDONTWRITEBYTECODE="1",
@@ -121,6 +149,7 @@ def record(repeats: int, pythons: list[str]) -> dict:
         "ops": ops,
         "wall_ms": wall_ms(repeats, env),
         "cross_version": cross_versions(pythons, env),
+        "perfbench": perfbench(seconds, env),
     }
 
 
@@ -132,10 +161,15 @@ def main() -> int:
                         help="rounds of timed commands (default 7)")
     parser.add_argument("--python", action="append", default=[], metavar="PY",
                         help="an interpreter for cross_version.py; repeat for each")
+    parser.add_argument("--perfbench-seconds", type=float, default=10.0, metavar="S",
+                        help="seconds of each perfbench workload run; 0 skips them "
+                        "(default 10)")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    data = record(args.repeats, args.python)
+    if not 0 <= args.perfbench_seconds < math.inf:
+        parser.error("--perfbench-seconds must be finite and >= 0")
+    data = record(args.repeats, args.python, args.perfbench_seconds)
     args.record.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return 0
 

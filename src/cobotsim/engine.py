@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .disruption import DisruptionEvent, DisruptionParams, ScheduleDrawer, schedule
 from .dynamics import (
@@ -235,13 +235,18 @@ class _StagePolicy(StageGame):
     initial state), and ``totals[t]``, the running total of the items of
     turns 1..t from the int 0. It is the initial state alone, an opening of
     no turns, until ``open`` runs the first L = min(horizon, ``_OPENING``)
-    turns. Its fatigues, fast-forwarded ones too, are exact (see
-    ``_simulate``), so a shift started from it equals one run from the
-    initial state, and a shift without events of at most L turns is read
-    off it whole. An opened policy serves only runs that keep no records.
+    turns, through ``_simulate``'s one loop, which keeps each turn's
+    post-turn trust, fatigue and items for it instead of a ``StepRecord``.
+    Its fatigues, fast-forwarded ones too, are exact (see ``_simulate``), so
+    a shift started from it equals one run from the initial state, and a
+    shift without events of at most L turns is read off it whole. An opened
+    policy serves only runs that keep no records.
+
+    ``severe`` keeps, per trust, the post-turn trust after a severe failure
+    (see ``_decision``).
     """
 
-    __slots__ = ("cfg", "pairs", "edges", "tables", "exact", "opening")
+    __slots__ = ("cfg", "pairs", "edges", "tables", "severe", "exact", "opening")
 
     def __init__(self, cfg: ModelConfig) -> None:
         game = cfg.game
@@ -261,6 +266,7 @@ class _StagePolicy(StageGame):
         increments = sorted((c[3] for c in self.pairs.values()), reverse=True)
         self.edges = (*increments, -math.inf)
         self.tables = tuple({} for _ in range(_APOLOGY + 1))
+        self.severe: dict[float, float] = {}
         rewards = game.reward_normal, game.reward_high
         self.exact = (all((r * _DYADIC).is_integer() for r in rewards)
                       and cfg.horizon * game.reward_high < _EXACT)
@@ -269,19 +275,28 @@ class _StagePolicy(StageGame):
 
     def open(self) -> None:
         """Set ``opening`` to the event-free shift over the first
-        min(horizon, ``_OPENING``) turns."""
-        shift = replace(self.cfg, horizon=min(self.cfg.horizon, _OPENING))
-        [(records, *_)] = _simulate(shift, [[]], self, keep_records=True)
-        fatigues = [r.fatigue_post for r in records]
-        states = zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))
-        items = [r.items_picked for r in records]
+        min(horizon, ``_OPENING``) turns. ``_simulate`` runs it with
+        ``keep_records="opening"``, so it builds no ``StepRecord``: it
+        returns each turn's post-turn ``(trust, fatigue, items)``, and the
+        running peaks and item totals are accumulated from those. The
+        config is copied, which validates it again, only when its horizon
+        must be cut to ``_OPENING``."""
+        cfg = self.cfg
+        if cfg.horizon > _OPENING:
+            cfg = replace(cfg, horizon=_OPENING)
+        [(turns, *_)] = _simulate(cfg, [[]], self, keep_records="opening")
+        trusts, fatigues, items = zip(*turns)
+        states = zip(trusts, fatigues, accumulate(fatigues, max))
         self.opening = self.opening[0] + [*states], [*accumulate(items, initial=0)]
 
     def _decision(self, pair: ActionPair, trust: float, level: int) -> tuple:
         """``(cobot, human, items, increment, increment if the cobot fails,
         outcome unless severe, post-turn trust for that outcome, post-turn
         trust after a severe failure, edge)``. Both trusts come from
-        ``update_trust``, so the shift loop rounds no trust itself.
+        ``update_trust``, so the shift loop rounds no trust itself. The
+        severe one depends on trust alone, so ``severe`` keeps it per trust
+        for every level, keyed by the float alone: a key holding the
+        outcome would hash an enum member in Python.
 
         ``edge`` is ``edges[level]`` when an undisrupted turn of this
         decision may start a fast-forward (see ``_simulate``), else None.
@@ -295,13 +310,12 @@ class _StagePolicy(StageGame):
         constants = self.pairs[id(pair)]
         inc, outcome, tp = constants[3], constants[-1], self.cfg.trust
         trust_post = update_trust(trust, outcome, tp)
+        severe = self.severe.get(trust)
+        if severe is None:
+            severe = self.severe[trust] = update_trust(trust, _SEVERE, tp)
         steady = (self.exact and trust_post == trust and level != _APOLOGY
                   and inc >= 0.0 and (inc * _DYADIC).is_integer())
-        return constants + (
-            trust_post,
-            update_trust(trust, _SEVERE, tp),
-            self.edges[level] if steady else None,
-        )
+        return constants + (trust_post, severe, self.edges[level] if steady else None)
 
     def level(self, fatigue: float) -> int:
         """How many threshold tests of the stage game hold at ``fatigue``."""
@@ -326,7 +340,7 @@ def _simulate(
     cfg: ModelConfig,
     schedules: list[list[tuple[int, bool]]],
     policy: _StagePolicy,
-    keep_records: bool,
+    keep_records: bool | str,
 ) -> list[tuple]:
     """One shift of ``cfg`` under each disruption schedule of ``schedules``
     (see ``disruption.schedule``), taking its leader decisions from
@@ -337,7 +351,7 @@ def _simulate(
     ``run_shift`` and ``_StagePolicy.open`` pass one schedule. Returns, per
     schedule, ``(records, productivity, final fatigue, final trust, peak
     fatigue, recoveries)``, the fields of ``ShiftSummary`` after the
-    records, which are None unless ``keep_records``.
+    records, which are None unless ``keep_records`` (see Records).
 
     Each shift starts from ``policy.opening`` (see ``_StagePolicy``) after
     turn ``min(first event - 1, L)`` of its L turns, turn horizon + 1
@@ -385,13 +399,18 @@ def _simulate(
     recovery check: trust is constant through it, and the jumped-from turn
     already popped every target at or below it.
 
-    Records: with ``keep_records`` each turn, a jumped one too, gets a
+    Records: with ``keep_records=True`` each turn, a jumped one too, gets a
     ``StepRecord`` made by ``object.__new__`` and one store per slot, not
     by calling the class. A class call goes through ``type.__call__`` and an
     ``__init__`` frame. Calling it would make 2,000 of a 2000-turn v1.3
     shift's 2,343 Python calls (``scripts/cost_report.py``), and building
     2,000 records took 1.26-1.29 ms by calls against 0.78-0.80 ms by stores
-    (medians of 200, CPython 3.11)."""
+    (medians of 200, CPython 3.11). With ``keep_records="opening"``
+    (``_StagePolicy.open``) each turn keeps only its post-turn ``(trust,
+    fatigue, items)`` tuple, and a jumped stretch's tuples are made in bulk
+    by ``repeat`` and ``accumulate``, over the same float additions the
+    records' replay makes. Both live inside the ``keep_records`` tests, so
+    a run without records makes no further test per turn."""
     pick_extra = cfg.disruption.difficult_pick_fatigue
     duration = cfg.apology_duration if cfg.variant.has_apology else 0
     horizon, leader, tables = cfg.horizon, policy.leader, policy.tables
@@ -403,6 +422,7 @@ def _simulate(
     new, record, inf = object.__new__, StepRecord, math.inf
     states, totals = policy.opening
     opened = len(states) - 1
+    for_opening = keep_records == "opening"
     records = append = None
     shifts = []
 
@@ -465,20 +485,23 @@ def _simulate(
                 target = pending[0][0]
                 remaining = duration
             if keep_records:
-                r = new(record)
-                r.step = step
-                r.trust_pre = trust
-                r.fatigue_pre = fatigue
-                r.cobot_action = cobot
-                r.human_action = human
-                r.disruption_event = event
-                r.outcome = outcome
-                r.items_picked = items
-                r.extra_fatigue = extra
-                r.trust_post = trust_post
-                r.fatigue_post = fatigue_post
-                r.apology_remaining_post = remaining
-                append(r)
+                if for_opening:
+                    append((trust_post, fatigue_post, items))
+                else:
+                    r = new(record)
+                    r.step = step
+                    r.trust_pre = trust
+                    r.fatigue_pre = fatigue
+                    r.cobot_action = cobot
+                    r.human_action = human
+                    r.disruption_event = event
+                    r.outcome = outcome
+                    r.items_picked = items
+                    r.extra_fatigue = extra
+                    r.trust_post = trust_post
+                    r.fatigue_post = fatigue_post
+                    r.apology_remaining_post = remaining
+                    append(r)
             total += items
             # Every turn up to the next event that keeps the level repeats this
             # one, with fatigue rising by inc. Jump over them where that sum is
@@ -488,23 +511,27 @@ def _simulate(
                 end = fatigue_post + k * inc
                 if k and end < _EXACT and not (end - inc) + edge > threshold:
                     if keep_records:
-                        f = fatigue_post
-                        for t in range(step + 1, step + k + 1):
-                            r = new(record)
-                            r.step = t
-                            r.trust_pre = trust
-                            r.fatigue_pre = f
-                            r.cobot_action = cobot
-                            r.human_action = human
-                            r.disruption_event = none
-                            r.outcome = outcome
-                            r.items_picked = items
-                            r.extra_fatigue = 0.0
-                            r.trust_post = trust
-                            f += inc
-                            r.fatigue_post = f
-                            r.apology_remaining_post = 0
-                            append(r)
+                        if for_opening:
+                            f = accumulate(repeat(inc, k - 1), initial=fatigue_post + inc)
+                            records += zip(repeat(trust, k), f, repeat(items, k))
+                        else:
+                            f = fatigue_post
+                            for t in range(step + 1, step + k + 1):
+                                r = new(record)
+                                r.step = t
+                                r.trust_pre = trust
+                                r.fatigue_pre = f
+                                r.cobot_action = cobot
+                                r.human_action = human
+                                r.disruption_event = none
+                                r.outcome = outcome
+                                r.items_picked = items
+                                r.extra_fatigue = 0.0
+                                r.trust_post = trust
+                                f += inc
+                                r.fatigue_post = f
+                                r.apology_remaining_post = 0
+                                append(r)
                     total += k * items
                     fatigue_post = end
                     step += k

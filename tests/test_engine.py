@@ -7,6 +7,7 @@ import math
 import weakref
 from dataclasses import fields, replace
 from functools import reduce
+from itertools import accumulate
 from operator import add
 
 import pytest
@@ -1130,6 +1131,69 @@ def test_opening_serves_shifts_without_events(cfgs, n_seeds, monkeypatch):
     monkeypatch.setattr(_StagePolicy, "open", lambda policy: openings.append(open_policy(policy)))
     _assert_paired_equals_run_shift(cfgs, n_seeds, 1)
     assert openings
+
+
+def test_open_builds_no_step_record(monkeypatch):
+    # A record class without slots makes any field store raise, so a shift
+    # that builds records fails, and open() must still succeed.
+    class Unfillable:
+        __slots__ = ()
+
+    monkeypatch.setattr(engine, "StepRecord", Unfillable)
+    cfg = cfg_for("v1.2")
+    with pytest.raises(AttributeError):
+        run_shift(cfg)
+    policy = _StagePolicy(cfg)
+    policy.open()
+    assert len(policy.opening[0]) == cfg.horizon + 1
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # A trust ramp, then a fast-forward to the horizon.
+        cfg_for("v1.2"),
+        cfg_for("v1.0"),
+        # Capped at engine._OPENING turns.
+        cfg_for("v1.2", horizon=300),
+        # Rewards that keep no exact total, so nothing is jumped.
+        cfg_for("v1.2", game=GameParams(reward_normal=0.1, reward_high=0.3)),
+        # Fatigues that are no multiple of 2**-STATE_DECIMALS take round().
+        cfg_for("v1.2", trust=TrustParams(initial_fatigue=0.1)),
+        # The fatigue threshold is crossed inside the opening.
+        cfg_for("v1.2", trust=TrustParams(initial_fatigue=78.0)),
+        cfg_for("v1.2", trust=TrustParams(initial_trust=0.0)),
+    ],
+    ids=["v1.2", "v1.0", "horizon-300", "non-dyadic-reward", "fatigue-0.1",
+         "fatigue-78", "trust-0"],
+)
+def test_opening_equals_the_event_free_shift(cfg):
+    records, _ = run_shift(replace(cfg, disruption=DisruptionParams(chance=0.0)))
+    records = records[:engine._OPENING]
+    assert len(records) == min(cfg.horizon, engine._OPENING)
+    fatigues = [r.fatigue_post for r in records]
+    start = cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf
+    states = [start, *zip([r.trust_post for r in records], fatigues, accumulate(fatigues, max))]
+    totals = [*accumulate((r.items_picked for r in records), initial=0)]
+    policy = _StagePolicy(cfg)
+    policy.open()
+    assert repr(policy.opening) == repr((states, totals))
+
+
+def test_severe_trust_is_computed_once_per_trust(monkeypatch):
+    # Memo misses at one trust on different levels share its severe trust.
+    severe = []
+    update = engine.update_trust
+
+    def counting(trust, outcome, tp):
+        if outcome is InteractionOutcome.SEVERE_FAILURE:
+            severe.append(trust)
+        return update(trust, outcome, tp)
+
+    monkeypatch.setattr(engine, "update_trust", counting)
+    run_paired(paired_cfgs(("v1.2", "v1.3")), n_seeds=25, base_seed=1001)
+    assert severe
+    assert len(severe) == len(set(severe))
 
 
 @pytest.mark.parametrize("variant", ["v1.1", "v1.3"])

@@ -177,12 +177,13 @@ def test_cost_report_exits_quietly_into_a_closed_pipe(tmp_path):
 def test_bench_records_sizes_counts_times_and_versions(tmp_path):
     result = run_script(
         "bench.py", "--record", "bench.json", "--repeats", "2", "--python", sys.executable,
-        cwd=tmp_path,
+        "--perfbench-seconds", "0", cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
     record = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
     assert list(record) == [
-        "python", "cpu_count", "environment", "size", "ops", "wall_ms", "cross_version"
+        "python", "cpu_count", "environment", "size", "ops", "wall_ms", "cross_version",
+        "perfbench",
     ]
     assert record["python"].endswith(platform.python_version())
     assert record["cpu_count"] >= 1
@@ -201,4 +202,21 @@ def test_bench_records_sizes_counts_times_and_versions(tmp_path):
         assert 0 < timing["best"] <= timing["median"] <= timing["worst"]
         assert timing["best"] == min(timing["runs"])
     assert record["cross_version"] == {"pythons": [platform.python_version()], "exit": 0}
+    assert record["perfbench"] is None
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
+
+
+def test_bench_keeps_the_last_line_of_each_perfbench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench
+
+    runs = bench.perfbench(0.1, dict(os.environ, PYTHONPATH=str(SRC)))
+    benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert runs["seed"] == bench.PERFBENCH_SEED
+    assert runs["seconds"] == 0.1
+    assert list(runs["workloads"]) == [w["name"] for w in benchmark["workloads"]]
+    for run in runs["workloads"].values():
+        assert run["correct"] is True
+        assert [m["name"] for m in benchmark["end_to_end"]] == list(run["metrics"])
+        assert all(set(m) == {"value", "unit"} for m in run["metrics"].values())
+        assert run["metrics"]["ok_frac"]["value"] == 1.0
