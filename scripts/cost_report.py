@@ -14,11 +14,14 @@ those holding a token found with ``tokenize`` other than a comment, a line
 break, an indent or a docstring (a string that is a statement of its own),
 so blank lines, comments and docstrings are left out.
 
-Environment: the ``run`` op's argparse reads the terminal size from
-``COLUMNS`` and ``LINES``, and its gettext calls read ``LANGUAGE``,
-``LC_ALL`` and ``LANG``, so its count would follow the shell. The script
-sets these five to fixed values (``ENVIRONMENT``; an empty ``LANGUAGE`` is
-skipped by gettext) before its ops and prints them.
+Environment: argparse reads the terminal size from ``COLUMNS`` and
+``LINES``, and its gettext calls read ``LANGUAGE``, ``LC_ALL`` and
+``LANG``, so the count of an op that parses with argparse would follow the
+shell. The ``run`` op's line is exact flag-value pairs, which ``cli`` reads
+without argparse, but the script still sets these five to fixed values
+(``ENVIRONMENT``; an empty ``LANGUAGE`` is skipped by gettext) before its
+ops and prints them, so an op that does reach argparse counts the same in
+every shell.
 
 Opcodes: each op runs once to warm up (imports, memos, lazily built
 constants), then once more with ``sys.settrace`` and ``f_trace_opcodes``

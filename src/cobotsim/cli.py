@@ -3,6 +3,11 @@ resilience comparison.
 
 Configuration resolution order: built-in defaults, then --config file, then
 --variant/--seed shorthands, then --set overrides (last wins).
+
+Each command's flags are declared once, in ``_COMMANDS``. A line of a
+command and exact ``--flag value`` pairs is read straight from that table,
+with no argparse parser built; argparse reads every other line, and writes
+all help, usage and error text (see ``parse_command_line``).
 """
 
 from __future__ import annotations
@@ -39,41 +44,6 @@ EMIT_FORMATS = ("csv", "json", "svg")
 MAX_SEEDS = 100_000
 # Artifacts are rewritten in place; O_BINARY (Windows only) keeps LF as LF.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
-
-
-def add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="key = value config file")
-    p.add_argument(
-        "--set",
-        dest="overrides",
-        metavar="KEY=VALUE",
-        action="append",
-        default=[],
-        help="override any config scalar by dotted key (repeatable)",
-    )
-    p.add_argument("--variant", help="model variant: v1.0, v1.1, v1.2 or v1.3")
-    p.add_argument("--seed", type=int, help="random seed (unsigned 64-bit)")
-
-
-def add_seed_flags(p: argparse.ArgumentParser, seeds_help: str) -> None:
-    p.add_argument("--seeds", type=int, default=1000, help=seeds_help)
-    p.add_argument("--base-seed", type=int, default=1, help="first seed")
-    p.add_argument("--out", metavar="DIR", help="output directory")
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    add_config_flags(p)
-    p.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    p.add_argument(
-        "--emit",
-        default="csv,json",
-        help="comma-separated artifact formats from: csv, json, svg",
-    )
-
-
-def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
-    add_config_flags(p)
-    add_seed_flags(p, "number of seeds")
 
 
 def _load_config(args: argparse.Namespace) -> ModelConfig:
@@ -335,26 +305,89 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each command's help line, the function adding its flags, and its handler,
-# in the order the help lists them.
-_COMMANDS = {
-    "run": ("simulate one shift and write its artifacts", _add_run_flags, _cmd_run),
-    "ensemble": (
-        "run one variant across consecutive seeds",
-        _add_ensemble_flags,
-        _cmd_ensemble,
-    ),
-    "table2": (
-        "KPI table: deterministic variants exactly, stochastic as ensembles",
-        partial(add_seed_flags, seeds_help="ensemble size"),
-        _cmd_report,
-    ),
-    "compare": (
-        "paired-seed resilience comparison of v1.2 vs v1.3",
-        partial(add_seed_flags, seeds_help="number of paired seeds"),
-        _cmd_report,
-    ),
+# The flags of each command, as ``add_argument`` keywords by flag, in the
+# order its help lists them. ``build_parser``, the one-command parser and
+# ``_read_exact`` all read them, so a flag is declared here alone. An
+# ``append`` flag's default is a new empty list each time (``_default``).
+_CONFIG_FLAGS = {
+    "--config": {"metavar": "FILE", "help": "key = value config file"},
+    "--set": {"dest": "overrides", "metavar": "KEY=VALUE", "action": "append",
+              "help": "override any config scalar by dotted key (repeatable)"},
+    "--variant": {"help": "model variant: v1.0, v1.1, v1.2 or v1.3"},
+    "--seed": {"type": int, "help": "random seed (unsigned 64-bit)"},
 }
+
+
+def _seed_flags(seeds_help: str) -> dict[str, dict]:
+    return {
+        "--seeds": {"type": int, "default": 1000, "help": seeds_help},
+        "--base-seed": {"type": int, "default": 1, "help": "first seed"},
+        "--out": {"metavar": "DIR", "help": "output directory"},
+    }
+
+
+# Each command's help line, flags and handler, in the order the help lists
+# them.
+_COMMANDS = {
+    "run": ("simulate one shift and write its artifacts", {
+        **_CONFIG_FLAGS,
+        "--out": {"metavar": "DIR", "default": "out", "help": "output directory"},
+        "--emit": {"default": "csv,json",
+                   "help": "comma-separated artifact formats from: csv, json, svg"},
+    }, _cmd_run),
+    "ensemble": ("run one variant across consecutive seeds",
+                 {**_CONFIG_FLAGS, **_seed_flags("number of seeds")}, _cmd_ensemble),
+    "table2": ("KPI table: deterministic variants exactly, stochastic as ensembles",
+               _seed_flags("ensemble size"), _cmd_report),
+    "compare": ("paired-seed resilience comparison of v1.2 vs v1.3",
+                _seed_flags("number of paired seeds"), _cmd_report),
+}
+
+
+def _dest(flag: str, options: dict) -> str:
+    """The attribute argparse stores ``flag`` under."""
+    return options.get("dest") or flag[2:].replace("-", "_")
+
+
+def _default(options: dict):
+    """A flag's value when the line does not give it."""
+    return [] if options.get("action") == "append" else options.get("default")
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: dict[str, dict]) -> None:
+    for flag, options in flags.items():
+        parser.add_argument(flag, **{**options, "default": _default(options)})
+
+
+def _read_exact(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The ``Namespace`` argparse reads from ``[command, *tokens]`` when
+    ``tokens`` are pairs of an exact long flag of ``command`` and a ``str``
+    value that does not start with ``-`` and converts by the flag's ``type``;
+    None for any other line (``-h``, an abbreviation, ``--flag=value``, a
+    negative number, ``--``, an odd count, an unknown flag or a failed
+    conversion), which argparse must read. The last value of a repeated
+    flag wins, and an ``append`` flag adds each to a new list."""
+    if len(tokens) % 2:
+        return None
+    flags = _COMMANDS[command][1]
+    args = argparse.Namespace(command=command)
+    for flag, options in flags.items():
+        setattr(args, _dest(flag, options), _default(options))
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        options = flags.get(flag)
+        if options is None or type(value) is not str or value[:1] == "-":
+            return None
+        kind = options.get("type")
+        if kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        dest = _dest(flag, options)
+        if options.get("action") == "append":
+            value = getattr(args, dest) + [value]
+        setattr(args, dest, value)
+    return args
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,24 +416,30 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags, _) in _COMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_line, formatter_class=formatter))
+    for name, (help_line, flags, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_line, formatter_class=formatter), flags)
     return parser
 
 
 def parse_command_line(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same output and exit
-    status, but when ``argv`` starts with a command name only that command's
-    parser is built: the one ``build_parser`` would hand the rest of the line.
-    The full parser is built for anything else (no argument, ``--help``, an
-    unknown command, an option before the command) and to report arguments
-    the command leaves unread. An option before a command named later is an
-    error that shows the line with the command moved to the front.
+    status, building as little of argparse as the line needs. A command
+    followed by exact flag-value pairs builds no parser: ``_read_exact``
+    reads it from the flag table. Any other line that starts with a command
+    builds only that command's parser, the one ``build_parser`` would hand
+    the rest of the line. The full parser is built for anything else (no
+    argument, ``--help``, an unknown command, an option before the command)
+    and to report arguments the command leaves unread. An option before a
+    command named later is an error that shows the line with the command
+    moved to the front. Argparse writes every help, usage and error text.
     """
     first = argv[0] if argv else None
     if first in _COMMANDS:
+        args = _read_exact(first, argv[1:])
+        if args is not None:
+            return args
         parser = _Parser(prog=f"cobotsim {first}", formatter_class=_formatter())
-        _COMMANDS[first][1](parser)
+        _add_flags(parser, _COMMANDS[first][1])
         args, extras = parser.parse_known_args(argv[1:])
         if extras:
             build_parser().error("unrecognized arguments: " + " ".join(extras))
@@ -422,8 +461,10 @@ def parse_command_line(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``); return the
     exit status: 0 on success, 2 on a config error, 1 when stdout is closed.
-    ``parse_command_line`` reads it, building the full parser only when the
-    line does not start with a command or the command leaves arguments unread.
+    ``parse_command_line`` reads it: argparse runs only for a line that is
+    not a command followed by exact flag-value pairs, and builds the full
+    parser only when the line does not start with a command or the command
+    leaves arguments unread.
     """
     if argv is None:
         argv = sys.argv[1:]

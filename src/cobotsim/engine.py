@@ -410,7 +410,9 @@ def _simulate(
     fatigue, items)`` tuple, and a jumped stretch's tuples are made in bulk
     by ``repeat`` and ``accumulate``, over the same float additions the
     records' replay makes. Both live inside the ``keep_records`` tests, so
-    a run without records makes no further test per turn."""
+    a run without records makes no further test per turn. A jumped turn
+    holds the jumped-from turn's post-turn trust, as the next turn would:
+    it equals that turn's pre-turn trust, but for the sign of a zero."""
     pick_extra = cfg.disruption.difficult_pick_fatigue
     duration = cfg.apology_duration if cfg.variant.has_apology else 0
     horizon, leader, tables = cfg.horizon, policy.leader, policy.tables
@@ -513,13 +515,13 @@ def _simulate(
                     if keep_records:
                         if for_opening:
                             f = accumulate(repeat(inc, k - 1), initial=fatigue_post + inc)
-                            records += zip(repeat(trust, k), f, repeat(items, k))
+                            records += zip(repeat(trust_post, k), f, repeat(items, k))
                         else:
                             f = fatigue_post
                             for t in range(step + 1, step + k + 1):
                                 r = new(record)
                                 r.step = t
-                                r.trust_pre = trust
+                                r.trust_pre = trust_post
                                 r.fatigue_pre = f
                                 r.cobot_action = cobot
                                 r.human_action = human
@@ -527,7 +529,7 @@ def _simulate(
                                 r.outcome = outcome
                                 r.items_picked = items
                                 r.extra_fatigue = 0.0
-                                r.trust_post = trust
+                                r.trust_post = trust_post
                                 f += inc
                                 r.fatigue_post = f
                                 r.apology_remaining_post = 0

@@ -1,6 +1,7 @@
 """CLI surface: parsing, artifact emission, exit codes, and report rendering."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -591,14 +593,22 @@ def parser_builds(monkeypatch):
 
 
 def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys):
-    # The command's own parser alone; no parser is kept between calls.
+    # A line of exact flag-value pairs builds no parser; any other line that
+    # starts with a command builds that command's own parser alone. No parser
+    # is kept between calls.
     for _ in range(2):
         parser_builds.update(parsers=0, arguments=0)
         assert main(["run", "--emit", "csv", "--out", str(tmp_path)]) == 0
-        assert parser_builds == {"parsers": 1, "arguments": 7}
+        assert parser_builds == {"parsers": 0, "arguments": 0}
     parser_builds.update(parsers=0, arguments=0)
     assert main(["table2", "--seeds", "2"]) == 0
-    assert parser_builds["parsers"] == 1
+    assert parser_builds == {"parsers": 0, "arguments": 0}
+    for argv in (["run", "--seed=3", "--out", str(tmp_path)],
+                 ["run", "--em", "csv", "--out", str(tmp_path)]):
+        for _ in range(2):
+            parser_builds.update(parsers=0, arguments=0)
+            assert main(argv) == 0
+            assert parser_builds == {"parsers": 1, "arguments": 7}
     for argv in (["--help"], ["-h", "run"]):
         parser_builds.update(parsers=0, arguments=0)
         with pytest.raises(SystemExit):
@@ -606,7 +616,7 @@ def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys
         assert parser_builds == {"parsers": 5, "arguments": 24}
     parser_builds.update(parsers=0, arguments=0)
     assert main(["compare", "--seeds", "1"]) == 2
-    assert parser_builds["parsers"] == 1
+    assert parser_builds == {"parsers": 0, "arguments": 0}
     # Arguments the command leaves unread are reported by the full parser.
     parser_builds.update(parsers=0, arguments=0)
     with pytest.raises(SystemExit):
@@ -648,7 +658,12 @@ _VALID_ARGVS = [
 
 @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=lambda argv: " ".join(argv)[:60])
 def test_one_command_parser_reads_the_full_parsers_namespace(argv):
-    assert parse_command_line(argv) == build_parser().parse_args(argv)
+    expected = build_parser().parse_args(argv)
+    assert parse_command_line(argv) == expected
+    # Each line is exact flag-value pairs, which the table reader takes but
+    # for a value that starts with "-", such as --seed -1.
+    dashed = any(value.startswith("-") for value in argv[2::2])
+    assert cli._read_exact(argv[0], argv[1:]) == (None if dashed else expected)
 
 
 @pytest.mark.parametrize(
@@ -665,6 +680,55 @@ def test_one_command_parser_leaves_unread_arguments_to_the_full_parser(argv, cap
         outcomes.append((exc.value.code, capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1].err.startswith("usage: cobotsim [-h] {run,ensemble,table2,compare}")
+
+
+_FLAGS = sorted({flag for _, flags, _ in cli._COMMANDS.values() for flag in flags})
+# Every prefix argparse might take for a flag: unique to one flag of a
+# command, shared by several (--se), or matching none of its flags.
+_ABBREVIATIONS = sorted({flag[:n] for flag in _FLAGS for n in range(3, len(flag))})
+_VALUES = ["3", "1000", "v1.2", "horizon=5", "csv,svg", "DIR", "-1", "-", "--", "",
+           " 5 ", "1_000", "x y", "1e3", "run"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a mix of exact flag-value pairs and tokens argparse
+    alone reads: abbreviations, --flag=value, dashed or odd values, unknown
+    flags, -h, --help, and --."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = st.sampled_from([*cli._COMMANDS[command][1], *_FLAGS])
+    values = st.sampled_from(_VALUES)
+    exact = st.tuples(st.sampled_from(list(cli._COMMANDS[command][1])),
+                      st.sampled_from(["3", "1000", "v1.2", "horizon=5", "DIR"]))
+    token = st.one_of(
+        values,
+        flags,
+        st.sampled_from(["-h", "--help"]),
+        st.sampled_from([*_ABBREVIATIONS, "--bogus", "--", "-x"]),
+        st.builds("{}={}".format, st.sampled_from(_FLAGS + _ABBREVIATIONS), values),
+    )
+    mixed = st.one_of(exact, st.tuples(flags, values), st.tuples(token))
+    items = draw(st.lists(exact if draw(st.booleans()) else mixed, max_size=6))
+    return [command, *(t for item in items for t in item)]
+
+
+def _parse_outcome(parse, argv):
+    """``parse(argv)``'s namespace, or its exit status, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_command_line_reads_as_the_full_parser_does(argv):
+    assert _parse_outcome(parse_command_line, argv) == _parse_outcome(
+        build_parser().parse_args, argv
+    )
 
 
 def run_with_closed_stdout(argv, unbuffered):

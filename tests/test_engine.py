@@ -810,6 +810,15 @@ def _chained_records(cfg):
     return records
 
 
+@pytest.mark.parametrize("variant", ["v1.0", "v1.1", "v1.2", "v1.3"])
+def test_jumped_records_hold_the_post_turn_trust(variant):
+    # From trust -0.0, turn 1's update gives 0.0, which == compares equal to
+    # the -0.0 that jumped turns held; repr tells them apart.
+    cfg = cfg_for(variant, seed=3, horizon=60, trust=TrustParams(initial_trust=-0.0))
+    records, _ = run_shift(cfg)
+    assert repr(records) == repr(_chained_records(cfg))
+
+
 def _chained_summary(cfg):
     """summarize_shift over the per-turn reference, chained from cfg's seed."""
     return summarize_shift(_chained_records(cfg), cfg.horizon)
@@ -1163,9 +1172,11 @@ def test_open_builds_no_step_record(monkeypatch):
         # The fatigue threshold is crossed inside the opening.
         cfg_for("v1.2", trust=TrustParams(initial_fatigue=78.0)),
         cfg_for("v1.2", trust=TrustParams(initial_trust=0.0)),
+        # Turn 1 turns -0.0 into 0.0, which the jumped turns hold.
+        cfg_for("v1.1", trust=TrustParams(initial_trust=-0.0)),
     ],
     ids=["v1.2", "v1.0", "horizon-300", "non-dyadic-reward", "fatigue-0.1",
-         "fatigue-78", "trust-0"],
+         "fatigue-78", "trust-0", "trust--0.0"],
 )
 def test_opening_equals_the_event_free_shift(cfg):
     records, _ = run_shift(replace(cfg, disruption=DisruptionParams(chance=0.0)))
