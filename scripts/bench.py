@@ -12,7 +12,9 @@ The record holds:
 - ``size``: per module of ``src/cobotsim``, its physical and code lines
   (``cost_report.sizes``), and their totals;
 - ``ops``: the opcodes and Python calls of each ``cost_report`` op, counts
-  that do not vary between runs;
+  that do not vary between runs, and ``files``, the share of the op's
+  opcodes executed in each file (``cost_report.file_shares``, to six
+  significant digits), largest first;
 - ``wall_ms``: each timed command's argv and its wall times in ms over
   ``--repeats`` rounds, with their best, median and worst. Each command
   runs as its own process under this interpreter, from a temporary
@@ -137,8 +139,11 @@ def perfbench(seconds: float, env: dict) -> dict | None:
 
 
 def record(repeats: int, pythons: list[str], seconds: float) -> dict:
-    ops = {name: {"opcodes": counts.total(), "calls": calls}
-           for name, counts, calls in cost_report.counted_ops()}
+    ops = {}
+    for name, counts, calls in cost_report.counted_ops():
+        shares = cost_report.file_shares(counts)
+        files = {file: float(f"{share:.6g}") for file, share in shares.items()}
+        ops[name] = {"opcodes": counts.total(), "calls": calls, "files": files}
     env = dict(os.environ, **cost_report.ENVIRONMENT, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(cost_report.PACKAGE.parent))
     return {

@@ -40,7 +40,7 @@ dataclass's generated ``__init__`` reads
 
 Files: each op's opcodes rolled up per file name, largest share first, so
 ``engine.py``, ``argparse.py`` or ``<string>`` (generated dataclass code)
-read as one layer each.
+read as one layer each (``file_shares``, which ``bench.py`` records too).
 
 Output cut short by a closed pipe (``| head``) ends the script quietly.
 """
@@ -152,6 +152,16 @@ def counted_ops():
             yield name, *opcodes(op)
 
 
+def file_shares(counts: Counter) -> dict[str, float]:
+    """``{file name: share of the op's opcodes}`` of ``counts``, the opcodes
+    per function of ``opcodes``, largest share first."""
+    files = Counter()
+    for (file, _), count in counts.items():
+        files[Path(file).name] += count
+    total = counts.total()
+    return {file: count / total for file, count in files.most_common()}
+
+
 def main() -> int:
     print(f"{'module':<16} {'lines':>6} {'code':>6}")
     total_lines = total_code = 0
@@ -180,11 +190,8 @@ def main() -> int:
     print(f"{'share':>8}  op / file")
     for name, counts in counted:
         print(name)
-        files = Counter()
-        for (file, _), count in counts.items():
-            files[Path(file).name] += count
-        for file, count in files.most_common():
-            print(f"{100 * count / counts.total():>6.2f} %  {file}")
+        for file, share in file_shares(counts).items():
+            print(f"{100 * share:>6.2f} %  {file}")
     return 0
 
 

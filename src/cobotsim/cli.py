@@ -49,11 +49,13 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0
 def _load_config(args: argparse.Namespace) -> ModelConfig:
     if args.config is not None:
         path = Path(args.config)
-        if not path.is_file():
-            if path.exists():
-                raise ConfigError(f"config path is not a regular file: {path}")
-            raise ConfigError(f"config file not found: {path}")
         try:
+            # is_file() and exists() read only some errors as "no such file";
+            # the rest, such as a name too long, are raised.
+            if not path.is_file():
+                if path.exists():
+                    raise ConfigError(f"config path is not a regular file: {path}")
+                raise ConfigError(f"config file not found: {path}")
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
@@ -107,13 +109,21 @@ def _write_out(out: str, files: dict[str, str]) -> None:
 
     Each file is truncated and then written as the UTF-8 bytes of its text,
     with LF line endings on every platform: the bytes go straight to
-    ``os.write``, with no text layer to translate newlines."""
+    ``os.write``, with no text layer to translate newlines.
+
+    The directory is made only when it is not one already. Each file's path
+    is ``prefix + name``, with ``prefix = str(out_dir / "x")[:-1]`` computed
+    once: every name here is one plain component, so that is
+    ``str(out_dir / name)`` on every path flavour (``os.path.join`` is not:
+    on Windows it joins ``./C:`` and a name as ``C:name``)."""
     out_dir = Path(out)
     written = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if not out_dir.is_dir():
+            out_dir.mkdir(parents=True, exist_ok=True)
+        prefix = str(out_dir / "x")[:-1]
         for name, text in files.items():
-            path = out_dir / name
+            path = prefix + name
             data = text.encode("utf-8")
             fd = os.open(path, _WRITE_FLAGS, 0o666)
             try:

@@ -1,4 +1,10 @@
-"""Plain-text run artifacts: trajectory CSV and summary JSON."""
+"""Plain-text run artifacts: trajectory CSV and summary JSON.
+
+A shift's summary JSON is filled into a fixed template of its six keys, with
+each value written as ``json`` writes it; any other summary, or one holding
+a value of another type, goes through ``json.dumps`` (see
+``emit_summary_json``). Both give the same text.
+"""
 
 from __future__ import annotations
 
@@ -85,8 +91,65 @@ def _recovery_entry(turn: int, steps: int | None) -> dict:
     return {"turn": turn, "steps": steps, "censored": steps is None}
 
 
+# The text ``json`` writes for a value of exactly one of these types, by
+# type. ``float.__repr__`` writes a non-finite float as ``nan``, ``inf`` or
+# ``-inf``, which ``_JSON_NON_FINITE`` turns into ``json``'s words; no other
+# text of these types can equal those three.
+_JSON_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_ENTRY = '{{\n      "turn": {},\n      "steps": {},\n      "censored": {}\n    }}'
+
+
+def _json_text(value) -> str:
+    """``value`` as ``json`` writes it; ``KeyError`` when its type is not
+    exactly ``float``, ``int``, ``bool`` or ``NoneType``."""
+    text = _JSON_TEXT[type(value)](value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _shift_summary_json(summary: ShiftSummary) -> str:
+    """The shift payload of ``emit_summary_json`` as ``json.dumps(payload,
+    indent=2)`` writes it, filled into its fixed layout; ``KeyError`` when
+    a value has a type that ``_json_text`` does not write."""
+    turns = []
+    entries = []
+    for turn, steps in summary.recovery_times:
+        turns.append(turn := _json_text(turn))
+        entries.append(_JSON_ENTRY.format(
+            turn, _json_text(steps), "true" if steps is None else "false"
+        ))
+    severe = "[\n    " + ",\n    ".join(turns) + "\n  ]" if turns else "[]"
+    times = "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
+    return (
+        f'{{\n  "productivity": {_json_text(summary.productivity)},'
+        f'\n  "final_fatigue": {_json_text(summary.final_fatigue)},'
+        f'\n  "final_trust": {_json_text(summary.final_trust)},'
+        f'\n  "peak_fatigue": {_json_text(summary.peak_fatigue)},'
+        f'\n  "severe_failures": {severe},\n  "recovery_times": {times}\n}}\n'
+    )
+
+
 def emit_summary_json(summary: ShiftSummary | EnsembleSummary) -> str:
-    """Serialize shift or ensemble KPIs with a stable key order."""
+    """Serialize shift or ensemble KPIs with a stable key order, as
+    ``json.dumps(payload, indent=2)`` plus a final line break.
+
+    A ``ShiftSummary`` whose ``recovery_times`` is a list, and whose values
+    are all of exactly type ``float``, ``int``, ``bool`` or ``NoneType``, is
+    written by ``_shift_summary_json`` without the ``json`` module: CPython
+    encodes with ``indent`` only in pure Python, a generator per container.
+    Anything else, an ``EnsembleSummary`` included, builds the payload and
+    calls ``json.dumps``, so the text is that of ``json.dumps`` either way.
+    """
+    if type(summary) is ShiftSummary and type(summary.recovery_times) is list:
+        try:
+            return _shift_summary_json(summary)
+        except KeyError:
+            pass
     if isinstance(summary, EnsembleSummary):
         median_recovery = summary.median_first_recovery
         if median_recovery is not None and math.isinf(median_recovery):

@@ -12,7 +12,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
+from pathlib import Path, PurePosixPath, PureWindowsPath
 
 import pytest
 from hypothesis import given, settings
@@ -356,6 +356,59 @@ def test_undecodable_config_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: cannot read config file" in err
     assert str(config) in err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["ensemble", "--seeds", "2"]])
+def test_config_name_the_os_rejects_exits_2(tmp_path, capsys, argv):
+    # Path.is_file() raises every OSError but "no such file" and three others.
+    config = "c" * 5000
+    assert main([*argv, "--config", config, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot read config file {config}: ")
+    assert "File name too long" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+# The names ``_write_out`` is given, and --out strings of plain components,
+# dots, empty components and trailing slashes.
+_ARTIFACTS = ["trajectory.csv", "summary.json", "chart.svg", "ensemble.json",
+              "table2.txt", "compare.txt"]
+_OUT_DIRS = st.one_of(
+    st.sampled_from(["", ".", "./", "a//b/", "x/./", "./a", "a/.//b/./"]),
+    # A relative path: the first component is never empty.
+    st.tuples(
+        st.sampled_from(["a", ".", "x y"]),
+        st.lists(st.sampled_from(["a", "b", ".", "", "x y", "c.d"]), max_size=3),
+    ).map(lambda parts: "/".join([parts[0], *parts[1]])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OUT_DIRS, st.lists(st.sampled_from(_ARTIFACTS), min_size=1, max_size=3, unique=True))
+def test_artifacts_are_written_to_the_pathlib_join(out, names):
+    assert not Path(out).is_absolute()  # every file stays in the temporary cwd
+    expected = [str(Path(out) / name) for name in names]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            cli._write_out(out, {name: f"{name}\n" for name in names})
+        assert stdout.getvalue() == "".join(f"wrote {path}\n" for path in expected)
+        made = {str(path.relative_to(tmp)) for path in Path(tmp).rglob("*") if path.is_file()}
+        assert made == {str(Path(path)) for path in expected}
+        for name, path in zip(names, expected):
+            assert Path(path).read_bytes() == f"{name}\n".encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.text(alphabet="ab./\\:C ", max_size=8),
+    st.sampled_from([PurePosixPath, PureWindowsPath]),
+    st.sampled_from(_ARTIFACTS),
+)
+def test_one_prefix_gives_the_pathlib_join_of_every_name(text, flavour, name):
+    assert str(flavour(text) / "x")[:-1] + name == str(flavour(text) / name)
 
 
 @pytest.mark.parametrize("argv", [["run"], ["compare", "--seeds", "2"]])

@@ -4,6 +4,7 @@ SVG writers against the per-value reference writers."""
 import json
 import math
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from cobotsim import (
     run_ensemble,
     run_shift,
 )
+from cobotsim.engine import ShiftSummary
 from cobotsim.reports import CSV_HEADER, format_real
 import stepwise_reference
 
@@ -247,3 +249,86 @@ def test_ensemble_json_keys_and_singleton_equivalence():
     assert payload["means"]["productivity"] == single.productivity
     assert payload["medians"]["final_fatigue"] == single.final_fatigue
     assert payload["n_seeds"] == 1
+
+
+def reference_summary_json(summary):
+    """The shift payload, built here and written by ``json.dumps``."""
+    payload = {
+        "productivity": summary.productivity,
+        "final_fatigue": summary.final_fatigue,
+        "final_trust": summary.final_trust,
+        "peak_fatigue": summary.peak_fatigue,
+        "severe_failures": [turn for turn, _ in summary.recovery_times],
+        "recovery_times": [
+            {"turn": turn, "steps": steps, "censored": steps is None}
+            for turn, steps in summary.recovery_times
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e300]),
+)
+_JSON_INTS = st.one_of(
+    st.integers(min_value=0, max_value=2000), st.integers(min_value=2**63, max_value=2**200),
+    st.integers(max_value=-(2**63)),
+)
+_JSON_SCALARS = st.one_of(_JSON_FLOATS, _JSON_INTS, st.booleans(), st.none())
+# Values of other types, which ``emit_summary_json`` hands to ``json.dumps``.
+_FALLBACK_VALUES = st.sampled_from(["text", _Level.ONE, [1.0], [], 2.5j])
+_SUMMARY_FIELDS = ["productivity", "final_fatigue", "final_trust", "peak_fatigue"]
+
+
+@st.composite
+def shift_summaries(draw):
+    fields = {name: draw(_JSON_FLOATS) for name in _SUMMARY_FIELDS}
+    recovery = draw(st.lists(
+        st.tuples(_JSON_INTS, st.one_of(st.none(), _JSON_INTS)), max_size=4
+    ))
+    slots = len(_SUMMARY_FIELDS) + 2 * len(recovery)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        slot = draw(st.integers(min_value=0, max_value=slots - 1))
+        value = draw(st.one_of(_JSON_SCALARS, _FALLBACK_VALUES))
+        if slot < len(_SUMMARY_FIELDS):
+            fields[_SUMMARY_FIELDS[slot]] = value
+        else:
+            entry, side = divmod(slot - len(_SUMMARY_FIELDS), 2)
+            pair = list(recovery[entry])
+            pair[side] = value
+            recovery[entry] = tuple(pair)
+    return ShiftSummary(**fields, recovery_times=recovery)
+
+
+@settings(max_examples=500, deadline=None)
+@given(shift_summaries())
+def test_shift_summary_json_is_json_dumps(summary):
+    try:
+        expected = reference_summary_json(summary)
+    except TypeError:  # a complex number, which json cannot write
+        with pytest.raises(TypeError):
+            emit_summary_json(summary)
+    else:
+        assert emit_summary_json(summary) == expected
+
+
+@pytest.mark.parametrize(
+    "cfg, recoveries",
+    [(ModelConfig(), 0), (ModelConfig(variant=ModelVariant.V1_3, seed=3), 1)],
+    ids=["defaults", "v1.3-seed-3"],
+)
+def test_shift_summary_json_does_not_call_json_dumps(monkeypatch, cfg, recoveries):
+    _, summary = run_shift(cfg)
+    assert len(summary.recovery_times) == recoveries
+    expected = reference_summary_json(summary)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert emit_summary_json(summary) == expected

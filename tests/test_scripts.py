@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in ``scripts/``, run as a user would."""
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -195,6 +196,13 @@ def test_bench_records_sizes_counts_times_and_versions(tmp_path):
         assert sum(module[key] for _, module in modules) == total[1][key]
     assert len(record["ops"]) == 4
     assert all(0 < op["calls"] < op["opcodes"] for op in record["ops"].values())
+    for op in record["ops"].values():
+        shares = list(op["files"].values())
+        assert shares == sorted(shares, reverse=True) and all(s > 0 for s in shares)
+        assert math.isclose(sum(shares), 1, abs_tol=1e-4)
+    assert {"engine.py", "reports.py", "cli.py"} <= set(
+        record["ops"]["run --emit csv,json,svg (cli-sweep)"]["files"]
+    )
     assert len(record["wall_ms"]) == 8
     for timing in record["wall_ms"].values():
         assert timing["argv"][0] == "python"
