@@ -2,7 +2,8 @@
 """Record what one tree of ``cobotsim`` costs, as one JSON file:
 
     PYTHONPATH=src python3 scripts/bench.py --record BENCH_<n>.json \\
-        [--repeats N] [--python PY ...] [--perfbench-seconds S]
+        [--repeats N] [--python PY ...] [--perfbench-seconds S] \\
+        [--perfbench-runs N]
 
 The record holds:
 
@@ -29,11 +30,16 @@ The record holds:
   ``scripts/cross_version.py`` over them (0 when every snapshot matches
   the first), or null without ``--python``. Its report goes to this
   script's stdout;
-- ``perfbench``: the seed, the seconds per workload, and per workload of
-  ``BENCHMARK.json`` the ``correct`` flag and the ``metrics`` of the last
-  line of ``perfbench/run.py --trace 0``, run for ``--perfbench-seconds``
-  each (default 10), or null when that is 0. Nothing under
-  ``perfbench/`` is imported or changed; it only runs as a subprocess.
+- ``perfbench``: the first seed, the seconds per run, the number of runs,
+  and per workload of ``BENCHMARK.json`` the ``correct`` flag of every run
+  and, per metric of the last line of ``perfbench/run.py --trace 0``, its
+  unit, its value in each run, and their median and quartiles
+  (``statistics.quantiles``, inclusive). Each workload runs
+  ``--perfbench-runs`` times (default 5), at seeds ``PERFBENCH_SEED`` on,
+  one seed per round, a round running every workload once; each run lasts
+  ``--perfbench-seconds`` (default 10). It is null when that is 0.
+  Nothing under ``perfbench/`` is imported or changed; it only runs as a
+  subprocess.
 
 Every subprocess imports the same ``cobotsim`` as the counted ops. Commit
 one record per change, so the next reads a trajectory.
@@ -56,7 +62,7 @@ import cross_version
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench" / "run.py"
-# The workload seed of every perfbench run, so that records compare.
+# The workload seed of the first perfbench round, so that records compare.
 PERFBENCH_SEED = 1
 CLI = ["-m", "cobotsim"]
 # (label, arguments after the interpreter) of each timed command.
@@ -120,25 +126,38 @@ def cross_versions(pythons: list[str], env: dict) -> dict | None:
     return {"pythons": [*map(version, pythons)], "exit": result.returncode}
 
 
-def perfbench(seconds: float, env: dict) -> dict | None:
-    """The last-line ``correct`` and ``metrics`` of a ``perfbench/run.py
-    --trace 0`` run of ``seconds`` per workload of ``BENCHMARK.json``."""
+def perfbench(seconds: float, runs: int, env: dict) -> dict | None:
+    """Per workload of ``BENCHMARK.json``, whether every one of ``runs``
+    ``perfbench/run.py --trace 0`` runs of ``seconds`` was ``correct``, and
+    each metric's values over them with their median and quartiles."""
     if not seconds:
         return None
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [workload["name"] for workload in benchmark["workloads"]]
+    lasts = {name: [] for name in names}
+    for seed in range(PERFBENCH_SEED, PERFBENCH_SEED + runs):
+        for name in names:
+            argv = [sys.executable, str(PERFBENCH), "--workload", name, "--seed",
+                    str(seed), "--seconds", str(seconds), "--trace", "0"]
+            result = subprocess.run(argv, cwd=ROOT, env=env, check=True,
+                                    stdout=subprocess.PIPE, text=True)
+            lasts[name].append(json.loads(result.stdout.splitlines()[-1]))
     workloads = {}
-    for workload in benchmark["workloads"]:
-        name = workload["name"]
-        argv = [sys.executable, str(PERFBENCH), "--workload", name, "--seed",
-                str(PERFBENCH_SEED), "--seconds", str(seconds), "--trace", "0"]
-        result = subprocess.run(argv, cwd=ROOT, env=env, check=True,
-                                stdout=subprocess.PIPE, text=True)
-        last = json.loads(result.stdout.splitlines()[-1])
-        workloads[name] = {"correct": last["correct"], "metrics": last["metrics"]}
-    return {"seed": PERFBENCH_SEED, "seconds": seconds, "workloads": workloads}
+    for name, last in lasts.items():
+        metrics = {}
+        for metric, first in last[0]["metrics"].items():
+            values = [run["metrics"][metric]["value"] for run in last]
+            q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                              if runs > 1 else values * 3)
+            metrics[metric] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
+                               "values": values}
+        workloads[name] = {"correct": all(run["correct"] for run in last),
+                           "metrics": metrics}
+    return {"seed": PERFBENCH_SEED, "seconds": seconds, "runs": runs,
+            "workloads": workloads}
 
 
-def record(repeats: int, pythons: list[str], seconds: float) -> dict:
+def record(repeats: int, pythons: list[str], seconds: float, runs: int) -> dict:
     ops = {}
     for name, counts, calls in cost_report.counted_ops():
         shares = cost_report.file_shares(counts)
@@ -154,7 +173,7 @@ def record(repeats: int, pythons: list[str], seconds: float) -> dict:
         "ops": ops,
         "wall_ms": wall_ms(repeats, env),
         "cross_version": cross_versions(pythons, env),
-        "perfbench": perfbench(seconds, env),
+        "perfbench": perfbench(seconds, runs, env),
     }
 
 
@@ -169,12 +188,17 @@ def main() -> int:
     parser.add_argument("--perfbench-seconds", type=float, default=10.0, metavar="S",
                         help="seconds of each perfbench workload run; 0 skips them "
                         "(default 10)")
+    parser.add_argument("--perfbench-runs", type=int, default=5, metavar="N",
+                        help="runs of each perfbench workload, at consecutive seeds "
+                        "(default 5)")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     if not 0 <= args.perfbench_seconds < math.inf:
         parser.error("--perfbench-seconds must be finite and >= 0")
-    data = record(args.repeats, args.python, args.perfbench_seconds)
+    if args.perfbench_runs < 1:
+        parser.error("--perfbench-runs must be >= 1")
+    data = record(args.repeats, args.python, args.perfbench_seconds, args.perfbench_runs)
     args.record.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return 0
 

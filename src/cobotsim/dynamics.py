@@ -40,6 +40,13 @@ class TrustRule(str, Enum):
     REFINED = "refined"
 
 
+# Enum members bound once, as in engine: a read through the class is slow.
+_SUCCESS, _MINOR, _SEVERE = (InteractionOutcome.SUCCESS, InteractionOutcome.MINOR_FAILURE,
+                             InteractionOutcome.SEVERE_FAILURE)
+_NAIVE, _HIGH_EFFORT, _LOW, _HIGH = (TrustRule.NAIVE, EffortLevel.HIGH, CollabLevel.LOW,
+                                     CollabLevel.HIGH)
+
+
 @dataclass
 class TrustParams:
     """Trust-update magnitudes and the shift's starting state."""
@@ -79,14 +86,12 @@ def classify_interaction(
     the fatigue increment relative to low collaboration at the same effort.
     """
     if severe_event:
-        return InteractionOutcome.SEVERE_FAILURE
-    if rule is TrustRule.NAIVE:
-        matched = pair.human is EffortLevel.HIGH and pair.cobot is CollabLevel.HIGH
-        return InteractionOutcome.SUCCESS if matched else InteractionOutcome.MINOR_FAILURE
-    baseline = fatigue_increment(ACTION_PAIRS[CollabLevel.LOW, pair.human], params)
-    if fatigue_increment(pair, params) < baseline:
-        return InteractionOutcome.SUCCESS
-    return InteractionOutcome.MINOR_FAILURE
+        return _SEVERE
+    if rule is _NAIVE:
+        matched = pair.human is _HIGH_EFFORT and pair.cobot is _HIGH
+        return _SUCCESS if matched else _MINOR
+    baseline = fatigue_increment(ACTION_PAIRS[_LOW, pair.human], params)
+    return _SUCCESS if fatigue_increment(pair, params) < baseline else _MINOR
 
 
 def update_trust(trust: float, outcome: InteractionOutcome, tp: TrustParams) -> float:
@@ -95,9 +100,9 @@ def update_trust(trust: float, outcome: InteractionOutcome, tp: TrustParams) -> 
     The clamp is ``min(1.0, max(0.0, trust + delta))`` written as
     conditional expressions, which give the same result for every input,
     -0.0, NaN and infinities too, without two builtin calls."""
-    if outcome is InteractionOutcome.SUCCESS:
+    if outcome is _SUCCESS:
         delta = tp.gain
-    elif outcome is InteractionOutcome.MINOR_FAILURE:
+    elif outcome is _MINOR:
         delta = -tp.loss
     else:
         delta = -tp.severe_loss

@@ -55,16 +55,7 @@ from .dynamics import (
     classify_interaction,
     update_trust,
 )
-from .game import (
-    ACTION_PAIRS,
-    ActionPair,
-    CollabLevel,
-    EffortLevel,
-    GameParams,
-    StageGame,
-    fatigue_increment,
-    human_reward,
-)
+from .game import ACTION_PAIRS, ActionPair, CollabLevel, EffortLevel, GameParams, StageGame
 
 MAX_SEED = (1 << 64) - 1  # seeds are unsigned 64-bit integers
 # A shift keeps one record per turn. At this bound, ``run`` writing every
@@ -80,7 +71,7 @@ _DYADIC = 2.0**STATE_DECIMALS
 _NONE, _PICK, _FAILURE = (
     DisruptionEvent.NONE, DisruptionEvent.DIFFICULT_PICK, DisruptionEvent.COBOT_FAILURE
 )
-_SEVERE = InteractionOutcome.SEVERE_FAILURE
+_SEVERE, _HIGH = InteractionOutcome.SEVERE_FAILURE, CollabLevel.HIGH
 # The fatigue level at which all the stage game's threshold tests hold, one
 # per joint action (see ``_StagePolicy``).
 _TOP = len(ACTION_PAIRS)
@@ -217,15 +208,21 @@ class _StagePolicy(StageGame):
     the per-turn constants of one action pair at one trust and level, see
     ``_decision``.
 
-    ``pairs`` holds each action pair's per-turn constants keyed by the
-    pair's ``id``: ``solve`` and ``best_response`` return ``ACTION_PAIRS``
-    members, and an ``id`` key skips ``ActionPair``'s ``__hash__``, which
-    hashes its two enum members in Python.
+    ``pairs`` holds, keyed by the pair's ``id``, each action pair's per-turn
+    constants and its steady flag: ``solve`` and ``best_response`` return
+    ``ACTION_PAIRS`` members, and an ``id`` key skips ``ActionPair``'s
+    ``__hash__``, which hashes its two enum members in Python. The
+    constants are read once from ``StageGame``'s ``low`` and ``high``
+    ``(pair, reward, increment)`` options: the pair's members, its items,
+    its increment, the increment of the low option of the same effort,
+    which a failed turn charges, and its outcome unless severe.
 
     Jump gate: ``exact`` holds when both rewards are multiples of
     2**-STATE_DECIMALS and ``horizon * reward_high`` lies below ``_EXACT``,
     so every partial sum of a shift's items is exact and a jump's ``k *
-    items`` equals k additions; a decision carries an ``edge`` only then.
+    items`` equals k additions. A pair's steady flag holds when ``exact``
+    does and its increment is a non-negative multiple of
+    2**-STATE_DECIMALS; a decision carries an ``edge`` only then.
 
     Opening: before its first event a shift has no severe failure, hence no
     apology and no recovery, so every shift of the parameter set follows one
@@ -249,27 +246,24 @@ class _StagePolicy(StageGame):
     __slots__ = ("cfg", "pairs", "edges", "tables", "severe", "exact", "opening")
 
     def __init__(self, cfg: ModelConfig) -> None:
-        game = cfg.game
+        game, rule = cfg.game, cfg.variant.trust_rule
         super().__init__(game)
         self.cfg = cfg
-        self.pairs: dict[int, tuple] = {
-            id(pair): (
-                cobot,
-                human,
-                human_reward(human, game),
-                fatigue_increment(pair, game),
-                fatigue_increment(ACTION_PAIRS[CollabLevel.LOW, human], game),
-                classify_interaction(cfg.variant.trust_rule, pair, False, game),
-            )
-            for (cobot, human), pair in ACTION_PAIRS.items()
+        rewards = game.reward_normal, game.reward_high
+        self.exact = exact = (all((r * _DYADIC).is_integer() for r in rewards)
+                              and cfg.horizon * game.reward_high < _EXACT)
+        # (pair, reward, increment) of the four pairs, and of the low option
+        # of the same effort, whose increment a failed turn charges.
+        options, failed = self.low[:2] + self.high[:2], self.low[:2] * 2
+        self.pairs: dict[int, tuple[tuple, bool]] = {
+            id(pair): ((pair.cobot, pair.human, reward, inc, low[2],
+                        classify_interaction(rule, pair, False, game)),
+                       exact and inc >= 0.0 and (inc * _DYADIC).is_integer())
+            for (pair, reward, inc), low in zip(options, failed)
         }
-        increments = sorted((c[3] for c in self.pairs.values()), reverse=True)
-        self.edges = (*increments, -math.inf)
+        self.edges = (*sorted((inc for *_, inc in options), reverse=True), -math.inf)
         self.tables = tuple({} for _ in range(_APOLOGY + 1))
         self.severe: dict[float, float] = {}
-        rewards = game.reward_normal, game.reward_high
-        self.exact = (all((r * _DYADIC).is_integer() for r in rewards)
-                      and cfg.horizon * game.reward_high < _EXACT)
         start = cfg.trust.initial_trust, cfg.trust.initial_fatigue, -math.inf
         self.opening: tuple[list[tuple[float, float, float]], list[float]] = [start], [0]
 
@@ -300,21 +294,21 @@ class _StagePolicy(StageGame):
 
         ``edge`` is ``edges[level]`` when an undisrupted turn of this
         decision may start a fast-forward (see ``_simulate``), else None.
-        That needs the policy's rewards to keep the productivity total exact
-        (``exact``), the stage game to decide the turn (not an apology, whose
-        countdown changes the next turn), trust to stay put, so every later
-        turn at this level meets this decision again, and the increment to
-        be a non-negative multiple of 2**-STATE_DECIMALS, so fatigue never
-        falls and its sums stay exact.
+        That needs the pair's steady flag, fixed per policy: the rewards keep
+        the productivity total exact (``exact``), and the increment is a
+        non-negative multiple of 2**-STATE_DECIMALS, so fatigue never falls
+        and its sums stay exact. It also needs the stage game to decide the
+        turn (not an apology, whose countdown changes the next turn) and
+        trust to stay put, so every later turn at this level meets this
+        decision again.
         """
-        constants = self.pairs[id(pair)]
-        inc, outcome, tp = constants[3], constants[-1], self.cfg.trust
-        trust_post = update_trust(trust, outcome, tp)
+        constants, steady = self.pairs[id(pair)]
+        tp = self.cfg.trust
+        trust_post = update_trust(trust, constants[-1], tp)
         severe = self.severe.get(trust)
         if severe is None:
             severe = self.severe[trust] = update_trust(trust, _SEVERE, tp)
-        steady = (self.exact and trust_post == trust and level != _APOLOGY
-                  and inc >= 0.0 and (inc * _DYADIC).is_integer())
+        steady = steady and trust_post == trust and level != _APOLOGY
         return constants + (trust_post, severe, self.edges[level] if steady else None)
 
     def level(self, fatigue: float) -> int:
@@ -329,11 +323,20 @@ class _StagePolicy(StageGame):
         decision = table.get(trust)
         if decision is None:
             if level == _APOLOGY:
-                pair = self.best_response(CollabLevel.HIGH, trust)
+                pair = self.best_response(_HIGH, trust)
             else:
                 pair = self.solve(trust, fatigue)
             decision = table[trust] = self._decision(pair, trust, level)
         return decision
+
+
+def _exact_fatigue(cfg: ModelConfig, edges: tuple) -> bool:
+    """Whether the initial fatigue of ``cfg``, its difficult-pick surcharge
+    and the increments ``edges`` lists are all non-negative multiples of
+    2**-STATE_DECIMALS, none of them -0.0: then no fatigue of its shifts
+    needs the clamp or ``round()`` (see ``_simulate``)."""
+    terms = cfg.trust.initial_fatigue, cfg.disruption.difficult_pick_fatigue, *edges[:-1]
+    return all(math.copysign(1.0, x) > 0.0 and (x * _DYADIC).is_integer() for x in terms)
 
 
 def _simulate(
@@ -360,10 +363,19 @@ def _simulate(
 
     Exact fatigue: a turn's fatigue is ``round(max(0.0, fatigue + inc +
     extra), STATE_DECIMALS)``, except that ``round()`` is skipped for
-    multiples of 2**-STATE_DECIMALS. Such a
-    value has at most STATE_DECIMALS decimals, so rounding returns it
-    unchanged. Trust needs no arithmetic here: each decision carries its
-    post-turn trusts (see ``_StagePolicy._decision``).
+    multiples of 2**-STATE_DECIMALS. Such a value has at most
+    STATE_DECIMALS decimals, so rounding returns it unchanged. The clamp and
+    that test are skipped for the whole call when ``_exact_fatigue`` holds:
+    the initial fatigue, every pair's increment (a failed turn's is one of
+    them) and the difficult-pick surcharge are non-negative multiples of
+    2**-STATE_DECIMALS, none of them -0.0, which the clamp would map to 0.0.
+    Each fatigue is then +0.0 or more and such a multiple, so both are the
+    identity: a sum of multiples is exact below 2**(53 - STATE_DECIMALS),
+    and every double from ``_EXACT`` up is a multiple, so the flag needs no
+    horizon bound. Where ``fatigue * 2**STATE_DECIMALS`` overflows, the test
+    would also have dropped the turn's ``edge``, but that jump fails ``end <
+    _EXACT`` anyway. Trust needs no arithmetic here: each decision carries
+    its post-turn trusts (see ``_StagePolicy._decision``).
 
     Fast-forward: each stage-game turn finds its level (see
     ``_StagePolicy``) once: by one test on either side of the band, where
@@ -417,6 +429,7 @@ def _simulate(
     duration = cfg.apology_duration if cfg.variant.has_apology else 0
     horizon, leader, tables = cfg.horizon, policy.leader, policy.tables
     edges, threshold = policy.edges, policy.threshold
+    rounds = not _exact_fatigue(cfg, edges)
     largest, smallest = edges[0], edges[_TOP - 1]
     calm_get, top_get, apology_get = tables[0].get, tables[_TOP].get, tables[_APOLOGY].get
     past_end = horizon + 1, False
@@ -468,10 +481,11 @@ def _simulate(
             # so it has at most STATE_DECIMALS decimals already. An overflow to
             # inf fails is_integer() and is rounded.
             fatigue_post = fatigue + inc + extra
-            if not fatigue_post > 0.0:  # max(0.0, x), also for -0.0 and NaN
-                fatigue_post = 0.0
-            elif not (fatigue_post * dyadic).is_integer():
-                fatigue_post, edge = round(fatigue_post, STATE_DECIMALS), None
+            if rounds:
+                if not fatigue_post > 0.0:  # max(0.0, x), also for -0.0 and NaN
+                    fatigue_post = 0.0
+                elif not (fatigue_post * dyadic).is_integer():
+                    fatigue_post, edge = round(fatigue_post, STATE_DECIMALS), None
             # Tick before arming: a severe failure during an active apology must
             # still leave a full window behind it.
             if remaining:

@@ -59,6 +59,9 @@ class ActionPair:
     human: EffortLevel
 
 
+# Enum members bound once, as in engine: a read through the class is slow.
+_HIGH_EFFORT, _HIGH = EffortLevel.HIGH, CollabLevel.HIGH
+
 # The four joint actions, built once: ``ACTION_PAIRS[cobot, human]``.
 ACTION_PAIRS = {
     (cobot, human): ActionPair(cobot, human)
@@ -154,7 +157,7 @@ _FATIGUE_FIELDS = {
 
 def human_reward(effort: EffortLevel, params: GameParams) -> float:
     """Items picked in one turn at the given effort."""
-    return params.reward_high if effort is EffortLevel.HIGH else params.reward_normal
+    return params.reward_high if effort is _HIGH_EFFORT else params.reward_normal
 
 
 def fatigue_increment(pair: ActionPair, params: GameParams) -> float:
@@ -190,12 +193,11 @@ class StageGame:
         self.threshold, self.penalty = params.fatigue_threshold, params.penalty_weight
         self.tiebreak = params.cobot_tiebreak_trust
 
-    def _follow(self, options: tuple, trust: float) -> tuple[ActionPair, float, float]:
+    def _follow(self, options: tuple, kappa: float) -> tuple[ActionPair, float, float]:
         """The follower's ``(pair, reward, increment)`` among one level's
         ``options``: the higher utility, reward minus increment times the
-        cost multiplier, or the tie's choice within ``TIE_EPS``."""
+        cost multiplier ``kappa``, or the tie's choice within ``TIE_EPS``."""
         normal, high, tie = options
-        kappa = self.base - self.slope * trust
         u_normal = normal[1] - normal[2] * kappa
         u_high = high[1] - high[2] * kappa
         if abs(u_high - u_normal) <= TIE_EPS:
@@ -204,16 +206,17 @@ class StageGame:
 
     def best_response(self, collab: CollabLevel, trust: float) -> ActionPair:
         """The follower's pair given the leader's ``collab``."""
-        options = self.high if collab is CollabLevel.HIGH else self.low
-        return self._follow(options, trust)[0]
+        options = self.high if collab is _HIGH else self.low
+        return self._follow(options, self.base - self.slope * trust)[0]
 
     def solve(self, trust: float, fatigue: float) -> ActionPair:
         """The equilibrium pair at (trust, fatigue): the leader's payoff is
         the follower's reward, less the penalty when fatigue plus the pair's
         increment passes the threshold; an indifferent leader collaborates
         iff trust has reached the tie-break level."""
-        pair_low, u_low, inc_low = self._follow(self.low, trust)
-        pair_high, u_high, inc_high = self._follow(self.high, trust)
+        kappa = self.base - self.slope * trust
+        pair_low, u_low, inc_low = self._follow(self.low, kappa)
+        pair_high, u_high, inc_high = self._follow(self.high, kappa)
         if fatigue + inc_low > self.threshold:
             u_low -= self.penalty
         if fatigue + inc_high > self.threshold:

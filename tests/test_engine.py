@@ -27,8 +27,10 @@ from cobotsim import (
     ShiftSummary,
     StepRecord,
     TrustParams,
+    classify_interaction,
     emit_summary_json,
     fatigue_increment,
+    human_reward,
     run_ensemble,
     run_paired,
     run_shift,
@@ -618,6 +620,42 @@ def test_decision_carries_its_fast_forward_edge(table, trust, level, trust_post,
     assert decision[-1] == (policy.edges[0] if steady else None)
 
 
+_INCREMENTS = st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, 2.5, 2**-12, 2**-13, 0.3, -0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    increments=st.tuples(*[_INCREMENTS | st.floats(-10.0, 10.0)] * 4),
+    rewards=st.sampled_from([(1.0, 2.0), (1, 2), (0.1, 0.3), (0.0, 2**-12), (1.0, 2.0**28)]),
+    horizon=st.sampled_from([1, 50, 4095, 4096]),
+    variant=st.sampled_from(list(ModelVariant)),
+)
+def test_policy_constants_are_read_from_the_stage_game(increments, rewards, horizon, variant):
+    # _StagePolicy reads its per-pair constants from StageGame's options and
+    # fixes each pair's steady flag once; both must be what the game
+    # functions and the per-decision steady rule give.
+    game = GameParams(**dict(zip(_FINE, increments)), reward_normal=rewards[0],
+                      reward_high=rewards[1], penalty_weight=max(100.0, 2 * rewards[1]))
+    cfg = ModelConfig(variant=variant, horizon=horizon, game=game)
+    policy = _StagePolicy(cfg)
+    exact = (all((r * 2.0**STATE_DECIMALS).is_integer() for r in rewards)
+             and horizon * rewards[1] < 2.0**40)
+    assert policy.exact is exact
+    expected = {}
+    for (cobot, human), pair in ACTION_PAIRS.items():
+        inc = fatigue_increment(pair, game)
+        constants = (cobot, human, human_reward(human, game), inc,
+                     fatigue_increment(ACTION_PAIRS[LOW_C, human], game),
+                     classify_interaction(variant.trust_rule, pair, False, game))
+        steady = exact and inc >= 0.0 and (inc * 2.0**STATE_DECIMALS).is_integer()
+        expected[id(pair)] = (constants, steady)
+    # repr tells -0.0 from 0.0 and an int reward from a float one.
+    assert repr(policy.pairs) == repr(expected)
+    incs = sorted((fatigue_increment(pair, game) for pair in ACTION_PAIRS.values()),
+                  reverse=True)
+    assert repr(policy.edges) == repr((*incs, -math.inf))
+
+
 # ---------------------------------------------------------------- recovery
 
 
@@ -817,6 +855,44 @@ def test_jumped_records_hold_the_post_turn_trust(variant):
     cfg = cfg_for(variant, seed=3, horizon=60, trust=TrustParams(initial_trust=-0.0))
     records, _ = run_shift(cfg)
     assert repr(records) == repr(_chained_records(cfg))
+
+
+@pytest.mark.parametrize("variant", ["v1.2", "v1.3"])
+@pytest.mark.parametrize(
+    "kwargs, exact",
+    [
+        ({"game": GameParams(**_FINE)}, True),
+        ({"game": GameParams(**{**_FINE, "fatigue_normal_high": 0.5 + 2**-13})}, False),
+        ({"disruption": DisruptionParams(difficult_pick_fatigue=0.3)}, False),
+        # Every term -0.0 and every turn a pick: turn 1's sum is -0.0, which
+        # the clamp turns into 0.0.
+        ({"game": GameParams(**dict.fromkeys(_FINE, -0.0)),
+          "trust": TrustParams(initial_fatigue=-0.0),
+          "disruption": DisruptionParams(chance=1.0, severe_share=0.0,
+                                         difficult_pick_fatigue=-0.0)}, False),
+        # Sums past engine._EXACT = 2**40, where a double's spacing is 2**-12,
+        # past 2**41, where it is 2**-11 and sums round, and past 2**1012,
+        # where fatigue * 2**12 overflows to inf.
+        ({"game": GameParams(**_FINE), "trust": TrustParams(initial_fatigue=2.0**40 - 8)},
+         True),
+        ({"game": GameParams(**_FINE), "trust": TrustParams(initial_fatigue=2.0**41 - 64)},
+         True),
+        ({"game": GameParams(**dict.fromkeys(_FINE, 2.0**1011))}, True),
+        ({"trust": TrustParams(initial_fatigue=2.0**1012)}, False),
+    ],
+    ids=["2^-12", "one-2^-13", "surcharge-0.3", "all--0.0", "past-2^40", "past-2^41",
+         "past-2^1012", "from-2^1012"],
+)
+def test_exact_fatigue_skips_only_identity_clamps_and_rounds(variant, kwargs, exact):
+    # While _exact_fatigue holds, the shift loop neither clamps nor rounds a
+    # fatigue; the reference does both on every turn. Past 2**40 every
+    # double is a multiple of 2**-12, so the flag needs no horizon bound.
+    cfg = cfg_for(variant, seed=3, horizon=300, **kwargs)
+    assert engine._exact_fatigue(cfg, _StagePolicy(cfg).edges) is exact
+    records, summary = run_shift(cfg)
+    expected = _chained_records(cfg)
+    assert [*map(repr, records)] == [*map(repr, expected)]
+    assert repr(summary) == repr(summarize_shift(expected, cfg.horizon))
 
 
 def _chained_summary(cfg):

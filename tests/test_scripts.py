@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cobotsim import ModelConfig, parse_config, render_config
 from cobotsim.configio import KNOWN_KEYS
 
@@ -218,13 +220,20 @@ def test_bench_keeps_the_last_line_of_each_perfbench_run(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import bench
 
-    runs = bench.perfbench(0.1, dict(os.environ, PYTHONPATH=str(SRC)))
+    runs = bench.perfbench(0.1, 2, dict(os.environ, PYTHONPATH=str(SRC)))
     benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert runs["seed"] == bench.PERFBENCH_SEED
-    assert runs["seconds"] == 0.1
+    assert (runs["seconds"], runs["runs"]) == (0.1, 2)
     assert list(runs["workloads"]) == [w["name"] for w in benchmark["workloads"]]
     for run in runs["workloads"].values():
         assert run["correct"] is True
         assert [m["name"] for m in benchmark["end_to_end"]] == list(run["metrics"])
-        assert all(set(m) == {"value", "unit"} for m in run["metrics"].values())
-        assert run["metrics"]["ok_frac"]["value"] == 1.0
+        for metric in run["metrics"].values():
+            assert list(metric) == ["unit", "median", "q1", "q3", "values"]
+            low, high = sorted(metric["values"])
+            # The inclusive quartiles of two values lie a quarter of the way in.
+            assert metric["q1"] == pytest.approx(low + (high - low) / 4)
+            assert metric["median"] == pytest.approx((low + high) / 2)
+            assert metric["q3"] == pytest.approx(high - (high - low) / 4)
+        assert run["metrics"]["ok_frac"]["values"] == [1.0, 1.0]
+    assert bench.perfbench(0, 2, {}) is None
