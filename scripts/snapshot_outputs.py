@@ -10,6 +10,14 @@ name, so two snapshots, say of two commits, compare with ``diff -r``:
     PYTHONPATH=src python3 scripts/snapshot_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
 
+With ``--manifest FILE`` it snapshots into a temporary directory and
+writes FILE instead: one ``sha256  relative/path`` line per file, sorted by
+path, as ``sha256sum`` prints them, so ``sha256sum -c FILE`` run inside a
+snapshot checks it. ``tests/golden/snapshot.sha256`` is that manifest, and
+a Tier-1 test compares a fresh snapshot with it:
+
+    PYTHONPATH=src python3 scripts/snapshot_outputs.py --manifest tests/golden/snapshot.sha256
+
 Two commands read ``all_keys.conf``, which the script writes into OUT_DIR
 first: it sets every known config key to a valid non-default value, so the
 comparison covers the parsing of each key. A third passes the same lines as
@@ -23,9 +31,11 @@ Exits 1 if any command exits non-zero, after running the rest.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from cobotsim.cli import main
@@ -134,7 +144,32 @@ def snapshot(out_dir: Path) -> int:
     return status
 
 
+def manifest(out_dir: Path) -> str:
+    """One ``sha256  relative/path`` line per file under ``out_dir``, sorted
+    by path."""
+    files = {p.relative_to(out_dir).as_posix(): p for p in out_dir.rglob("*") if p.is_file()}
+    return "".join(
+        f"{hashlib.sha256(files[name].read_bytes()).hexdigest()}  {name}\n"
+        for name in sorted(files)
+    )
+
+
+def write_manifest(file: Path) -> int:
+    """Snapshot into a temporary directory and write its ``manifest`` to
+    ``file``; writes nothing if a command fails."""
+    file, home = file.resolve(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        status = snapshot(Path(tmp))
+        os.chdir(home)
+        if not status:
+            file.write_text(manifest(Path(tmp)), encoding="utf-8")
+    return status
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {Path(sys.argv[0]).name} OUT_DIR")
+    usage = f"usage: {Path(sys.argv[0]).name} OUT_DIR | --manifest FILE"
+    if len(sys.argv) == 3 and sys.argv[1] == "--manifest":
+        sys.exit(write_manifest(Path(sys.argv[2])))
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.exit(usage)
     sys.exit(snapshot(Path(sys.argv[1])))

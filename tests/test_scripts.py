@@ -15,6 +15,7 @@ from cobotsim.configio import KNOWN_KEYS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
+GOLDEN_MANIFEST = Path(__file__).resolve().parent / "golden" / "snapshot.sha256"
 
 
 def run_script(name, *args, cwd, environ=os.environ):
@@ -79,6 +80,34 @@ def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
         assert (snap / "run_all_keys_set" / name).read_bytes() == (
             snap / "run_all_keys" / name
         ).read_bytes()
+
+
+def _hashes(manifest):
+    """``{path: sha256}`` of a manifest's ``sha256  path`` lines."""
+    lines = (line.split("  ", 1) for line in manifest.splitlines())
+    return {path: digest for digest, path in lines}
+
+
+def test_snapshot_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
+    # Every artifact and stdout of the snapshot's commands, byte for byte.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import snapshot_outputs
+
+    monkeypatch.chdir(tmp_path)  # snapshot() changes directory
+    assert snapshot_outputs.snapshot(tmp_path / "snap") == 0
+    got = _hashes(snapshot_outputs.manifest(tmp_path / "snap"))
+    expected = _hashes(GOLDEN_MANIFEST.read_text(encoding="utf-8"))
+    differ = sorted(p for p in got.keys() & expected.keys() if got[p] != expected[p])
+    missing, extra = sorted(expected.keys() - got.keys()), sorted(got.keys() - expected.keys())
+    assert (differ, missing, extra) == ([], [], [])
+
+
+def test_snapshot_outputs_writes_its_manifest(tmp_path):
+    result = run_script("snapshot_outputs.py", "--manifest", "m.sha256", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.sha256"]
+    assert (tmp_path / "m.sha256").read_bytes() == GOLDEN_MANIFEST.read_bytes()
+    assert run_script("snapshot_outputs.py", "--manifest", cwd=tmp_path).returncode == 1
 
 
 def test_cross_version_finds_no_difference_under_one_interpreter(tmp_path):
