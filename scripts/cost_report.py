@@ -116,12 +116,14 @@ def opcodes(op) -> tuple[Counter, int]:
 
 
 def ops(tmp: Path):
-    """``(name, op)`` of one fixed op per benchmark workload, then a
-    1000-seed ensemble, whose counts show the cost of each seed beyond its
-    shift."""
+    """``(name, op)`` of one fixed op per benchmark workload, the v1.3 and
+    v1.2 halves of ``long-shift`` apart, then a 1000-seed ensemble, whose
+    counts show the cost of each seed beyond its shift."""
     yield "compare --seeds 25 (paired-ensemble)", lambda: cli.format_comparison(25, 1001)
-    shift = engine.ModelConfig(variant=engine.ModelVariant.V1_3, horizon=2000, seed=11)
-    yield "v1.3 2000-turn run_shift (long-shift)", lambda: engine.run_shift(shift)
+    for variant in ("v1.3", "v1.2"):
+        shift = engine.ModelConfig(variant=engine.ModelVariant(variant), horizon=2000, seed=11)
+        yield (f"{variant} 2000-turn run_shift (long-shift)",
+               lambda cfg=shift: engine.run_shift(cfg))
     runs = iter(range(2))
 
     def run():

@@ -292,8 +292,9 @@ class _StagePolicy(StageGame):
         for every level, keyed by the float alone: a key holding the
         outcome would hash an enum member in Python.
 
-        ``edge`` is ``edges[level]`` when an undisrupted turn of this
-        decision may start a fast-forward (see ``_simulate``), else None.
+        ``edge`` is ``edges[level]`` when a turn of this decision that no
+        cobot failure strikes may start a fast-forward (see ``_simulate``),
+        else None; a difficult pick adds to fatigue alone.
         That needs the pair's steady flag, fixed per policy: the rewards keep
         the productivity total exact (``exact``), and the increment is a
         non-negative multiple of 2**-STATE_DECIMALS, so fatigue never falls
@@ -386,17 +387,27 @@ def _simulate(
     outcome and trust, and adds the same ``inc`` to fatigue. While fatigue
     and ``inc`` are non-negative multiples of 2**-STATE_DECIMALS below
     ``_EXACT`` each sum is exact, so ``fatigue + k * inc`` is what k
-    turns would reach. The jump is taken only when:
+    turns would reach. A difficult pick on the jumped-from turn changes
+    none of that: it adds its surcharge, >= 0, to that turn's fatigue
+    alone, and leaves the outcome and trust to the decision. Fatigue only
+    rises from the turn's pre-turn fatigue, so every threshold test of its
+    level holds on, and the edge test below covers the rest. The jump is
+    taken only when:
 
     - the decision carries an ``edge``, which needs ``policy.exact``, so
       ``total + k * items`` is what k turns would add;
-    - no event struck the turn, and its fatigue needed no ``round()``, so
-      it is a multiple of 2**-STATE_DECIMALS;
+    - no cobot failure struck the turn, and its fatigue needed no
+      ``round()``, so it is a multiple of 2**-STATE_DECIMALS;
     - k > 0, and ``end = fatigue + k * inc`` lies below ``_EXACT``,
       so every partial sum is an exact double and needs no ``round()``;
     - the test of the level's ``edge``, the next to turn true, stays false
       up to the last skipped turn, ``not (end - inc) + edge > threshold``,
       which always holds at the top level, whose edge is -inf.
+
+    Peak: while ``_exact_fatigue`` holds every fatigue term is >= 0, so
+    fatigue never falls and the peak is the shift's final fatigue, set once
+    after its loop. Otherwise (``rounds``) each turn tests its post-turn
+    fatigue, and a jump its ``end``.
 
     Productivity: the running total, ``total += items`` per turn and
     ``total += k * items`` per jump, the left-to-right sum of the items.
@@ -468,10 +479,9 @@ def _simulate(
             (cobot, human, items, inc, failed_inc, outcome, trust_post, severe_trust,
              edge) = decision
             event, extra = none, 0.0
-            if step == event_turn:  # no jump from an event's turn
-                edge = None
-                if event_severe:
-                    event, inc, outcome = failure, failed_inc, severe
+            if step == event_turn:
+                if event_severe:  # no jump from a cobot failure's turn
+                    event, inc, outcome, edge = failure, failed_inc, severe, None
                     trust_post = severe_trust
                 else:
                     event, extra = pick, pick_extra
@@ -479,13 +489,17 @@ def _simulate(
             # The fatigue update, skipping round() where it is the identity: a
             # multiple of 1/dyadic is m * 5**STATE_DECIMALS / 10**STATE_DECIMALS,
             # so it has at most STATE_DECIMALS decimals already. An overflow to
-            # inf fails is_integer() and is rounded.
+            # inf fails is_integer() and is rounded. Without rounds fatigue
+            # never falls, so the peak is the final fatigue, set after the loop
+            # (see Peak).
             fatigue_post = fatigue + inc + extra
             if rounds:
                 if not fatigue_post > 0.0:  # max(0.0, x), also for -0.0 and NaN
                     fatigue_post = 0.0
                 elif not (fatigue_post * dyadic).is_integer():
                     fatigue_post, edge = round(fatigue_post, STATE_DECIMALS), None
+                if fatigue_post > peak:
+                    peak = fatigue_post
             # Tick before arming: a severe failure during an active apology must
             # still leave a full window behind it.
             if remaining:
@@ -551,11 +565,11 @@ def _simulate(
                     total += k * items
                     fatigue_post = end
                     step += k
-            # After a jump too: inc >= 0, so its end is the stretch's largest.
-            if fatigue_post > peak:
-                peak = fatigue_post
+                    # inc >= 0, so the end is the stretch's largest fatigue.
+                    if end > peak:
+                        peak = end
             trust, fatigue = trust_post, fatigue_post
-        shifts.append((records, total, fatigue, trust, peak, recoveries))
+        shifts.append((records, total, fatigue, trust, peak if rounds else fatigue, recoveries))
     return shifts
 
 

@@ -396,16 +396,20 @@ def _level(fatigue, game):
 _TOP = 4  # the level where every test holds
 
 
-def _steady_stretches(records, game):
-    """``(level, increment, post-turn fatigue, k)`` for each steady turn: a
-    stage-game turn with no event and no trust change, followed by k >= 1
-    undisrupted turns before the next event or the horizon. The shift loop
-    may jump over those k turns."""
+def _undisrupted(record):
+    return record.disruption_event is DisruptionEvent.NONE
+
+
+def _steady_stretches(records, game, turn=_undisrupted):
+    """``(level, increment, post-turn fatigue, k)`` for each steady turn that
+    ``turn`` admits, by default one with no event: a stage-game turn with no
+    trust change, followed by k >= 1 undisrupted turns before the next event
+    or the horizon. The shift loop may jump over those k turns, unless a
+    cobot failure struck the steady turn."""
     leader_steps = {r.step for r in _leader_turns(records)}
     stretches = []
     for i, r in enumerate(records):
-        if (r.step not in leader_steps or r.disruption_event is not DisruptionEvent.NONE
-                or r.trust_post != r.trust_pre):
+        if r.step not in leader_steps or not turn(r) or r.trust_post != r.trust_pre:
             continue
         k = 0
         for later in records[i + 1:]:
@@ -445,12 +449,14 @@ def _crosses_edge(stretch, game):
     return _exact(stretch) and not _keeps_level(stretch, game)
 
 
-def _stretch(level, condition=_jump_taken):
-    """An ``exercised`` predicate: some steady stretch at ``level`` meets
-    ``condition``, by default that the jump is taken."""
+def _stretch(level, condition=_jump_taken, turn=_undisrupted):
+    """An ``exercised`` predicate: some steady stretch at ``level`` from a
+    turn that ``turn`` admits meets ``condition``, by default that the jump
+    is taken."""
     def exercised(records, game):
         return any(
-            s[0] == level and condition(s, game) for s in _steady_stretches(records, game)
+            s[0] == level and condition(s, game)
+            for s in _steady_stretches(records, game, turn)
         )
     return exercised
 
@@ -581,6 +587,101 @@ def test_long_shift_matches_chained_run_step(variant):
     assert records[-1].fatigue_post > 10 * cfg.game.fatigue_threshold
     assert 50 <= sum(r.outcome is SEVERE for r in records) <= 200
     assert _stretch(_TOP)(records, cfg.game)
+
+
+_PICK = DisruptionEvent.DIFFICULT_PICK
+
+
+def _picked(record):
+    return record.disruption_event is _PICK
+
+
+def _picked_at(trust):
+    """A ``turn`` predicate of ``_stretch``: a difficult pick at ``trust``."""
+    return lambda record: _picked(record) and record.trust_pre == trust
+
+
+def _pick_leaps_past_edge(records, game):
+    """A steady difficult pick with a dyadic fatigue whose surcharge alone
+    takes the next, undisrupted turn past its level's edge, where the
+    leader plays another action pair: the jump gate must refuse it."""
+    threshold, edges = game.fatigue_threshold, _edges(game)
+
+    def leaps(rec, nxt):
+        edge = edges[_level(rec.fatigue_pre, game)]
+        return (_picked(rec) and rec.trust_post == rec.trust_pre and _undisrupted(nxt)
+                and _dyadic(rec.fatigue_post) and rec.fatigue_post + edge > threshold
+                and not rec.fatigue_post - rec.extra_fatigue + edge > threshold
+                and (nxt.cobot_action, nxt.human_action)
+                != (rec.cobot_action, rec.human_action))
+    return any(map(leaps, records, records[1:]))
+
+
+def _steady_forced_pick(records, game):
+    """A forced turn struck by a difficult pick that keeps trust and is
+    followed by an undisrupted turn: an apology decision carries no edge,
+    so the loop must not jump from it."""
+    return any(
+        prev.apology_remaining_post and _picked(rec) and rec.trust_post == rec.trust_pre
+        and _undisrupted(nxt)
+        for prev, rec, nxt in zip(records, records[1:], records[2:])
+    )
+
+
+def _every_turn_picked(records, game):
+    """Every turn a difficult pick, so no jump has a turn to skip, and some
+    keep trust, so their decisions carry an edge."""
+    return all(map(_picked, records)) and any(r.trust_post == r.trust_pre for r in records)
+
+
+def _peak_before_the_end(records, game):
+    """Fatigue falls after its peak, so the peak is not the final fatigue."""
+    return max(r.fatigue_post for r in records) > records[-1].fatigue_post
+
+
+@pytest.mark.parametrize(
+    "variant, kwargs, exercised",
+    [
+        ("v1.2", {"horizon": 200}, _stretch(_TOP, turn=_picked_at(0.0))),
+        ("v1.2", {"horizon": 100, "disruption": DisruptionParams(severe_share=0.1),
+                  "trust": TrustParams(initial_trust=1.0)},
+         _stretch(0, turn=_picked_at(1.0))),
+        # From trust 0 the leader plays low until the penalty forces high
+        # collaboration at fatigue 79.25: a pick from 75.25 lands on it.
+        ("v1.2", {"horizon": 100,
+                  "trust": TrustParams(initial_trust=0.0, initial_fatigue=0.25),
+                  "disruption": DisruptionParams(chance=0.1, severe_share=0.0,
+                                                 difficult_pick_fatigue=3.0)},
+         _pick_leaps_past_edge),
+        # round() drops the edge of a pick's non-dyadic fatigue. Sums of 1.0
+        # onto fatigues with 12 or fewer decimals happen to equal their
+        # rounded values here; onto a 13th decimal they do not.
+        ("v1.2", {"horizon": 100, "disruption": DisruptionParams(
+            severe_share=0.1, difficult_pick_fatigue=0.3)},
+         _stretch(0, lambda s, game: not _dyadic(s[2]), turn=_picked)),
+        ("v1.2", {"horizon": 400, "disruption": DisruptionParams(
+            severe_share=0.1, difficult_pick_fatigue=2**-13)},
+         _stretch(0, lambda s, game: not _dyadic(s[2]), turn=_picked)),
+        ("v1.3", {"trust": TrustParams(gain=0.25, severe_loss=0.25, initial_trust=1.0),
+                  "disruption": DisruptionParams(chance=0.3), "apology_duration": 5},
+         _steady_forced_pick),
+        ("v1.3", {"disruption": DisruptionParams(chance=1.0, severe_share=0.0)},
+         _every_turn_picked),
+        # (high, normal) lowers fatigue by 1, so the shift loop tests the peak
+        # on every turn.
+        ("v1.2", {"game": GameParams(**_NEGATIVE), "trust": TrustParams(initial_trust=1.0)},
+         _peak_before_the_end),
+    ],
+    ids=["pick-trust-0", "pick-trust-1", "surcharge-past-edge", "surcharge-0.3",
+         "surcharge-2^-13", "pick-on-apology-turn", "every-turn-a-pick", "negative-entry-peak"],
+)
+def test_jumps_from_difficult_picks_match_chained_run_step(variant, kwargs, exercised):
+    # A difficult pick adds its surcharge to its own turn's fatigue alone,
+    # so the shift loop may jump from it, unless the gate refuses. Each case
+    # is exercised by one seed at least.
+    cfgs = [cfg_for(variant, seed=seed, **kwargs) for seed in (3, 11)]
+    assert any([exercised(_matches_chained_run_step(cfg), cfg.game) for cfg in cfgs])
+    _assert_paired_equals_run_shift(paired_cfgs(("v1.2", "v1.3"), **kwargs), 12, 1)
 
 
 def test_step_record_adds_nothing_to_its_dataclass_init():

@@ -141,8 +141,9 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     ]
     header, *ops = counts.splitlines()
     assert header.split() == ["op", "opcodes", "calls"]
-    # One op per benchmark workload, then the 1000-seed ensemble.
-    assert len(ops) == 4
+    # One op per benchmark workload, long-shift's v1.3 and v1.2 halves apart,
+    # then the 1000-seed ensemble.
+    assert len(ops) == 5
     # Every Python call executes opcodes, so an op has more of them.
     for line in ops:
         opcode_count, calls = map(int, line.split()[-2:])
@@ -150,7 +151,7 @@ def test_cost_report_prints_sizes_and_opcode_counts(tmp_path):
     # Each op's name, then its five largest functions by descending share.
     header, *rows = functions.splitlines()
     assert header.split() == ["share", "op", "/", "function"]
-    assert len(rows) == 4 * 6
+    assert len(rows) == 5 * 6
     for op, block in zip(ops, (rows[i:i + 6] for i in range(0, len(rows), 6))):
         assert op.startswith(block[0] + " ")
         shares = [float(row.split()[0]) for row in block[1:]]
@@ -225,7 +226,7 @@ def test_bench_records_sizes_counts_times_and_versions(tmp_path):
     assert {name for name, _ in modules} >= {"engine.py", "cli.py", "game.py"}
     for key in ("lines", "code"):
         assert sum(module[key] for _, module in modules) == total[1][key]
-    assert len(record["ops"]) == 4
+    assert len(record["ops"]) == 5
     assert all(0 < op["calls"] < op["opcodes"] for op in record["ops"].values())
     for op in record["ops"].values():
         shares = list(op["files"].values())
