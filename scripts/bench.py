@@ -16,6 +16,12 @@ The record holds:
   that do not vary between runs, and ``files``, the share of the op's
   opcodes executed in each file (``cost_report.file_shares``, to six
   significant digits), largest first;
+- ``layers``: per-layer timings taken in this process. Today it holds
+  ``draws_us_per_seed``, the µs per seed of one ``ScheduleDrawer.draws``
+  call at the default disruption parameters from seed 1, for 25 seeds at
+  horizon 50 (the draw of a ``compare --seeds 25`` op) and 8 seeds at
+  horizon 2000 (one ``run_paired`` block at that horizon), each the best
+  of ``--repeats`` rounds of ``DRAW_CALLS`` calls;
 - ``wall_ms``: each timed command's argv and its wall times in ms over
   ``--repeats`` rounds, with their best, median and worst. Each command
   runs as its own process under this interpreter, from a temporary
@@ -55,10 +61,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
 
 import cost_report
 import cross_version
+from cobotsim.disruption import DisruptionParams, ScheduleDrawer
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench" / "run.py"
@@ -79,6 +87,11 @@ COMMANDS = (
     ("compare --seeds 1000", [*CLI, "compare", "--seeds", "1000", "--out", "out"]),
 )
 
+# (horizon, seeds) of each timed ScheduleDrawer.draws call, and the calls
+# per round.
+DRAWS = ((50, 25), (2000, 8))
+DRAW_CALLS = 20
+
 
 def size() -> dict:
     """Physical and code lines per module, then their totals."""
@@ -88,6 +101,18 @@ def size() -> dict:
         key: sum(module[key] for module in modules.values()) for key in ("lines", "code")
     }
     return modules
+
+
+def layers(repeats: int) -> dict:
+    """µs per seed of ``ScheduleDrawer.draws`` over each of ``DRAWS``, best
+    of ``repeats`` rounds."""
+    draws = {}
+    for horizon, seeds in DRAWS:
+        drawer = ScheduleDrawer(horizon, DisruptionParams())
+        best = min(timeit.repeat(lambda: drawer.draws(1, 1 + seeds),
+                                 number=DRAW_CALLS, repeat=repeats))
+        draws[f"horizon_{horizon}_seeds_{seeds}"] = round(1e6 * best / DRAW_CALLS / seeds, 3)
+    return {"draws_us_per_seed": draws}
 
 
 def wall_ms(repeats: int, env: dict) -> dict:
@@ -171,6 +196,7 @@ def record(repeats: int, pythons: list[str], seconds: float, runs: int) -> dict:
         "environment": cost_report.ENVIRONMENT,
         "size": size(),
         "ops": ops,
+        "layers": layers(repeats),
         "wall_ms": wall_ms(repeats, env),
         "cross_version": cross_versions(pythons, env),
         "perfbench": perfbench(seconds, runs, env),
@@ -182,7 +208,7 @@ def main() -> int:
     parser.add_argument("--record", required=True, type=Path, metavar="PATH",
                         help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=7, metavar="N",
-                        help="rounds of timed commands (default 7)")
+                        help="rounds of timed commands and draws (default 7)")
     parser.add_argument("--python", action="append", default=[], metavar="PY",
                         help="an interpreter for cross_version.py; repeat for each")
     parser.add_argument("--perfbench-seconds", type=float, default=10.0, metavar="S",

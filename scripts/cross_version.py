@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run ``snapshot_outputs.py`` under each Python interpreter given and
-compare every snapshot with the first one's:
+compare every snapshot with the golden manifest and with the first one's:
 
     PYTHONPATH=src python3 scripts/cross_version.py PY [PY ...]
 
@@ -9,9 +9,14 @@ so pointing it at another tree's ``src`` snapshots that tree. For each
 interpreter after the first, the script prints a line naming it and its
 version, then the output of ``diff -r`` between the first snapshot and its
 own; the snapshot directories are named ``<index>-<version>``, so the
-output does not depend on where they are written.
+output does not depend on where they are written. Each snapshot's
+``snapshot_outputs.manifest`` is also compared with ``GOLDEN``, this
+tree's ``tests/golden/snapshot.sha256``: where they differ, the script
+prints a line naming the interpreter and the manifest, then each relative
+path whose hash differs or that only one of the two lists.
 
-Exits 1 if any snapshot differs from the first or fails to run, else 0.
+Exits 1 if any snapshot differs from the golden manifest or the first, or
+fails to run, else 0.
 """
 
 import subprocess
@@ -19,7 +24,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-SNAPSHOT = Path(__file__).resolve().parent / "snapshot_outputs.py"
+import snapshot_outputs
+
+SNAPSHOT = Path(snapshot_outputs.__file__).resolve()
+GOLDEN = SNAPSHOT.parent.parent / "tests" / "golden" / "snapshot.sha256"
 VERSION = "import platform; print(platform.python_version())"
 
 
@@ -50,20 +58,39 @@ def snapshot(python: str, index: int, tmp: Path) -> str | None:
     return name
 
 
+def mismatches(manifest: str, golden: str) -> list[str]:
+    """The relative paths whose hash differs between two manifests, or that
+    only one of them lists, sorted."""
+    got, expected = (
+        {path: digest for digest, path in (line.split("  ", 1) for line in text.splitlines())}
+        for text in (manifest, golden)
+    )
+    return sorted(path for path in got.keys() | expected.keys()
+                  if got.get(path) != expected.get(path))
+
+
 def main(pythons: list[str]) -> int:
     status = 0
+    golden = GOLDEN.read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         names = [snapshot(python, i, Path(tmp)) for i, python in enumerate(pythons)]
         if None in names:
             return 1
         first = names[0]
-        for python, name in zip(pythons[1:], names[1:]):
-            print(f"== {python} ({name.partition('-')[2]}) against {first}")
-            diff = subprocess.run(
-                ["diff", "-r", first, name], cwd=tmp, capture_output=True, text=True
-            )
-            print(diff.stdout, end="")
-            if diff.returncode:
+        for index, (python, name) in enumerate(zip(pythons, names)):
+            version = name.partition("-")[2]
+            if index:
+                print(f"== {python} ({version}) against {first}")
+                diff = subprocess.run(
+                    ["diff", "-r", first, name], cwd=tmp, capture_output=True, text=True
+                )
+                print(diff.stdout, end="")
+                if diff.returncode:
+                    status = 1
+            differ = mismatches(snapshot_outputs.manifest(Path(tmp, name)), golden)
+            if differ:
+                print(f"== {python} ({version}) against {GOLDEN.name}")
+                print(*differ, sep="\n")
                 status = 1
     return status
 

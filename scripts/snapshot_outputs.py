@@ -128,19 +128,26 @@ def commands():
 
 
 def snapshot(out_dir: Path) -> int:
+    """Run every command from inside ``out_dir``, then change back to the
+    working directory it was called from, also if a command raises
+    (``contextlib.chdir`` would need Python 3.11)."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    home = os.getcwd()
     os.chdir(out_dir)
-    Path(CONFIG).write_text(CONFIG_TEXT, encoding="utf-8")
-    status = 0
-    for name, argv in commands():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main([*argv, "--out", name])
-        Path(name).mkdir(exist_ok=True)
-        Path(name, "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
-        if code:
-            print(f"{name}: exit {code}", file=sys.stderr)
-            status = 1
+    try:
+        Path(CONFIG).write_text(CONFIG_TEXT, encoding="utf-8")
+        status = 0
+        for name, argv in commands():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, "--out", name])
+            Path(name).mkdir(exist_ok=True)
+            Path(name, "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+            if code:
+                print(f"{name}: exit {code}", file=sys.stderr)
+                status = 1
+    finally:
+        os.chdir(home)
     return status
 
 
@@ -157,10 +164,8 @@ def manifest(out_dir: Path) -> str:
 def write_manifest(file: Path) -> int:
     """Snapshot into a temporary directory and write its ``manifest`` to
     ``file``; writes nothing if a command fails."""
-    file, home = file.resolve(), os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         status = snapshot(Path(tmp))
-        os.chdir(home)
         if not status:
             file.write_text(manifest(Path(tmp)), encoding="utf-8")
     return status

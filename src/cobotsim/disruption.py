@@ -21,7 +21,9 @@ it computes splitmix64 for a block of stream positions at once, packed as
 integer cutoff (``uniform_cutoff``), so its events equal those of the
 turn-by-turn rule above, draw for draw. The compare reads one byte per
 lane, the output's top eight bits, and settles the rare lanes whose byte
-ties the cutoff's on the full output (``_below``).
+ties the cutoff's on the full output (``_below``). ``ScheduleDrawer.draws``
+draws a range of consecutive seeds in one call: seed s + 1's first block
+of lane states is seed s's plus one in every lane.
 """
 
 from __future__ import annotations
@@ -141,13 +143,20 @@ class ScheduleDrawer:
     The lane states ``state + j * gamma`` come from a ramp constant made once
     per drawer; each xor-shift-multiply step is then a few big-int operations
     under a per-lane 64-bit mask (the last product needs none, see
-    ``_block``), and no lane carries into the next, because a product of two
+    ``draws``), and no lane carries into the next, because a product of two
     64-bit values fits in 128 bits. The lanes are compared
-    with the two cutoffs (see ``uniform_cutoff``) one byte per lane, by
-    ``_below``; the walk from those hits to turns shifts every turn after an
-    event by one position, its severity draw. A block has at most
-    ``_LANES`` lanes, so memory stays bounded for any horizon: a walk that
-    runs past its block draws the next one from where it stopped.
+    with the two cutoffs (see ``uniform_cutoff``) one byte per lane, and
+    ``_below`` settles the ties; the walk from those hits to turns shifts
+    every turn after an event by one position, its severity draw. A block
+    has at most ``_LANES`` lanes, so memory stays bounded for any horizon: a
+    walk that runs past its block draws the next one from where it stopped.
+
+    ``draws`` takes a range of seeds and binds these constants once. Every
+    first block of a seed starts at stream position 1, so consecutive
+    seeds' first-block lane states differ by one in every lane: each seed
+    after the first gets its first block from the previous one's by adding
+    ``ones`` under the mask, where drawing it afresh costs a multiply too.
+    Each seed still has its own blocks and its own walk.
     """
 
     __slots__ = ("horizon", "lanes", "ones", "mask", "ramp", "occurs", "severe")
@@ -171,50 +180,68 @@ class ScheduleDrawer:
         cutoff = uniform_cutoff(dp.severe_share)
         self.severe = cutoff, _cutoff_table(cutoff)
 
-    def _block(self, state: int) -> tuple[bytes | bytearray, bytes | bytearray]:
-        """Per lane, one byte: 1 where the draw at that position lies below
-        the chance, and 1 where it lies below the severe share. Lane 0 is the
-        draw whose splitmix64 state is ``state``. The final xor-shift is left
-        to ``_below``, which needs it only for ties."""
-        mask = self.mask
-        z = (state * self.ones + self.ramp) & mask
-        z ^= (z >> 30) & mask
-        z = (z * _MIX1) & mask
-        z ^= (z >> 27) & mask
-        # No mask: each lane is below 2**64, so its product is below 2**128
-        # and carries into no other lane, and only its low 8 bytes are read.
-        z *= _MIX2
-        lanes = z.to_bytes(16 * self.lanes, "little")
-        top = lanes[7::16]
-        return _below(lanes, top, *self.occurs), _below(lanes, top, *self.severe)
+    def draws(self, start: int, stop: int) -> list[list[tuple[int, bool]]]:
+        """``[schedule(s, horizon, dp) for s in range(start, stop)]`` for
+        this drawer's horizon and dp, with the drawer's constants bound once.
+
+        ``z`` holds a block's lane states, ``s + (drawn + j + 1) * gamma``
+        for seed s at lane j, ``drawn`` positions on. The last product needs
+        no mask: each lane is below 2**64, so its product is below 2**128
+        and carries into no other lane, and only its low 8 bytes are read.
+        The final xor-shift is left to ``_below``, which needs it only for
+        ties, so it runs only where a one-byte test meets one (a 2).
+        """
+        if start < 0 or stop - 1 > _MASK64:
+            bad = start if start < 0 else stop - 1
+            raise ValueError(f"seed must be an unsigned 64-bit integer (got {bad})")
+        horizon, lanes, ones, mask = self.horizon, self.lanes, self.ones, self.mask
+        ramp = self.ramp
+        (occurs_cut, occurs_table), (severe_cut, severe_table) = self.occurs, self.severe
+        size = 16 * lanes
+        first = (((start + _GAMMA) & _MASK64) * ones + ramp) & mask
+        schedules = []
+        for seed in range(start, stop):
+            events = []
+            turn = 1  # the turn whose occurrence draw is at lane `at`
+            drawn = 0  # stream positions before lane 0 of the block
+            z = first
+            while True:
+                z ^= (z >> 30) & mask
+                z = (z * _MIX1) & mask
+                z ^= (z >> 27) & mask
+                words = (z * _MIX2).to_bytes(size, "little")
+                top = words[7::16]
+                occurs = top.translate(occurs_table)
+                if 2 in occurs:
+                    occurs = _below(words, top, occurs_cut, occurs_table)
+                severe = top.translate(severe_table)
+                if 2 in severe:
+                    severe = _below(words, top, severe_cut, severe_table)
+                at = 0
+                while True:
+                    hit = occurs.find(1, at)
+                    if hit < 0:  # no event in the rest of the block
+                        turn += lanes - at
+                        drawn += lanes
+                        break
+                    turn += hit - at
+                    # Past the horizon, or its severity draw is in the next block.
+                    if turn > horizon or hit + 1 == lanes:
+                        drawn += hit
+                        break
+                    events.append((turn, severe[hit + 1] == 1))
+                    turn += 1
+                    at = hit + 2
+                if turn > horizon:
+                    break
+                z = (((seed + (drawn + 1) * _GAMMA) & _MASK64) * ones + ramp) & mask
+            schedules.append(events)
+            first = (first + ones) & mask
+        return schedules
 
     def draw(self, seed: int) -> list[tuple[int, bool]]:
         """``schedule(seed, horizon, dp)`` for this drawer's horizon and dp."""
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer (got {seed})")
-        horizon, lanes = self.horizon, self.lanes
-        events = []
-        turn = 1  # the turn whose occurrence draw is at lane `at`
-        drawn = 0  # stream positions before lane 0 of the block
-        while turn <= horizon:
-            occurs, severe = self._block((seed + (drawn + 1) * _GAMMA) & _MASK64)
-            at = 0
-            while True:
-                hit = occurs.find(1, at)
-                if hit < 0:  # no event in the rest of the block
-                    turn += lanes - at
-                    drawn += lanes
-                    break
-                turn += hit - at
-                if turn > horizon:
-                    return events
-                if hit + 1 == lanes:  # its severity draw is in the next block
-                    drawn += hit
-                    break
-                events.append((turn, severe[hit + 1] == 1))
-                turn += 1
-                at = hit + 2
-        return events
+        return self.draws(seed, seed + 1)[0]
 
 
 def schedule(seed: int, horizon: int, dp: DisruptionParams) -> list[tuple[int, bool]]:

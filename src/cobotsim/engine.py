@@ -26,10 +26,11 @@ rewards make that total exact (``_StagePolicy``). Step 4 reads the
 seed's sparse disruption schedule, drawn up front by
 ``disruption.schedule``; ``run_paired`` draws each seed's schedule once,
 with one ``ScheduleDrawer`` per call, and runs every config over it. It
-works a block of seeds at a time, one ``_simulate`` call per config per
-block, and a block holds at most ``_BLOCK_TURNS`` turns of one config, so
-at ``MAX_HORIZON`` it is one seed. A deterministic variant runs one shift
-per block, since every seed runs the same one. Steps 2 and 3 come from a
+works a block of seeds at a time, one ``ScheduleDrawer.draws`` call per
+block and one ``_simulate`` call per config per block, and a block holds
+at most ``_BLOCK_TURNS`` turns of one config, so at ``MAX_HORIZON`` it is
+one seed. A deterministic variant runs one shift per block, since every
+seed runs the same one. Steps 2 and 3 come from a
 ``_StagePolicy``, the stage game of one parameter set made once per call;
 its docstring describes the decision memo and the event-free opening that
 shifts start from, and ``run_paired``'s says which configs share one.
@@ -420,7 +421,11 @@ def _simulate(
     target its post-turn trust reaches and writes their steps into their
     entries, which become ``recovery_times`` as they stand. A jump needs no
     recovery check: trust is constant through it, and the jumped-from turn
-    already popped every target at or below it.
+    already popped every target at or below it. Without ``keep_records``
+    only a shift's first severe failure enters the ledger, the one entry
+    ``run_paired`` reads: a failure's recovery depends on the trust path
+    alone, not on the failures after it. Every failure still re-arms the
+    apology countdown.
 
     Records: with ``keep_records=True`` each turn, a jumped one too, gets a
     ``StepRecord`` made by ``object.__new__`` and one store per slot, not
@@ -510,9 +515,10 @@ def _simulate(
                 recoveries[index] = (turn, step - turn)
                 target = pending[0][0]
             if outcome is severe:
-                heappush(pending, (trust, len(recoveries)))
-                recoveries.append((step, None))
-                target = pending[0][0]
+                if keep_records or not recoveries:
+                    heappush(pending, (trust, len(recoveries)))
+                    recoveries.append((step, None))
+                    target = pending[0][0]
                 remaining = duration
             if keep_records:
                 if for_opening:
@@ -626,8 +632,9 @@ def run_paired(
     The shifts come from ``_iter_paired``, a block of seeds at a time: each
     config runs a block in one ``_simulate`` call, and a block holds at most
     ``_BLOCK_TURNS`` turns of one config and at least one seed. No shift is
-    kept: each config keeps only every seed's productivity, final trust,
-    final fatigue and first severe failure.
+    kept: ``zip(*shifts)`` folds each block's shifts into the config's
+    columns, every seed's productivity, final trust, final fatigue and first
+    severe failure, the one ledger entry such a shift carries.
 
     Configs share one ``_StagePolicy`` (its memo and opening) when they hold
     the same ``game`` and ``trust`` objects and one trust rule, as configs
@@ -637,32 +644,34 @@ def run_paired(
     columns = [([], [], [], []) for _ in cfgs]
     for block in _iter_paired(cfgs, n_seeds, base_seed):
         for shifts, (productivity, trust, fatigue, first) in zip(block, columns):
-            for _, items, final_fatigue, final_trust, _, recoveries in shifts:
-                productivity.append(items)
-                trust.append(final_trust)
-                fatigue.append(final_fatigue)
-                first.append(recoveries[0] if recoveries else None)
+            _, items, final_fatigue, final_trust, _, ledgers = zip(*shifts)
+            productivity += items
+            trust += final_trust
+            fatigue += final_fatigue
+            first += [ledger[0] if ledger else None for ledger in ledgers]
     return [_aggregate(column, base_seed) for column in columns]
 
 
 def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
     """Yield, for each block of consecutive seeds from base_seed on, a tuple
     of one list per config of ``cfgs``, in their order, of the block's
-    shifts as ``_simulate`` returns them, in seed order.
+    shifts as ``_simulate`` returns them without records, in seed order:
+    each shift's ledger holds its first severe failure alone.
 
     A block holds at most ``_BLOCK_TURNS`` turns of one config, and at
     least one seed, so at ``MAX_HORIZON`` a block is one seed. Each config
     runs a block in one ``_simulate`` call; a deterministic one runs a
     single shift there, which stands for every seed of the block, since it
     draws nothing and every seed's shift is the same. Each seed's
-    disruption schedule is drawn once, by one ``ScheduleDrawer``, and
-    shared by every stochastic config, so the configs must agree on the
-    horizon and the disruption parameters. Configs share ``_StagePolicy``
-    objects as ``run_paired`` says, each opened when it serves more than
-    one shift: one of its configs is stochastic and runs more than one
-    seed, or deterministic and runs more than one block. Each shift equals
-    ``run_shift`` of its config at that seed, as a shared seed pins the same
-    schedule in every variant.
+    disruption schedule is drawn once, by one ``ScheduleDrawer.draws`` call
+    per block, and shared by every stochastic config, so the configs must
+    agree on the horizon and the disruption parameters. Configs share
+    ``_StagePolicy`` objects as ``run_paired`` says, each opened when it
+    serves more than one shift: one of its configs is stochastic and runs
+    more than one seed, or deterministic and runs more than one block. Each
+    shift equals ``run_shift`` of its config at that seed, but for the
+    ledger's later entries, as a shared seed pins the same schedule in
+    every variant.
     """
     if not cfgs:
         raise ValueError("run_paired needs at least one config")
@@ -702,7 +711,7 @@ def _iter_paired(cfgs: list[ModelConfig], n_seeds: int, base_seed: int):
         drawer = ScheduleDrawer(horizon, disruption)
     for start in range(base_seed, last_seed + 1, size):
         seeds = range(start, min(start + size, last_seed + 1))
-        schedules = list(map(drawer.draw, seeds)) if drawer else None
+        schedules = drawer.draws(seeds.start, seeds.stop) if drawer else None
         yield tuple(
             _simulate(cfg, schedules, policy, False)
             if stochastic

@@ -2,13 +2,20 @@
 the sparse schedule the shift loop reads."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cobotsim import DisruptionEvent, DisruptionParams
-from cobotsim.disruption import _below, _cutoff_table, schedule, uniform_cutoff
+from cobotsim import DisruptionEvent, DisruptionParams, disruption
+from cobotsim.disruption import (
+    ScheduleDrawer,
+    _below,
+    _cutoff_table,
+    schedule,
+    uniform_cutoff,
+)
 from stepwise_reference import RandomStream, sample_disruption
 
 
@@ -132,6 +139,51 @@ def test_schedule_rejects_out_of_range_seeds(seed):
         schedule(seed, 10, DisruptionParams())
 
 
+# The seed whose first lane state, seed + gamma, is 2**64 - 1.
+_WRAP = 2**64 - 1 - 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("horizon", [1, 50, 2000])
+@pytest.mark.parametrize("chance", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("severe_share", [0.0, 0.5, 1.0])
+def test_draws_equals_one_schedule_per_seed(horizon, chance, severe_share, monkeypatch):
+    # Each next seed's first block is the last one's plus one per lane, under
+    # the mask. Seed WRAP's lane 0 holds 2**64 - 1, so seed WRAP + 1's wraps to
+    # 0; another range ends at seed 2**64 - 1. At horizon 50 and chance 0.1,
+    # seed 8804's last severity draw falls past its first block.
+    dp = DisruptionParams(chance=chance, severe_share=severe_share)
+    ranges = [(_WRAP - 1, _WRAP + 2), (2**64 - 2, 2**64)]
+    ranges.append((8801, 8806) if horizon < 2000 else (5, 7))
+    calls = []
+    below = disruption._below
+    monkeypatch.setattr(disruption, "_below", lambda *args: calls.append(args) or below(*args))
+    drawer = ScheduleDrawer(horizon, dp)
+    for start, stop in ranges:
+        expected = [_drawn_events(s, horizon, dp) for s in range(start, stop)]
+        assert drawer.draws(start, stop) == expected
+        assert [schedule(s, horizon, dp) for s in range(start, stop)] == expected
+    # _below runs only on a tie, a lane whose top byte equals a cutoff's
+    # that has low bits set: 0.1's and 1.0's do, 0.0's and 0.5's do not.
+    # The 2000-turn ranges draw thousands of lanes, so ties occur there.
+    if horizon == 2000:
+        tables = _cutoff_table(uniform_cutoff(chance)) + _cutoff_table(uniform_cutoff(severe_share))
+        assert bool(calls) == (2 in tables)
+
+
+def test_draws_rejects_seeds_outside_64_bits():
+    drawer = ScheduleDrawer(10, DisruptionParams())
+    assert drawer.draws(2**64 - 1, 2**64) == [schedule(2**64 - 1, 10, DisruptionParams())]
+    assert drawer.draws(3, 3) == []
+    for start, stop, bad in [(-1, 2, -1), (-3, -1, -3), (2**64 - 2, 2**64 + 1, 2**64)]:
+        message = f"seed must be an unsigned 64-bit integer (got {bad})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            drawer.draws(start, stop)
+    for seed in (-1, 2**64):
+        message = f"seed must be an unsigned 64-bit integer (got {seed})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            drawer.draw(seed)
+
+
 @pytest.mark.parametrize(
     "c", [0.0, 0.1, 0.5, 1.0, 5e-324, math.nextafter(1.0, 0.0)]
 )
@@ -149,12 +201,12 @@ def test_uniform_cutoff_is_not_the_rounded_up_product():
 
 
 def _lane_bytes(values):
-    """64-bit lane values packed as ScheduleDrawer._block packs them."""
+    """64-bit lane values packed as ScheduleDrawer.draws packs them."""
     return b"".join(w.to_bytes(8, "little") + bytes(8) for w in values)
 
 
 def _output(w):
-    return w ^ (w >> 31)  # splitmix64's last step, which _block leaves out
+    return w ^ (w >> 31)  # splitmix64's last step, which draws leaves to _below
 
 
 def test_one_byte_cutoff_test_settles_ties_on_the_full_output():

@@ -843,6 +843,29 @@ def _assert_first_failures(ens, shifts):
     assert ens.first_failures == [(s.recovery_times[:1] or [None])[0] for s in shifts]
 
 
+def _as_paired(summary):
+    """``summary`` as ``_paired_shifts`` sees it: a shift run without
+    records keeps only its first severe failure in its ledger."""
+    return replace(summary, recovery_times=summary.recovery_times[:1])
+
+
+def test_paired_shifts_keep_only_their_first_severe_failure():
+    # Seeds 7 and 40 have three or more severe failures in both variants: at
+    # v1.2 seed 7 the first is never regained, and at v1.3 seed 40 it is
+    # regained only after the second struck. A shift run without records
+    # keeps the first alone.
+    cfgs = paired_cfgs(("v1.2", "v1.3"))
+    seeds = range(1, 41)
+    paired = run_paired(cfgs, n_seeds=len(seeds), base_seed=1)
+    blocks = list(engine._iter_paired(cfgs, len(seeds), 1))
+    assert len(blocks) == 1
+    for cfg, ens, shifts in zip(cfgs, paired, blocks[0]):
+        full = [run_shift(replace(cfg, seed=s))[1].recovery_times for s in seeds]
+        assert all(len(full[s - 1]) >= 3 for s in (7, 40))
+        assert [ledger for *_, ledger in shifts] == [times[:1] for times in full]
+        assert ens.first_failures == [times[0] if times else None for times in full]
+
+
 def test_deterministic_ensemble_is_constant():
     cfg = cfg_for("v1.1")
     ens = run_ensemble(cfg, n_seeds=5, base_seed=17)
@@ -857,7 +880,7 @@ def test_singleton_ensemble_matches_single_run():
     cfg = cfg_for("v1.2")
     _, summary = run_shift(replace(cfg, seed=42))
     ens = run_ensemble(cfg, n_seeds=1, base_seed=42)
-    assert _paired_shifts([cfg], 1, 42) == [[summary]]
+    assert _paired_shifts([cfg], 1, 42) == [[_as_paired(summary)]]
     _assert_first_failures(ens, [summary])
     assert ens.mean_productivity == summary.productivity
     assert ens.median_final_fatigue == summary.final_fatigue
@@ -1010,7 +1033,7 @@ def test_run_paired_matches_chained_run_step_per_seed(base_seed):
     assert len(paired) == len(cfgs)
     for cfg, ens, summaries in zip(cfgs, paired, shifts):
         seeds = range(base_seed, base_seed + 30)
-        assert summaries == [_chained_summary(replace(cfg, seed=s)) for s in seeds]
+        assert summaries == [_as_paired(_chained_summary(replace(cfg, seed=s))) for s in seeds]
         assert (ens.n_seeds, ens.base_seed) == (30, base_seed)
         assert ens == run_ensemble(cfg, n_seeds=30, base_seed=base_seed)
         _assert_first_failures(ens, summaries)
@@ -1067,7 +1090,7 @@ def test_shift_loop_is_exact_on_a_dyadic_lattice(params):
     paired = run_paired(cfgs, n_seeds=2, base_seed=params["seed"])
     for cfg, ens, summaries in zip(cfgs, paired, _paired_shifts(cfgs, 2, params["seed"])):
         assert summaries == [
-            run_shift(replace(cfg, seed=cfg.seed + i))[1] for i in range(2)
+            _as_paired(run_shift(replace(cfg, seed=cfg.seed + i))[1]) for i in range(2)
         ]
         _assert_first_failures(ens, summaries)
 
@@ -1183,23 +1206,23 @@ def test_run_paired_draws_one_schedule_per_block_at_max_horizon(monkeypatch):
     # A block holds at least one seed, so at MAX_HORIZON it holds exactly
     # one: one schedule is drawn before each _simulate call of a block.
     calls = []
-    draw, simulate = ScheduleDrawer.draw, engine._simulate
+    draws, simulate = ScheduleDrawer.draws, engine._simulate
 
-    def drawing(drawer, seed):
-        calls.append("draw")
-        return draw(drawer, seed)
+    def drawing(drawer, start, stop):
+        calls.append(("draws", stop - start))
+        return draws(drawer, start, stop)
 
     def simulating(cfg, schedules, policy, keep_records):
         calls.append(len(schedules))
         return simulate(cfg, schedules, policy, keep_records)
 
-    monkeypatch.setattr(ScheduleDrawer, "draw", drawing)
+    monkeypatch.setattr(ScheduleDrawer, "draws", drawing)
     monkeypatch.setattr(engine, "_simulate", simulating)
     dp = DisruptionParams(chance=0.0)
     cfg = cfg_for("v1.2", horizon=engine.MAX_HORIZON, disruption=dp)
     assert run_ensemble(cfg, n_seeds=3, base_seed=5).n_seeds == 3
     # The opening's one event-free schedule, then one per seed.
-    assert calls == [1] + ["draw", 1] * 3
+    assert calls == [1] + [("draws", 1), 1] * 3
 
 
 @pytest.mark.parametrize("base_seed", [1, 2**64 - 19])
@@ -1270,7 +1293,7 @@ def _assert_paired_equals_run_shift(cfgs, n_seeds, base_seed):
     paired = run_paired(cfgs, n_seeds=n_seeds, base_seed=base_seed)
     for cfg, ens, summaries in zip(cfgs, paired, _paired_shifts(cfgs, n_seeds, base_seed)):
         assert summaries == [
-            run_shift(replace(cfg, seed=base_seed + i))[1] for i in range(n_seeds)
+            _as_paired(run_shift(replace(cfg, seed=base_seed + i))[1]) for i in range(n_seeds)
         ]
         _assert_first_failures(ens, summaries)
 

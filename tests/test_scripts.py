@@ -93,13 +93,29 @@ def test_snapshot_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import snapshot_outputs
 
-    monkeypatch.chdir(tmp_path)  # snapshot() changes directory
+    monkeypatch.chdir(tmp_path)  # restored at teardown even if snapshot() is not
     assert snapshot_outputs.snapshot(tmp_path / "snap") == 0
+    assert os.getcwd() == str(tmp_path)
     got = _hashes(snapshot_outputs.manifest(tmp_path / "snap"))
     expected = _hashes(GOLDEN_MANIFEST.read_text(encoding="utf-8"))
     differ = sorted(p for p in got.keys() & expected.keys() if got[p] != expected[p])
     missing, extra = sorted(expected.keys() - got.keys()), sorted(got.keys() - expected.keys())
     assert (differ, missing, extra) == ([], [], [])
+
+
+def test_snapshot_outputs_changes_back_when_a_command_raises(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import snapshot_outputs
+
+    def raising(argv):
+        raise RuntimeError(argv[0])
+
+    monkeypatch.setattr(snapshot_outputs, "main", raising)
+    monkeypatch.chdir(tmp_path)  # restored at teardown even if snapshot() is not
+    with pytest.raises(RuntimeError, match="table2"):
+        snapshot_outputs.snapshot(Path("snap"))
+    assert os.getcwd() == str(tmp_path)
+    assert sorted(p.name for p in (tmp_path / "snap").iterdir()) == [snapshot_outputs.CONFIG]
 
 
 def test_snapshot_outputs_writes_its_manifest(tmp_path):
@@ -116,6 +132,33 @@ def test_cross_version_finds_no_difference_under_one_interpreter(tmp_path):
     version = platform.python_version()
     assert result.stdout == f"== {sys.executable} ({version}) against 0-{version}\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_cross_version_checks_each_snapshot_against_the_golden_manifest(
+    tmp_path, monkeypatch, capsys
+):
+    # One hash changed, one line dropped and one path added: each is named.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import cross_version
+
+    changed, dropped, *kept = GOLDEN_MANIFEST.read_text(encoding="utf-8").splitlines(True)
+    paths = [line.split("  ", 1)[1].strip() for line in (changed, dropped)]
+    tampered = tmp_path / "tampered.sha256"
+    tampered.write_text(
+        "".join([f"{'0' * 64}  {paths[0]}\n", *kept, f"{'0' * 64}  added/stdout.txt\n"]),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(cross_version, "GOLDEN", tampered)
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    assert cross_version.main([sys.executable]) == 1
+    version = platform.python_version()
+    assert capsys.readouterr().out == "".join(
+        [f"== {sys.executable} ({version}) against tampered.sha256\n"]
+        + [f"{path}\n" for path in sorted([*paths, "added/stdout.txt"])]
+    )
+    monkeypatch.setattr(cross_version, "GOLDEN", GOLDEN_MANIFEST)
+    assert cross_version.main([sys.executable]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cross_version_fails_on_an_interpreter_that_does_not_run(tmp_path):
@@ -215,8 +258,8 @@ def test_bench_records_sizes_counts_times_and_versions(tmp_path):
     assert result.returncode == 0, result.stderr
     record = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
     assert list(record) == [
-        "python", "cpu_count", "environment", "size", "ops", "wall_ms", "cross_version",
-        "perfbench",
+        "python", "cpu_count", "environment", "size", "ops", "layers", "wall_ms",
+        "cross_version", "perfbench",
     ]
     assert record["python"].endswith(platform.python_version())
     assert record["cpu_count"] >= 1
@@ -244,6 +287,27 @@ def test_bench_records_sizes_counts_times_and_versions(tmp_path):
     assert record["cross_version"] == {"pythons": [platform.python_version()], "exit": 0}
     assert record["perfbench"] is None
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
+
+
+def test_bench_times_draws_per_seed(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench
+
+    calls = []
+    draws = bench.ScheduleDrawer.draws
+
+    def counting(drawer, start, stop):
+        calls.append((drawer.horizon, start, stop))
+        return draws(drawer, start, stop)
+
+    monkeypatch.setattr(bench.ScheduleDrawer, "draws", counting)
+    layers = bench.layers(2)
+    assert list(layers) == ["draws_us_per_seed"]
+    per_seed = layers["draws_us_per_seed"]
+    assert list(per_seed) == ["horizon_50_seeds_25", "horizon_2000_seeds_8"]
+    assert all(value > 0 for value in per_seed.values())
+    # Each timing is the best of 2 rounds of DRAW_CALLS calls from seed 1.
+    assert calls == [(50, 1, 26)] * 2 * bench.DRAW_CALLS + [(2000, 1, 9)] * 2 * bench.DRAW_CALLS
 
 
 def test_bench_keeps_the_last_line_of_each_perfbench_run(monkeypatch):
