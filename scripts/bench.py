@@ -34,8 +34,8 @@ The record holds:
 - ``cross_version``: the versions of the ``--python`` interpreters given
   (null for one that does not run) and the exit status of
   ``scripts/cross_version.py`` over them (0 when every snapshot matches
-  the first), or null without ``--python``. Its report goes to this
-  script's stdout;
+  the golden manifest), or null without ``--python``. Its report goes to
+  this script's stdout;
 - ``perfbench``: the first seed, the seconds per run, the number of runs,
   and per workload of ``BENCHMARK.json`` the ``correct`` flag of every run
   and, per metric of the last line of ``perfbench/run.py --trace 0``, its
@@ -144,7 +144,8 @@ def version(python: str) -> str | None:
 
 def cross_versions(pythons: list[str], env: dict) -> dict | None:
     """The versions of ``pythons`` and the exit status of
-    ``cross_version.py`` over them."""
+    ``cross_version.py`` over them: 0 when every snapshot matches the
+    golden manifest."""
     if not pythons:
         return None
     result = subprocess.run([sys.executable, cross_version.__file__, *pythons], env=env)

@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Run ``snapshot_outputs.py`` under each Python interpreter given and
-compare every snapshot with the golden manifest and with the first one's:
+compare every snapshot with the golden manifest:
 
     PYTHONPATH=src python3 scripts/cross_version.py PY [PY ...]
 
 Each interpreter imports ``cobotsim`` through the inherited ``PYTHONPATH``,
-so pointing it at another tree's ``src`` snapshots that tree. For each
-interpreter after the first, the script prints a line naming it and its
-version, then the output of ``diff -r`` between the first snapshot and its
-own; the snapshot directories are named ``<index>-<version>``, so the
-output does not depend on where they are written. Each snapshot's
-``snapshot_outputs.manifest`` is also compared with ``GOLDEN``, this
-tree's ``tests/golden/snapshot.sha256``: where they differ, the script
-prints a line naming the interpreter and the manifest, then each relative
-path whose hash differs or that only one of the two lists.
+so pointing it at another tree's ``src`` snapshots that tree. Each
+snapshot's ``snapshot_outputs.manifest`` is compared with ``GOLDEN``, this
+tree's ``tests/golden/snapshot.sha256``; snapshots that all equal it equal
+each other. A matching run prints nothing. Where a snapshot differs, the
+script prints a line naming the interpreter, its version and the manifest,
+then each relative path whose hash differs or that only one of the two
+lists.
 
-Exits 1 if any snapshot differs from the golden manifest or the first, or
-fails to run, else 0.
+Exits 1 if any snapshot differs from the golden manifest or fails to run,
+else 0.
 """
 
 import subprocess
@@ -76,17 +74,8 @@ def main(pythons: list[str]) -> int:
         names = [snapshot(python, i, Path(tmp)) for i, python in enumerate(pythons)]
         if None in names:
             return 1
-        first = names[0]
-        for index, (python, name) in enumerate(zip(pythons, names)):
+        for python, name in zip(pythons, names):
             version = name.partition("-")[2]
-            if index:
-                print(f"== {python} ({version}) against {first}")
-                diff = subprocess.run(
-                    ["diff", "-r", first, name], cwd=tmp, capture_output=True, text=True
-                )
-                print(diff.stdout, end="")
-                if diff.returncode:
-                    status = 1
             differ = mismatches(snapshot_outputs.manifest(Path(tmp, name)), golden)
             if differ:
                 print(f"== {python} ({version}) against {GOLDEN.name}")

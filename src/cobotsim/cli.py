@@ -6,8 +6,9 @@ Configuration resolution order: built-in defaults, then --config file, then
 
 Each command's flags are declared once, in ``_COMMANDS``. A line of a
 command and exact ``--flag value`` pairs is read straight from that table,
-with no argparse parser built; argparse reads every other line, and writes
-all help, usage and error text (see ``parse_command_line``).
+with no argparse parser built; any other line goes to
+``build_parser().parse_args``, which writes all help, usage and error text
+(see ``parse_command_line``).
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import argparse
 import math
 import os
 import shlex
-import shutil
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 from .charts import emit_svg_chart
@@ -316,9 +315,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 # The flags of each command, as ``add_argument`` keywords by flag, in the
-# order its help lists them. ``build_parser``, the one-command parser and
-# ``_read_exact`` all read them, so a flag is declared here alone. An
-# ``append`` flag's default is a new empty list each time (``_default``).
+# order its help lists them. ``build_parser`` and ``_read_exact`` both read
+# them, so a flag is declared here alone. An ``append`` flag's default is a
+# new empty list each time (``_default``).
 _CONFIG_FLAGS = {
     "--config": {"metavar": "FILE", "help": "key = value config file"},
     "--set": {"dest": "overrides", "metavar": "KEY=VALUE", "action": "append",
@@ -364,11 +363,6 @@ def _default(options: dict):
     return [] if options.get("action") == "append" else options.get("default")
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags: dict[str, dict]) -> None:
-    for flag, options in flags.items():
-        parser.add_argument(flag, **{**options, "default": _default(options)})
-
-
 def _read_exact(command: str, tokens: list[str]) -> argparse.Namespace | None:
     """The ``Namespace`` argparse reads from ``[command, *tokens]`` when
     ``tokens`` are pairs of an exact long flag of ``command`` and a ``str``
@@ -409,52 +403,35 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def _formatter() -> partial:
-    # argparse makes a formatter for every add_argument, and each one asks for
-    # the terminal size; ask once instead, with argparse's own margin of 2.
-    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser, with a sub-parser for each command: it alone can list
-    the commands in its help or report a missing or unknown one."""
-    formatter = _formatter()
+    """The full parser, with a sub-parser for each command. It reads every
+    line that ``_read_exact`` does not, and writes all help and error text."""
     parser = _Parser(
         prog="cobotsim",
         description="Simulate human-cobot picking shifts with trust and fatigue "
         "co-regulation.",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags, _) in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=help_line, formatter_class=formatter), flags)
+        command = sub.add_parser(name, help=help_line)
+        for flag, options in flags.items():
+            command.add_argument(flag, **{**options, "default": _default(options)})
     return parser
 
 
 def parse_command_line(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same output and exit
-    status, building as little of argparse as the line needs. A command
-    followed by exact flag-value pairs builds no parser: ``_read_exact``
-    reads it from the flag table. Any other line that starts with a command
-    builds only that command's parser, the one ``build_parser`` would hand
-    the rest of the line. The full parser is built for anything else (no
-    argument, ``--help``, an unknown command, an option before the command)
-    and to report arguments the command leaves unread. An option before a
-    command named later is an error that shows the line with the command
-    moved to the front. Argparse writes every help, usage and error text.
+    status. A command followed by exact flag-value pairs builds no parser:
+    ``_read_exact`` reads it from the flag table. Any other line goes to
+    ``build_parser().parse_args``, except an option before a command named
+    later: that is an error that shows the line with the command moved to
+    the front. Argparse writes every help, usage and error text.
     """
     first = argv[0] if argv else None
     if first in _COMMANDS:
         args = _read_exact(first, argv[1:])
         if args is not None:
             return args
-        parser = _Parser(prog=f"cobotsim {first}", formatter_class=_formatter())
-        _add_flags(parser, _COMMANDS[first][1])
-        args, extras = parser.parse_known_args(argv[1:])
-        if extras:
-            build_parser().error("unrecognized arguments: " + " ".join(extras))
-        args.command = first
-        return args
     parser = build_parser()
     if first and first.startswith("-") and first not in ("-h", "--help"):
         command = next((arg for arg in argv[1:] if arg in _COMMANDS), None)
@@ -471,10 +448,9 @@ def parse_command_line(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     """Run the command line ``argv`` (default ``sys.argv[1:]``); return the
     exit status: 0 on success, 2 on a config error, 1 when stdout is closed.
-    ``parse_command_line`` reads it: argparse runs only for a line that is
-    not a command followed by exact flag-value pairs, and builds the full
-    parser only when the line does not start with a command or the command
-    leaves arguments unread.
+    ``parse_command_line`` reads it: exact flag-value pairs after a command
+    are read from the flag table, and any other line goes to
+    ``build_parser().parse_args``.
     """
     if argv is None:
         argv = sys.argv[1:]

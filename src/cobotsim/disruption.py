@@ -239,14 +239,10 @@ class ScheduleDrawer:
             first = (first + ones) & mask
         return schedules
 
-    def draw(self, seed: int) -> list[tuple[int, bool]]:
-        """``schedule(seed, horizon, dp)`` for this drawer's horizon and dp."""
-        return self.draws(seed, seed + 1)[0]
-
 
 def schedule(seed: int, horizon: int, dp: DisruptionParams) -> list[tuple[int, bool]]:
     """The events of turns 1..horizon that the module's draw rule gives
     from ``seed``, as ``(turn, is_cobot_failure)`` pairs in turn order;
     turns without an event are left out. To draw many seeds with one
     horizon and ``dp``, make one ``ScheduleDrawer`` and reuse it."""
-    return ScheduleDrawer(horizon, dp).draw(seed)
+    return ScheduleDrawer(horizon, dp).draws(seed, seed + 1)[0]

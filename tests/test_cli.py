@@ -645,10 +645,9 @@ def parser_builds(monkeypatch):
     return counts
 
 
-def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys):
-    # A line of exact flag-value pairs builds no parser; any other line that
-    # starts with a command builds that command's own parser alone. No parser
-    # is kept between calls.
+def test_main_builds_the_full_parser_only_for_non_exact_lines(parser_builds, tmp_path, capsys):
+    # A line of exact flag-value pairs builds no parser; any other line builds
+    # the full parser once. No parser is kept between calls.
     for _ in range(2):
         parser_builds.update(parsers=0, arguments=0)
         assert main(["run", "--emit", "csv", "--out", str(tmp_path)]) == 0
@@ -661,7 +660,7 @@ def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys
         for _ in range(2):
             parser_builds.update(parsers=0, arguments=0)
             assert main(argv) == 0
-            assert parser_builds == {"parsers": 1, "arguments": 7}
+            assert parser_builds == {"parsers": 5, "arguments": 24}
     for argv in (["--help"], ["-h", "run"]):
         parser_builds.update(parsers=0, arguments=0)
         with pytest.raises(SystemExit):
@@ -670,11 +669,10 @@ def test_main_builds_only_the_invoked_sub_parser(parser_builds, tmp_path, capsys
     parser_builds.update(parsers=0, arguments=0)
     assert main(["compare", "--seeds", "1"]) == 2
     assert parser_builds == {"parsers": 0, "arguments": 0}
-    # Arguments the command leaves unread are reported by the full parser.
     parser_builds.update(parsers=0, arguments=0)
     with pytest.raises(SystemExit):
         main(["run", "--bogus"])
-    assert parser_builds == {"parsers": 6, "arguments": 31}
+    assert parser_builds == {"parsers": 5, "arguments": 24}
     capsys.readouterr()
 
 
@@ -710,7 +708,7 @@ _VALID_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=lambda argv: " ".join(argv)[:60])
-def test_one_command_parser_reads_the_full_parsers_namespace(argv):
+def test_parse_command_line_reads_the_full_parsers_namespace(argv):
     expected = build_parser().parse_args(argv)
     assert parse_command_line(argv) == expected
     # Each line is exact flag-value pairs, which the table reader takes but
@@ -723,7 +721,7 @@ def test_one_command_parser_reads_the_full_parsers_namespace(argv):
     "argv", [["run", "--bogus"], ["table2", "run"], ["compare", "--seeds", "2", "--", "x"]],
     ids=" ".join,
 )
-def test_one_command_parser_leaves_unread_arguments_to_the_full_parser(argv, capsys):
+def test_parse_command_line_reports_unread_arguments_as_the_full_parser(argv, capsys):
     # Same exit status and message as the full parser's, whose usage line
     # lists every command.
     outcomes = []

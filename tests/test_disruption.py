@@ -181,7 +181,7 @@ def test_draws_rejects_seeds_outside_64_bits():
     for seed in (-1, 2**64):
         message = f"seed must be an unsigned 64-bit integer (got {seed})"
         with pytest.raises(ValueError, match=re.escape(message)):
-            drawer.draw(seed)
+            schedule(seed, 10, DisruptionParams())
 
 
 @pytest.mark.parametrize(

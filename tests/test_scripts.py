@@ -26,26 +26,6 @@ def run_script(name, *args, cwd, environ=os.environ):
     )
 
 
-def test_reproduce_kpis_prints_and_saves_the_table(tmp_path):
-    result = run_script("reproduce_kpis.py", "--seeds", "20", cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert "recovery-time ratio v1.3/v1.2" in result.stdout
-    saved = (tmp_path / "out" / "table2.txt").read_text(encoding="utf-8")
-    assert "recovery-time ratio v1.3/v1.2" in saved
-
-
-def test_render_figures_writes_one_chart_and_csv_per_variant(tmp_path):
-    result = run_script("render_figures.py", str(tmp_path / "figures"), cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    figures = tmp_path / "figures"
-    assert sorted(p.name for p in figures.glob("*.svg")) == [
-        "v1_0.svg", "v1_1.svg", "v1_2.svg", "v1_3.svg"
-    ]
-    assert sorted(p.name for p in figures.glob("*.csv")) == [
-        "v1_0.csv", "v1_1.csv", "v1_2.csv", "v1_3.csv"
-    ]
-
-
 def test_snapshot_outputs_writes_one_directory_per_command(tmp_path):
     result = run_script("snapshot_outputs.py", "snap", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
@@ -129,8 +109,7 @@ def test_snapshot_outputs_writes_its_manifest(tmp_path):
 def test_cross_version_finds_no_difference_under_one_interpreter(tmp_path):
     result = run_script("cross_version.py", sys.executable, sys.executable, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    version = platform.python_version()
-    assert result.stdout == f"== {sys.executable} ({version}) against 0-{version}\n"
+    assert result.stdout == ""
     assert not any(tmp_path.iterdir())
 
 
